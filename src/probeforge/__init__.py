@@ -9,7 +9,6 @@ configuration selections.
 
 from .core import (
     CLASS_LABELS,
-    Chip,
     ChipTable,
     ClassId,
     Dataset,
@@ -69,7 +68,6 @@ __all__ = [
     "AggregateRecord",
     "AlignmentError",
     "CLASS_LABELS",
-    "Chip",
     "ChipTable",
     "ClassId",
     "DataFormatError",

@@ -12,6 +12,7 @@ the grid's base seed for ``run``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -22,9 +23,7 @@ from .core import (
     CLASS_LABELS,
     ClassId,
     FMDescriptor,
-    Modality,
     assemble_dataset,
-    infer_modality,
     validate_dataset,
 )
 from .errors import ProbeforgeError
@@ -136,10 +135,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    fm_id = args.fm_id or Path(args.emb).stem
-    fm = FMDescriptor(
-        fm_id=fm_id, modality=infer_modality(fm_id) or Modality.S2, dim=args.fm_dim
-    )
+    fm = FMDescriptor(fm_id=args.fm_id or Path(args.emb).stem, dim=args.fm_dim)
     table = load_chip_table(args.chips)
     emb = load_embeddings(args.emb, args.index, fm)
     report = validate_dataset(assemble_dataset(table, emb))
@@ -171,7 +167,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if not 0 <= seed < 2**64:
             raise UsageError(f"{SEED_ENV} must fit in 64 bits, got {env_seed}")
         logger.info("%s=%d overrides grid base_seed %d", SEED_ENV, seed, grid.base_seed)
-        grid = GridSpec.from_dict({**grid.to_dict(), "base_seed": seed})
+        grid = dataclasses.replace(grid, base_seed=seed)
     datasets = load_dataset_dir(args.data_dir)
     records = run_grid(grid, datasets, args.out,
                        threads=args.threads, resume=args.resume)

@@ -1,22 +1,24 @@
 """Domain types shared by all modules, plus dataset assembly and validation.
 
 A *chip* is one fixed-size image tile; each chip carries per-class cover
-fractions and a mean elevation. An *embedding set* is a row-aligned matrix
-of fixed-dimension vectors produced upstream by a frozen encoder model; we
-never run the encoder here, embeddings are inputs. ``assemble_dataset``
-joins the two by chip id so downstream stages can index rows positionally.
+fractions and a mean elevation. A chip table holds them as columns, one row
+per chip. An *embedding set* is a row-aligned matrix of fixed-dimension
+vectors produced upstream by a frozen encoder model; we never run the
+encoder here, embeddings are inputs. ``assemble_dataset`` joins the two by
+chip id so downstream stages can index rows positionally.
 
-Core types are passive records: structural problems (wrong key sets, shape
-mismatches, duplicate ids) fail at construction, while value-level problems
-(fractions out of range, non-finite entries) are data and are reported by
-``validate_dataset`` instead of raised.
+Core types are passive records of read-only arrays: structural problems
+(shape mismatches, duplicate ids) fail at construction, while value-level
+problems (fractions out of range, non-finite entries) are data and are
+reported by ``validate_dataset`` instead of raised.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum, IntEnum
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -81,7 +83,6 @@ class FMDescriptor:
     """Identity and shape of one upstream embedding model."""
 
     fm_id: str
-    modality: Modality
     dim: int
 
     def __post_init__(self) -> None:
@@ -89,41 +90,28 @@ class FMDescriptor:
             raise ValueError(f"embedding dim must be positive, got {self.dim}")
 
 
-@dataclass(frozen=True)
-class Chip:
-    """One tile: identity, location, per-class cover fractions, elevation.
-
-    ``fractions`` must have exactly the seven :class:`ClassId` keys. Values
-    are accepted as-is; range and finiteness are checked by
-    :func:`validate_dataset`.
-    """
-
-    chip_id: str
-    aoi: str
-    lon: float
-    lat: float
-    fractions: Mapping[ClassId, float]
-    elevation_m: float
-
-    def __post_init__(self) -> None:
-        fr = {ClassId(k): float(v) for k, v in self.fractions.items()}
-        if set(fr) != set(ClassId):
-            missing = sorted(c.label for c in set(ClassId) - set(fr))
-            raise ValueError(
-                f"chip {self.chip_id!r}: fractions must cover all seven classes"
-                f" (missing: {missing})"
-            )
-        object.__setattr__(self, "fractions", fr)
-
-    def fraction_vector(self) -> np.ndarray:
-        """Fractions as a length-7 float array in class-code order."""
-        return np.array([self.fractions[c] for c in ClassId], dtype=np.float64)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.setflags(write=False)
+def _readonly(a, dtype=None) -> np.ndarray:
+    """``a`` as a read-only array, copied only if the caller could still write it."""
+    a = np.asarray(a, dtype=dtype)
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
     return a
+
+
+def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The given rows of ``a`` as a new read-only array that nothing else holds."""
+    out = a[rows]
+    out.setflags(write=False)
+    return out
+
+
+def _set_column(obj, name: str, shape: tuple[int, ...], dtype=np.float64) -> None:
+    """Store attribute ``name`` of ``obj`` as a read-only array of ``shape``."""
+    a = _readonly(getattr(obj, name), dtype)
+    if a.shape != shape:
+        raise ValueError(f"{name} shape {a.shape} does not match {shape}")
+    object.__setattr__(obj, name, a)
 
 
 @dataclass(frozen=True)
@@ -141,7 +129,7 @@ class EmbeddingSet:
 
     def __post_init__(self) -> None:
         ids = tuple(self.chip_ids)
-        m = np.asarray(self.matrix)
+        m = _readonly(self.matrix)
         if m.ndim != 2:
             raise ValueError(f"embedding matrix must be 2-D, got shape {m.shape}")
         if m.shape[0] != len(ids):
@@ -155,7 +143,7 @@ class EmbeddingSet:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate chip_id in embedding index")
         object.__setattr__(self, "chip_ids", ids)
-        object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "matrix", m)
 
     def __len__(self) -> int:
         return len(self.chip_ids)
@@ -163,95 +151,99 @@ class EmbeddingSet:
 
 @dataclass(frozen=True)
 class ChipTable:
-    """Ordered chip collection with a chip_id -> position index."""
+    """Chips as columns: row ``i`` of every array describes ``chip_ids[i]``.
 
-    chips: tuple[Chip, ...]
-    index: dict[str, int] = field(default_factory=dict)
+    ``aois`` holds one label string per chip; ``fractions`` has one column
+    per :class:`ClassId` in code order. Values are accepted as-is; range
+    and finiteness are checked by :func:`validate_dataset`.
+    """
+
+    chip_ids: tuple[str, ...]
+    aois: np.ndarray
+    lon: np.ndarray
+    lat: np.ndarray
+    fractions: np.ndarray
+    elevations: np.ndarray
 
     def __post_init__(self) -> None:
-        chips = tuple(self.chips)
-        idx = {c.chip_id: i for i, c in enumerate(chips)}
-        if len(idx) != len(chips):
+        ids = tuple(self.chip_ids)
+        if len(set(ids)) != len(ids):
             seen: set[str] = set()
-            for c in chips:
-                if c.chip_id in seen:
-                    raise ValueError(f"duplicate chip_id: {c.chip_id!r}")
-                seen.add(c.chip_id)
-        object.__setattr__(self, "chips", chips)
-        object.__setattr__(self, "index", idx)
+            for cid in ids:
+                if cid in seen:
+                    raise ValueError(f"duplicate chip_id: {cid!r}")
+                seen.add(cid)
+        object.__setattr__(self, "chip_ids", ids)
+        n = len(ids)
+        _set_column(self, "aois", (n,), dtype=object)
+        for name in ("lon", "lat", "elevations"):
+            _set_column(self, name, (n,))
+        _set_column(self, "fractions", (n, N_CLASSES))
 
     def __len__(self) -> int:
-        return len(self.chips)
+        return len(self.chip_ids)
 
-    def __iter__(self):
-        return iter(self.chips)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ChipTable):
+            return NotImplemented
+        return (
+            self.chip_ids == other.chip_ids
+            and np.array_equal(self.aois, other.aois)
+            and all(np.array_equal(getattr(self, f), getattr(other, f), equal_nan=True)
+                    for f in ("lon", "lat", "fractions", "elevations"))
+        )
 
-    def get(self, chip_id: str) -> Chip:
-        return self.chips[self.index[chip_id]]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Chips joined to their embedding rows, with positional accessors.
 
     Row ``i`` of ``matrix``, ``fractions`` and ``elevations`` all describe
-    ``chips[i]``. ``fractions`` has one column per :class:`ClassId` in code
-    order. Everything is immutable; samplers and the runner address rows by
+    ``chip_ids[i]``. ``fractions`` has one column per :class:`ClassId` in
+    code order. The per-row AOI labels passed as ``aois`` are grouped once
+    into ``aoi_positions``: each AOI's row positions in ascending order.
+    Everything is immutable; samplers and the runner address rows by
     position.
     """
 
     fm: FMDescriptor
-    chips: tuple[Chip, ...]
+    chip_ids: tuple[str, ...]
+    aois: InitVar[np.ndarray]
     matrix: np.ndarray
     fractions: np.ndarray
     elevations: np.ndarray
     dropped_table_only: int = 0
     dropped_embedding_only: int = 0
+    aoi_positions: Mapping[str, np.ndarray] = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chips", tuple(self.chips))
-        if self.matrix.shape != (len(self.chips), self.fm.dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"({len(self.chips)}, {self.fm.dim})"
-            )
-        object.__setattr__(self, "matrix", _readonly(self.matrix))
-        object.__setattr__(self, "fractions", _readonly(self.fractions))
-        object.__setattr__(self, "elevations", _readonly(self.elevations))
+    def __post_init__(self, aois: np.ndarray) -> None:
+        n = len(self.chip_ids)
+        _set_column(self, "matrix", (n, self.fm.dim), dtype=None)
+        _set_column(self, "fractions", (n, N_CLASSES))
+        _set_column(self, "elevations", (n,))
+        aois = np.asarray(aois)
+        if aois.shape != (n,):
+            raise ValueError(f"aois shape {aois.shape} does not match ({n},)")
+        labels, inverse = np.unique(aois, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        order.setflags(write=False)
+        groups = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
+        object.__setattr__(self, "aoi_positions", dict(zip(labels.tolist(), groups)))
 
     def __len__(self) -> int:
-        return len(self.chips)
+        return len(self.chip_ids)
 
-    @property
-    def chip_ids(self) -> tuple[str, ...]:
-        return tuple(c.chip_id for c in self.chips)
 
-    @property
-    def aois(self) -> tuple[str, ...]:
-        return tuple(c.aoi for c in self.chips)
-
-    def subset(self, positions: Sequence[int] | np.ndarray) -> "Dataset":
-        pos = np.asarray(positions, dtype=np.intp)
-        return Dataset(
-            fm=self.fm,
-            chips=tuple(self.chips[int(i)] for i in pos),
-            matrix=self.matrix[pos],
-            fractions=self.fractions[pos],
-            elevations=self.elevations[pos],
-        )
-
-    def positions_for_aoi(self, aoi: str) -> np.ndarray:
-        return np.array(
-            [i for i, c in enumerate(self.chips) if c.aoi == aoi], dtype=np.intp
-        )
-
-    def by_aoi(self) -> dict[str, "Dataset"]:
-        """Split into one Dataset per AOI label, preserving row order."""
-        order: list[str] = []
-        for c in self.chips:
-            if c.aoi not in order:
-                order.append(c.aoi)
-        return {a: self.subset(self.positions_for_aoi(a)) for a in order}
+def _match(keys: Sequence[str], ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Which ``keys`` occur in ``ids`` (a mask), and at which ``ids`` position each does."""
+    ids_a = np.array(ids, dtype=object)
+    if not ids_a.size:
+        return np.zeros(len(keys), dtype=bool), np.zeros(0, dtype=np.intp)
+    keys_a = np.array(keys, dtype=object)
+    order = np.argsort(ids_a)
+    pos = order[np.searchsorted(ids_a, keys_a, sorter=order).clip(max=ids_a.size - 1)]
+    found = ids_a[pos] == keys_a
+    return found, pos[found]
 
 
 def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
@@ -260,20 +252,20 @@ def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
     The result covers the intersection in table order; records present on
     only one side are counted and logged, never fatal. An empty intersection
     or an embedding width that contradicts the declared model dim raises
-    :class:`AlignmentError`.
+    :class:`AlignmentError`. The joined matrix is the only copy made.
     """
     if emb.matrix.shape[1] != emb.fm.dim:
         raise AlignmentError(
             f"embedding dim {emb.matrix.shape[1]} does not match "
             f"fm {emb.fm.fm_id!r} dim {emb.fm.dim}"
         )
-    row_of = {cid: i for i, cid in enumerate(emb.chip_ids)}
-    kept = [(chip, row_of[chip.chip_id]) for chip in table if chip.chip_id in row_of]
-    if not kept:
+    kept, emb_rows = _match(table.chip_ids, emb.chip_ids)
+    if not kept.any():
         raise AlignmentError("no aligned chips")
+    rows = np.flatnonzero(kept)
 
-    dropped_table = len(table) - len(kept)
-    dropped_emb = len(emb) - len(kept)
+    dropped_table = len(table) - rows.size
+    dropped_emb = len(emb) - rows.size
     if dropped_table or dropped_emb:
         logger.info(
             "join for fm %s dropped %d table-only and %d embedding-only records",
@@ -282,14 +274,13 @@ def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
             dropped_emb,
         )
 
-    chips = tuple(chip for chip, _ in kept)
-    rows = np.array([row for _, row in kept], dtype=np.intp)
     return Dataset(
         fm=emb.fm,
-        chips=chips,
-        matrix=emb.matrix[rows],
-        fractions=np.stack([c.fraction_vector() for c in chips]),
-        elevations=np.array([c.elevation_m for c in chips], dtype=np.float64),
+        chip_ids=tuple(compress(table.chip_ids, kept.tolist())),
+        aois=table.aois[rows],
+        matrix=_take(emb.matrix, emb_rows),
+        fractions=_take(table.fractions, rows),
+        elevations=_take(table.elevations, rows),
         dropped_table_only=dropped_table,
         dropped_embedding_only=dropped_emb,
     )
@@ -333,27 +324,31 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
 
     Violations are data, not errors: the report lists each offending chip
     with a stable rule name and the ``valid`` flag is true iff none exist.
+    They come in row order, and within a chip in rule order.
     """
+    fr = ds.fractions
+    bad_range = ~(np.isfinite(fr) & (fr >= 0.0) & (fr <= 1.0))
+    totals = fr.sum(axis=1)
+    bad_sum = np.isfinite(totals) & (totals > 1.0 + FRACTION_SUM_TOL)
+    bad_elev = ~np.isfinite(ds.elevations)
+    bad_emb = ~np.isfinite(ds.matrix).all(axis=1)
     violations: list[Violation] = []
-    row_finite = np.isfinite(ds.matrix).all(axis=1)
-    for i, chip in enumerate(ds.chips):
-        for c in ClassId:
-            f = chip.fractions[c]
-            if not (np.isfinite(f) and 0.0 <= f <= 1.0):
-                violations.append(
-                    Violation(chip.chip_id, RULE_FRACTION_RANGE, f"{c.label}={f!r}")
-                )
-        total = float(sum(chip.fractions.values()))
-        if np.isfinite(total) and total > 1.0 + FRACTION_SUM_TOL:
+    for i in np.flatnonzero(bad_range.any(axis=1) | bad_sum | bad_elev | bad_emb).tolist():
+        chip_id = ds.chip_ids[i]
+        for c in np.flatnonzero(bad_range[i]).tolist():
+            violations.append(Violation(
+                chip_id, RULE_FRACTION_RANGE, f"{CLASS_LABELS[c]}={float(fr[i, c])!r}"
+            ))
+        if bad_sum[i]:
             violations.append(
-                Violation(chip.chip_id, RULE_FRACTION_SUM, f"sum={total!r}")
+                Violation(chip_id, RULE_FRACTION_SUM, f"sum={float(totals[i])!r}")
             )
-        if not np.isfinite(chip.elevation_m):
-            violations.append(
-                Violation(chip.chip_id, RULE_ELEVATION, f"elevation_m={chip.elevation_m!r}")
-            )
-        if not row_finite[i]:
-            violations.append(Violation(chip.chip_id, RULE_EMBEDDING))
+        if bad_elev[i]:
+            violations.append(Violation(
+                chip_id, RULE_ELEVATION, f"elevation_m={float(ds.elevations[i])!r}"
+            ))
+        if bad_emb[i]:
+            violations.append(Violation(chip_id, RULE_EMBEDDING))
     return ValidationReport(violations=tuple(violations), n_chips=len(ds))
 
 

@@ -34,15 +34,12 @@ import numpy as np
 from .core import (
     CLASS_LABELS,
     N_CLASSES,
-    Chip,
     ChipTable,
     ClassId,
     Dataset,
     EmbeddingSet,
     FMDescriptor,
-    Modality,
     assemble_dataset,
-    infer_modality,
 )
 from .errors import DataFormatError
 from .seeds import stream
@@ -79,52 +76,77 @@ def load_chip_table(path: str | Path) -> ChipTable:
     the id. Blank lines are permitted and skipped, so an empty file yields
     an empty table.
     """
-    chips: list[Chip] = []
+    ids: list[str] = []
+    aois: list[str] = []
+    values: list[float] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                chips.append(_parse_chip(line))
+                chip_id, aoi, row = _parse_chip(line)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if chips[-1].chip_id in seen:
+            if chip_id in seen:
                 raise DataFormatError(
-                    f"{path}: line {lineno}: duplicate chip_id: {chips[-1].chip_id!r}"
+                    f"{path}: line {lineno}: duplicate chip_id: {chip_id!r}"
                 )
-            seen.add(chips[-1].chip_id)
-    return ChipTable(chips=tuple(chips))
+            seen.add(chip_id)
+            ids.append(chip_id)
+            aois.append(aoi)
+            values += row
+    cols = np.array(values, dtype=np.float64).reshape(len(ids), 3 + N_CLASSES)
+    cols.setflags(write=False)
+    return ChipTable(
+        chip_ids=tuple(ids),
+        aois=np.array(aois, dtype=object),
+        lon=cols[:, 0],
+        lat=cols[:, 1],
+        fractions=cols[:, 2:-1],
+        elevations=cols[:, -1],
+    )
 
 
-def _parse_chip(line: str) -> Chip:
+_LABEL_SET = frozenset(CLASS_LABELS)
+
+
+def _parse_chip(line: str) -> tuple[str, str, list[float]]:
+    """chip_id, aoi, and [lon, lat, the seven fractions in code order, elevation]."""
     rec = json.loads(line)
     if not isinstance(rec, dict):
         raise ValueError("record is not a JSON object")
     raw_fr = rec["fractions"]
     if not isinstance(raw_fr, dict):
         raise ValueError("fractions must be an object keyed by class label")
-    fractions = {ClassId.from_label(k): float(v) for k, v in raw_fr.items()}
-    return Chip(
-        chip_id=str(rec["chip_id"]),
-        aoi=str(rec["aoi"]),
-        lon=float(rec["lon"]),
-        lat=float(rec["lat"]),
-        fractions=fractions,
-        elevation_m=float(rec["elevation_m"]),
-    )
+    if raw_fr.keys() != _LABEL_SET:
+        for label in raw_fr:
+            ClassId.from_label(label)
+        raise ValueError(
+            f"chip {rec['chip_id']!r}: fractions must cover all seven classes"
+            f" (missing: {sorted(_LABEL_SET - raw_fr.keys())})"
+        )
+    return str(rec["chip_id"]), str(rec["aoi"]), [
+        float(rec["lon"]),
+        float(rec["lat"]),
+        *(float(raw_fr[label]) for label in CLASS_LABELS),
+        float(rec["elevation_m"]),
+    ]
 
 
 def save_chip_table(table: ChipTable, path: str | Path) -> None:
+    columns = (table.aois, table.lon, table.lat, table.fractions, table.elevations)
     with open(path, "w", encoding="utf-8") as fh:
-        for chip in table:
+        for chip_id, aoi, lon, lat, fractions, elevation in zip(
+            table.chip_ids, *(c.tolist() for c in columns)
+        ):
             rec = {
-                "chip_id": chip.chip_id,
-                "aoi": chip.aoi,
-                "lon": chip.lon,
-                "lat": chip.lat,
-                "fractions": {c.label: chip.fractions[c] for c in ClassId},
-                "elevation_m": chip.elevation_m,
+                "chip_id": chip_id,
+                "aoi": aoi,
+                "lon": lon,
+                "lat": lat,
+                "fractions": dict(zip(CLASS_LABELS, fractions)),
+                "elevation_m": elevation,
             }
             fh.write(json.dumps(rec) + "\n")
 
@@ -506,9 +528,8 @@ def synthesize_dataset(spec: SynthSpec) -> SynthResult:
     for fm_id in spec.fm_ids:
         x_rng = stream(spec.data_seed, "X", fm_id)
         m = x_rng.standard_normal((spec.n_chips, spec.dim), dtype=np.float32)
-        fm = FMDescriptor(
-            fm_id=fm_id, modality=infer_modality(fm_id) or Modality.S2, dim=spec.dim
-        )
+        m.setflags(write=False)
+        fm = FMDescriptor(fm_id=fm_id, dim=spec.dim)
         embeddings[fm_id] = EmbeddingSet(fm=fm, chip_ids=chip_ids, matrix=m)
 
     signal = embeddings[spec.fm_ids[0]].matrix.astype(np.float64)
@@ -528,20 +549,18 @@ def synthesize_dataset(spec: SynthSpec) -> SynthResult:
     lat = geo_rng.uniform(0.0, 1.0, spec.n_chips)
     elev = geo_rng.uniform(0.0, 4000.0, spec.n_chips)
 
-    chips = tuple(
-        Chip(
-            chip_id=chip_ids[i],
-            aoi=f"aoi-{i % spec.n_aois:02d}",
-            lon=float(lon[i]),
-            lat=float(lat[i]),
-            fractions={c: float(fractions[i, c.value]) for c in ClassId},
-            elevation_m=float(elev[i]),
-        )
-        for i in range(spec.n_chips)
+    aoi_labels = np.array([f"aoi-{a:02d}" for a in range(spec.n_aois)], dtype=object)
+    table = ChipTable(
+        chip_ids=chip_ids,
+        aois=aoi_labels[np.arange(spec.n_chips) % spec.n_aois],
+        lon=lon,
+        lat=lat,
+        fractions=fractions,
+        elevations=elev,
     )
     return SynthResult(
         spec=spec,
-        table=ChipTable(chips=chips),
+        table=table,
         embeddings=embeddings,
         planted=weights,
         raw=raw,
@@ -599,8 +618,7 @@ def load_dataset_dir(data_dir: str | Path) -> dict[str, Dataset]:
     """Load every model's aligned Dataset from a dataset directory.
 
     Expects ``chips.jsonl`` plus ``embeddings/<fm_id>.emb`` and matching
-    ``.idx`` files; model dim comes from each file header and modality is
-    inferred from the id.
+    ``.idx`` files; model dim comes from each file header.
     """
     root = Path(data_dir)
     chips_path = root / "chips.jsonl"
@@ -619,8 +637,6 @@ def load_dataset_dir(data_dir: str | Path) -> dict[str, Dataset]:
         if not index_path.exists():
             raise DataFormatError(f"{data_path}: missing index file {index_path.name}")
         dim, _ = read_embedding_header(data_path)
-        fm = FMDescriptor(
-            fm_id=fm_id, modality=infer_modality(fm_id) or Modality.S2, dim=dim
-        )
+        fm = FMDescriptor(fm_id=fm_id, dim=dim)
         datasets[fm_id] = assemble_dataset(table, load_embeddings(data_path, index_path, fm))
     return datasets

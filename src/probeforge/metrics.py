@@ -1,9 +1,9 @@
-"""Per-run metrics and across-repetition aggregation with threshold flags.
+"""Per-run metrics and across-repetition aggregation.
 
 The headline metric is the Pearson correlation between probe predictions
 and targets; a configuration is considered practically useful when the
 correlation mean over repeated resampling exceeds 0.7 and its standard
-deviation stays below 0.05.
+deviation stays below 0.05 (applied by ``report.SelectionCriterion``).
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ class RunMetrics:
 
     pearson_r: float
     rmse: float
-    n_test: int
 
 
 @dataclass(frozen=True)
 class AggregateMetrics:
-    """Mean/std over the usable repetitions of one experiment, plus flags."""
+    """Mean/std over the usable repetitions of one experiment."""
 
     r_mean: float
     r_std: float
@@ -43,8 +42,6 @@ class AggregateMetrics:
     rmse_std: float
     repetitions: int
     degenerate_runs: int
-    pass_mean: bool
-    pass_std: bool
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -85,31 +82,21 @@ def rmse(a, b) -> float:
     return float(np.sqrt(np.mean((va - vb) ** 2)))
 
 
-def aggregate(
-    runs: Sequence[RunMetrics],
-    r_thresh: float = R_THRESHOLD,
-    std_thresh: float = STD_THRESHOLD,
-    degenerate_runs: int = 0,
-) -> AggregateMetrics:
+def aggregate(runs: Sequence[RunMetrics], degenerate_runs: int = 0) -> AggregateMetrics:
     """Mean and sample standard deviation (n-1 denominator) over usable runs.
 
     ``runs`` must hold the non-degenerate repetitions only; the count of
-    excluded degenerate ones is carried through unchanged. Threshold flags
-    use strict comparisons.
+    excluded degenerate ones is carried through unchanged.
     """
     if len(runs) < 2:
         raise ValueError(f"need at least 2 usable runs, got {len(runs)}")
     rs = np.array([m.pearson_r for m in runs], dtype=np.float64)
     es = np.array([m.rmse for m in runs], dtype=np.float64)
-    r_mean = float(rs.mean())
-    r_std = float(rs.std(ddof=1))
     return AggregateMetrics(
-        r_mean=r_mean,
-        r_std=r_std,
+        r_mean=float(rs.mean()),
+        r_std=float(rs.std(ddof=1)),
         rmse_mean=float(es.mean()),
         rmse_std=float(es.std(ddof=1)),
         repetitions=len(runs),
         degenerate_runs=int(degenerate_runs),
-        pass_mean=r_mean > r_thresh,
-        pass_std=r_std < std_thresh,
     )

@@ -8,6 +8,7 @@ style used when quoting correlation results.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from .core import ClassId, Modality, infer_modality
 from .metrics import R_THRESHOLD, STD_THRESHOLD
-from .runner import REGIME_EXTERNAL, AggregateRecord
+from .runner import REGIME_EXTERNAL, AggregateRecord, fmt_float
 from .sampling import SamplerKind
 
 #: Marker emitted for a (target_aoi, class) group where no configuration
@@ -28,17 +29,12 @@ LEAST_TOTAL_ELEMENTS = "least_total_elements"
 BEST_CORR_MEAN = "best_corr_mean"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".6g")
-
-
-def _csv_line(fields: Iterable[str]) -> str:
-    out = []
-    for f in fields:
-        if any(ch in f for ch in ",\"\n"):
-            f = '"' + f.replace('"', '""') + '"'
-        out.append(f)
-    return ",".join(out) + "\n"
+def _csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
 
 def _modality_rank(fm_id: str) -> int:
@@ -68,17 +64,13 @@ class HeatmapMatrix:
     cells: np.ndarray
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
         header = ["fm_id", "modality"] + [f"{a}->{b}" for a, b in self.pairs]
-        buf.write(_csv_line(header))
-        for i, fm in enumerate(self.fm_ids):
+        rows = []
+        for fm, cells in zip(self.fm_ids, self.cells.tolist()):
             mod = infer_modality(fm)
-            row = [fm, mod.value if mod else ""]
-            for j in range(len(self.pairs)):
-                v = self.cells[i, j]
-                row.append("" if math.isnan(v) else _fmt(v))
-            buf.write(_csv_line(row))
-        return buf.getvalue()
+            rows.append([fm, mod.value if mod else ""]
+                        + ["" if math.isnan(v) else fmt_float(v) for v in cells])
+        return _csv(header, rows)
 
 
 def heatmap_matrix(
@@ -159,16 +151,13 @@ def ablation_scatter(
 
 def scatter_csv(records: Sequence[AggregateRecord]) -> str:
     """One row per record; always emits the header."""
-    buf = io.StringIO()
-    buf.write(_csv_line(SCATTER_COLUMNS))
-    for r in records:
-        buf.write(_csv_line([
-            r.spec.fm_id, r.spec.class_id.label, r.spec.regime,
-            r.spec.target_aoi, r.spec.sampler.value,
-            str(r.spec.n_train), str(r.spec.n_test),
-            _fmt(r.r_mean), _fmt(r.r_std),
-        ]))
-    return buf.getvalue()
+    return _csv(SCATTER_COLUMNS, (
+        [r.spec.fm_id, r.spec.class_id.label, r.spec.regime,
+         r.spec.target_aoi, r.spec.sampler.value,
+         str(r.spec.n_train), str(r.spec.n_test),
+         fmt_float(r.r_mean), fmt_float(r.r_std)]
+        for r in records
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -243,23 +232,20 @@ SELECTION_COLUMNS = (
 
 
 def selection_csv(rows: Sequence[SelectionRow]) -> str:
-    buf = io.StringIO()
-    buf.write(_csv_line(SELECTION_COLUMNS))
+    out = []
     for row in rows:
-        if row.selected is None:
-            buf.write(_csv_line([
-                row.target_aoi, row.class_id.label, NO_SELECTION,
-                "", "", "", "", "", "", "", "", "",
-            ]))
-            continue
         r = row.selected
-        buf.write(_csv_line([
+        if r is None:
+            out.append([row.target_aoi, row.class_id.label, NO_SELECTION]
+                       + [""] * (len(SELECTION_COLUMNS) - 3))
+            continue
+        out.append([
             row.target_aoi, row.class_id.label, "selected",
             r.spec.fm_id, r.spec.regime, r.spec.train_aoi or "",
             r.spec.sampler.value, str(r.spec.n_train), str(r.spec.n_test),
-            str(r.total_elements), _fmt(r.r_mean), _fmt(r.r_std),
-        ]))
-    return buf.getvalue()
+            str(r.total_elements), fmt_float(r.r_mean), fmt_float(r.r_std),
+        ])
+    return _csv(SELECTION_COLUMNS, out)
 
 
 def selection_text(rows: Sequence[SelectionRow]) -> str:

@@ -11,9 +11,10 @@ sampler, sizes, repetition count. Two regimes exist:
 Each spec derives its own seed from the grid's base seed and the spec's
 canonical key, and each repetition derives from the spec seed, so results
 are independent of execution order and of how many workers run. The runner
-streams one CSV row per finished spec (crash-safe, appendable) and then
-rewrites the file in canonical enumeration order with wall times zeroed,
-making completed result files byte-comparable across parallelism levels.
+streams one CSV row per finished spec (appendable; a crash can tear at most
+the final row, which a resume drops) and then rewrites the file in
+canonical enumeration order with wall times zeroed, making completed result
+files byte-comparable across parallelism levels.
 Wall-clock measurements still reach the log and the streaming rows; they
 are deliberately absent from the canonical artifact.
 """
@@ -21,6 +22,7 @@ are deliberately absent from the canonical artifact.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import os
 import time
@@ -115,7 +117,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         for name in ("fms", "classes", "samplers", "target_aois", "n_test_target",
                      "regimes", "external_aois", "n_train_external", "n_train_target"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            values = tuple(getattr(self, name))
+            if len(set(values)) != len(values):
+                raise GridError(f"duplicate values in axis {name}: {list(values)}")
+            object.__setattr__(self, name, values)
         unknown = [r for r in self.regimes if r not in REGIMES]
         if unknown:
             raise GridError(f"unknown regimes: {unknown}")
@@ -143,21 +148,6 @@ class GridSpec:
         except ValueError as exc:
             raise GridError(str(exc)) from exc
         return cls(**kwargs)
-
-    def to_dict(self) -> dict:
-        return {
-            "fms": list(self.fms),
-            "classes": [c.label for c in self.classes],
-            "samplers": [s.value for s in self.samplers],
-            "target_aois": list(self.target_aois),
-            "n_test_target": list(self.n_test_target),
-            "regimes": list(self.regimes),
-            "external_aois": list(self.external_aois),
-            "n_train_external": list(self.n_train_external),
-            "n_train_target": list(self.n_train_target),
-            "repetitions": self.repetitions,
-            "base_seed": self.base_seed,
-        }
 
 
 #: Nothing in an AggregateRecord beyond these fields enters the results file.
@@ -195,7 +185,7 @@ class AggregateRecord:
         return self.spec.n_train + self.spec.n_test
 
 
-def _fmt(x: float) -> str:
+def fmt_float(x: float) -> str:
     return format(float(x), ".6g")
 
 
@@ -211,13 +201,13 @@ def record_to_row(rec: AggregateRecord, zero_wall: bool = False) -> list[str]:
         str(s.n_train),
         str(s.n_test),
         str(s.repetitions),
-        _fmt(rec.r_mean),
-        _fmt(rec.r_std),
-        _fmt(rec.rmse_mean),
-        _fmt(rec.rmse_std),
+        fmt_float(rec.r_mean),
+        fmt_float(rec.r_std),
+        fmt_float(rec.rmse_mean),
+        fmt_float(rec.rmse_std),
         str(rec.degenerate_runs),
         "true" if rec.infeasible else "false",
-        _fmt(0.0 if zero_wall else rec.wall_ms),
+        fmt_float(0.0 if zero_wall else rec.wall_ms),
         str(s.base_seed),
     ]
 
@@ -285,6 +275,22 @@ def parse_results_file(path: str | Path) -> list[AggregateRecord]:
     return out
 
 
+#: Per regime, the (ExperimentSpec field, GridSpec axis) pairs whose product
+#: it enumerates, outermost first.
+_REGIME_AXES = {
+    REGIME_EXTERNAL: (
+        ("fm_id", "fms"), ("class_id", "classes"), ("train_aoi", "external_aois"),
+        ("target_aoi", "target_aois"), ("sampler", "samplers"),
+        ("n_train", "n_train_external"), ("n_test", "n_test_target"),
+    ),
+    REGIME_TARGET_SPLIT: (
+        ("fm_id", "fms"), ("class_id", "classes"), ("target_aoi", "target_aois"),
+        ("sampler", "samplers"), ("n_train", "n_train_target"),
+        ("n_test", "n_test_target"),
+    ),
+}
+
+
 def enumerate_grid(grid: GridSpec) -> list[ExperimentSpec]:
     """Cartesian product over each selected regime's applicable axes.
 
@@ -294,59 +300,18 @@ def enumerate_grid(grid: GridSpec) -> list[ExperimentSpec]:
     """
     specs: list[ExperimentSpec] = []
     for regime in grid.regimes:
-        if regime == REGIME_EXTERNAL:
-            axes = {
-                "fms": grid.fms, "classes": grid.classes,
-                "external_aois": grid.external_aois,
-                "target_aois": grid.target_aois, "samplers": grid.samplers,
-                "n_train_external": grid.n_train_external,
-                "n_test_target": grid.n_test_target,
-            }
-        else:
-            axes = {
-                "fms": grid.fms, "classes": grid.classes,
-                "target_aois": grid.target_aois, "samplers": grid.samplers,
-                "n_train_target": grid.n_train_target,
-                "n_test_target": grid.n_test_target,
-            }
-        for name, values in axes.items():
-            if not values:
-                raise GridError(f"empty axis for {regime} regime: {name}")
-
-        if regime == REGIME_EXTERNAL:
-            for fm in grid.fms:
-                for cls in grid.classes:
-                    for train_aoi in grid.external_aois:
-                        for target_aoi in grid.target_aois:
-                            if train_aoi == target_aoi:
-                                continue
-                            for sampler in grid.samplers:
-                                for n_train in grid.n_train_external:
-                                    for n_test in grid.n_test_target:
-                                        specs.append(ExperimentSpec(
-                                            fm_id=fm, class_id=cls,
-                                            regime=regime,
-                                            train_aoi=train_aoi,
-                                            target_aoi=target_aoi,
-                                            sampler=sampler,
-                                            n_train=n_train, n_test=n_test,
-                                            repetitions=grid.repetitions,
-                                            base_seed=grid.base_seed,
-                                        ))
-        else:
-            for fm in grid.fms:
-                for cls in grid.classes:
-                    for target_aoi in grid.target_aois:
-                        for sampler in grid.samplers:
-                            for n_train in grid.n_train_target:
-                                for n_test in grid.n_test_target:
-                                    specs.append(ExperimentSpec(
-                                        fm_id=fm, class_id=cls, regime=regime,
-                                        target_aoi=target_aoi, sampler=sampler,
-                                        n_train=n_train, n_test=n_test,
-                                        repetitions=grid.repetitions,
-                                        base_seed=grid.base_seed,
-                                    ))
+        names, axes = zip(*_REGIME_AXES[regime])
+        for axis in axes:
+            if not getattr(grid, axis):
+                raise GridError(f"empty axis for {regime} regime: {axis}")
+        for values in itertools.product(*(getattr(grid, axis) for axis in axes)):
+            kw = dict(zip(names, values))
+            if kw.get("train_aoi") == kw["target_aoi"]:
+                continue
+            specs.append(ExperimentSpec(
+                regime=regime, repetitions=grid.repetitions,
+                base_seed=grid.base_seed, **kw,
+            ))
     return specs
 
 
@@ -360,29 +325,22 @@ def _aux_for(kind: SamplerKind, ds: Dataset, pos: np.ndarray) -> dict:
     return {}
 
 
-def run_experiment(
-    spec: ExperimentSpec,
-    dataset: Dataset,
-    aoi_positions: Mapping[str, np.ndarray] | None = None,
-) -> AggregateRecord:
+_NO_POSITIONS = np.zeros(0, dtype=np.intp)
+
+
+def run_experiment(spec: ExperimentSpec, dataset: Dataset) -> AggregateRecord:
     """Execute one spec: repeated resample, fit, predict, aggregate.
 
-    Sizes the AOIs cannot supply yield an infeasible record; repetitions
-    whose test-side variance vanishes are counted degenerate and excluded,
-    and when fewer than two usable repetitions remain the metric fields
-    stay NaN.
+    Sizes the AOIs cannot supply, including an AOI this dataset lacks,
+    yield an infeasible record; repetitions whose test-side variance
+    vanishes are counted degenerate and excluded, and when fewer than two
+    usable repetitions remain the metric fields stay NaN.
     """
     t0 = time.perf_counter()
-    if aoi_positions is None:
-        aoi_positions = {}
-    target_pos = aoi_positions.get(spec.target_aoi)
-    if target_pos is None:
-        target_pos = dataset.positions_for_aoi(spec.target_aoi)
+    target_pos = dataset.aoi_positions.get(spec.target_aoi, _NO_POSITIONS)
 
     if spec.regime == REGIME_EXTERNAL:
-        train_pos_all = aoi_positions.get(spec.train_aoi)
-        if train_pos_all is None:
-            train_pos_all = dataset.positions_for_aoi(spec.train_aoi)
+        train_pos_all = dataset.aoi_positions.get(spec.train_aoi, _NO_POSITIONS)
         feasible = (
             spec.n_train <= train_pos_all.size and spec.n_test <= target_pos.size
         )
@@ -421,7 +379,7 @@ def run_experiment(
         except DegenerateVarianceError:
             degenerate += 1
             continue
-        runs.append(RunMetrics(pearson_r=r_val, rmse=rmse(pred, truth), n_test=spec.n_test))
+        runs.append(RunMetrics(pearson_r=r_val, rmse=rmse(pred, truth)))
 
     if len(runs) >= 2:
         agg = aggregate(runs, degenerate_runs=degenerate)
@@ -437,26 +395,14 @@ def run_experiment(
     return replace(rec, wall_ms=wall)
 
 
-def _positions_by_aoi(datasets: Mapping[str, Dataset]) -> dict[str, dict[str, np.ndarray]]:
-    out: dict[str, dict[str, np.ndarray]] = {}
-    for fm_id, ds in datasets.items():
-        grouped: dict[str, list[int]] = {}
-        for i, aoi in enumerate(ds.aois):
-            grouped.setdefault(aoi, []).append(i)
-        out[fm_id] = {a: np.array(v, dtype=np.intp) for a, v in grouped.items()}
-    return out
-
-
 # Worker-process state, installed once per worker by the pool initializer so
 # specs travel light.
 _POOL_DATA: Mapping[str, Dataset] = {}
-_POOL_POS: Mapping[str, dict] = {}
 
 
-def _init_pool(datasets: Mapping[str, Dataset], positions: Mapping[str, dict]) -> None:
-    global _POOL_DATA, _POOL_POS
+def _init_pool(datasets: Mapping[str, Dataset]) -> None:
+    global _POOL_DATA
     _POOL_DATA = datasets
-    _POOL_POS = positions
     try:
         import threadpoolctl
 
@@ -466,7 +412,19 @@ def _init_pool(datasets: Mapping[str, Dataset], positions: Mapping[str, dict]) -
 
 
 def _run_one(spec: ExperimentSpec) -> AggregateRecord:
-    return run_experiment(spec, _POOL_DATA[spec.fm_id], _POOL_POS[spec.fm_id])
+    return run_experiment(spec, _POOL_DATA[spec.fm_id])
+
+
+def _drop_torn_row(path: Path) -> None:
+    """Cut a final line that lacks its newline: a row cut short by a crash."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data.endswith(b"\n") or not data:
+            return
+        keep = data.rfind(b"\n") + 1
+        logger.warning("%s: dropping torn final line %r",
+                       path, data[keep:].decode("utf-8", "replace"))
+        fh.truncate(keep)
 
 
 def run_grid(
@@ -479,7 +437,8 @@ def run_grid(
     """Execute every grid spec and persist the canonical results file.
 
     With ``resume``, rows already present in ``out_path`` (matching spec
-    key and base seed) are kept and only missing specs execute. While
+    key and base seed) are kept and only missing specs execute; a final
+    row without its newline, torn by a crash, is dropped first. While
     running, finished rows are appended immediately with measured wall
     times; on completion the whole file is rewritten in enumeration order
     with wall times zeroed, so the final bytes depend only on grid and
@@ -489,10 +448,15 @@ def run_grid(
     missing_fms = sorted({s.fm_id for s in specs} - set(datasets))
     if missing_fms:
         raise GridError(f"grid references models absent from data: {missing_fms}")
+    used = {s.target_aoi for s in specs} | {s.train_aoi for s in specs if s.train_aoi}
+    missing_aois = sorted(used.difference(*(ds.aoi_positions for ds in datasets.values())))
+    if missing_aois:
+        raise GridError(f"grid references AOIs absent from every dataset: {missing_aois}")
 
     out_path = Path(out_path)
     done: dict[str, AggregateRecord] = {}
     if resume and out_path.exists():
+        _drop_torn_row(out_path)
         for rec in parse_results_file(out_path):
             if rec.spec.base_seed != grid.base_seed:
                 logger.warning(
@@ -514,7 +478,6 @@ def run_grid(
             len(todo), len(specs), len(specs) - len(todo), max(1, threads),
         )
 
-    positions = _positions_by_aoi(datasets)
     mode = "a" if resume and out_path.exists() else "w"
     with open(out_path, mode, encoding="utf-8", newline="") as stream_fh:
         writer = csv.writer(stream_fh, lineterminator="\n")
@@ -528,11 +491,11 @@ def run_grid(
             stream_fh.flush()
             logger.info(
                 "[%d/%d] %s r_mean=%s wall=%.1fms",
-                i, len(todo), rec.spec.key(), _fmt(rec.r_mean), rec.wall_ms,
+                i, len(todo), rec.spec.key(), fmt_float(rec.r_mean), rec.wall_ms,
             )
 
         if threads <= 1 or len(todo) <= 1:
-            _init_pool(datasets, positions)
+            _init_pool(datasets)
             for i, spec in enumerate(todo, start=1):
                 _collect(_run_one(spec), i)
         else:
@@ -544,7 +507,7 @@ def run_grid(
                 ctx = multiprocessing.get_context()
             with ProcessPoolExecutor(
                 max_workers=threads, mp_context=ctx,
-                initializer=_init_pool, initargs=(datasets, positions),
+                initializer=_init_pool, initargs=(datasets,),
             ) as pool:
                 pending = {pool.submit(_run_one, s) for s in todo}
                 i = 0

@@ -100,6 +100,26 @@ def test_run_resume_is_a_noop_when_complete(workdir, caplog):
     assert (workdir / "results.csv").read_bytes() == before
 
 
+def test_run_resume_recovers_torn_final_row(workdir, caplog):
+    synth(workdir)
+    assert run(workdir) == 0
+    path = workdir / "results.csv"
+    full = path.read_bytes()
+    path.write_bytes(full[:-10])  # cut in the middle of the last row
+    with caplog.at_level("WARNING", logger="probeforge.runner"):
+        assert run(workdir, "--resume") == 0
+    assert "torn final line" in caplog.text
+    assert path.read_bytes() == full
+
+
+def test_unknown_grid_aoi_exits_2(workdir, capsys):
+    synth(workdir)
+    (workdir / "grid.json").write_text(json.dumps({**GRID, "target_aois": ["aoi-9"]}))
+    assert run(workdir) == 2
+    assert "aoi-9" in capsys.readouterr().err
+    assert not (workdir / "results.csv").exists()
+
+
 def test_seed_env_overrides_base_seed(workdir, monkeypatch):
     synth(workdir)
     monkeypatch.setenv(SEED_ENV, "99")

@@ -1,38 +1,39 @@
 """Domain types, dataset assembly, and value validation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from probeforge.core import (
     CLASS_LABELS,
-    Chip,
     ChipTable,
     ClassId,
-    Dataset,
     EmbeddingSet,
     FMDescriptor,
-    Modality,
     RULE_ELEVATION,
     RULE_EMBEDDING,
     RULE_FRACTION_RANGE,
     RULE_FRACTION_SUM,
+    Modality,
     assemble_dataset,
     infer_modality,
     validate_dataset,
 )
 from probeforge.errors import AlignmentError
+from probeforge.ingest import load_chip_table
 
 
-def full_fractions(**over):
-    fr = {c: 0.1 for c in ClassId}
-    for label, v in over.items():
-        fr[ClassId.from_label(label)] = v
-    return fr
-
-
-def make_chip(chip_id="c0", aoi="A", **over):
-    return Chip(chip_id=chip_id, aoi=aoi, lon=0.5, lat=0.5,
-                fractions=full_fractions(**over), elevation_m=100.0)
+def make_table(ids, fractions=None, elevations=None, aois=None):
+    n = len(ids)
+    return ChipTable(
+        chip_ids=tuple(ids),
+        aois=np.array(aois or ["A"] * n),
+        lon=np.full(n, 0.5),
+        lat=np.full(n, 0.5),
+        fractions=np.full((n, 7), 0.1) if fractions is None else fractions,
+        elevations=np.full(n, 100.0) if elevations is None else elevations,
+    )
 
 
 def test_class_labels_round_trip():
@@ -46,25 +47,33 @@ def test_class_labels_round_trip():
 
 
 def test_chip_requires_all_seven_classes():
-    fr = full_fractions()
-    del fr[ClassId.BUILTUP]
-    with pytest.raises(ValueError, match="builtup"):
-        Chip(chip_id="c", aoi="A", lon=0, lat=0, fractions=fr, elevation_m=0)
+    with pytest.raises(ValueError, match="fractions shape"):
+        make_table(["c"], fractions=np.full((1, 6), 0.1))
+    with pytest.raises(ValueError, match="elevations shape"):
+        make_table(["c", "d"], elevations=np.zeros(3))
 
 
-def test_chip_fraction_vector_order():
-    chip = make_chip(**{"tree-cover": 0.7, "permanent-water": 0.2})
-    v = chip.fraction_vector()
-    assert v.shape == (7,)
-    assert v[0] == 0.7 and v[6] == 0.2
+def test_chip_fraction_vector_order(tmp_path):
+    fractions = {label: 0.1 for label in reversed(CLASS_LABELS)}
+    fractions.update({"tree-cover": 0.7, "permanent-water": 0.2})
+    rec = {"elevation_m": 5.0, "fractions": fractions, "lat": 2.0, "lon": 1.0,
+           "aoi": "A", "chip_id": "c"}
+    (tmp_path / "chips.jsonl").write_text(json.dumps(rec) + "\n")
+    table = load_chip_table(tmp_path / "chips.jsonl")
+    assert table.fractions.shape == (1, 7)
+    assert table.fractions[0, 0] == 0.7 and table.fractions[0, 6] == 0.2
+    assert (table.lon[0], table.lat[0], table.elevations[0]) == (1.0, 2.0, 5.0)
+    assert not table.fractions.flags.writeable
 
 
 def test_embedding_set_invariants():
-    fm = FMDescriptor("m-s2", Modality.S2, 4)
+    fm = FMDescriptor("m-s2", 4)
     m = np.zeros((3, 4))
     emb = EmbeddingSet(fm=fm, chip_ids=("a", "b", "c"), matrix=m)
     assert len(emb) == 3
     assert not emb.matrix.flags.writeable
+    m[0, 0] = 1.0  # the caller's writable array was copied
+    assert emb.matrix[0, 0] == 0.0
     with pytest.raises(ValueError):
         EmbeddingSet(fm=fm, chip_ids=("a", "b"), matrix=m)
     with pytest.raises(ValueError):
@@ -75,34 +84,42 @@ def test_embedding_set_invariants():
 
 def test_chip_table_duplicate_id_named():
     with pytest.raises(ValueError, match="c0"):
-        ChipTable(chips=(make_chip("c0"), make_chip("c0")))
+        make_table(["c0", "c1", "c0"])
 
 
 def test_assemble_covers_intersection_in_table_order():
-    fm = FMDescriptor("m-s2", Modality.S2, 2)
-    table = ChipTable(chips=(make_chip("a"), make_chip("b"), make_chip("c")))
+    fm = FMDescriptor("m-s2", 2)
+    fractions = np.arange(21, dtype=float).reshape(3, 7) / 100
+    table = make_table(["a", "b", "c"], fractions=fractions,
+                       elevations=np.array([1.0, 2.0, 3.0]), aois=["P", "Q", "P"])
     emb = EmbeddingSet(fm=fm, chip_ids=("c", "x", "a"),
                        matrix=np.array([[3.0, 3], [9, 9], [1, 1]]))
     ds = assemble_dataset(table, emb)
     assert ds.chip_ids == ("a", "c")
     assert np.array_equal(ds.matrix, [[1, 1], [3, 3]])
+    assert np.array_equal(ds.fractions, fractions[[0, 2]])
+    assert np.array_equal(ds.elevations, [1.0, 3.0])
+    assert list(ds.aoi_positions) == ["P"]
     assert ds.dropped_table_only == 1
     assert ds.dropped_embedding_only == 1
+    for a in (ds.matrix, ds.fractions, ds.elevations, ds.aoi_positions["P"]):
+        assert not a.flags.writeable
 
 
 def test_assemble_empty_intersection_raises():
-    fm = FMDescriptor("m-s2", Modality.S2, 2)
-    table = ChipTable(chips=(make_chip("a"),))
+    fm = FMDescriptor("m-s2", 2)
     emb = EmbeddingSet(fm=fm, chip_ids=("z",), matrix=np.zeros((1, 2)))
     with pytest.raises(AlignmentError, match="no aligned chips"):
-        assemble_dataset(table, emb)
+        assemble_dataset(make_table(["a"]), emb)
+    empty = EmbeddingSet(fm=fm, chip_ids=(), matrix=np.zeros((0, 2)))
+    with pytest.raises(AlignmentError, match="no aligned chips"):
+        assemble_dataset(make_table(["a"]), empty)
 
 
-def _tiny_dataset(chips, matrix):
-    fm = FMDescriptor("m-s2", Modality.S2, matrix.shape[1])
-    emb = EmbeddingSet(fm=fm, chip_ids=tuple(c.chip_id for c in chips),
-                       matrix=matrix)
-    return assemble_dataset(ChipTable(chips=tuple(chips)), emb)
+def _tiny_dataset(ids, matrix, **columns):
+    fm = FMDescriptor("m-s2", matrix.shape[1])
+    emb = EmbeddingSet(fm=fm, chip_ids=tuple(ids), matrix=matrix)
+    return assemble_dataset(make_table(ids, **columns), emb)
 
 
 def test_validate_clean_dataset_passes(small_synth):
@@ -113,44 +130,52 @@ def test_validate_clean_dataset_passes(small_synth):
 
 
 def test_validate_reports_each_rule():
-    chips = [
-        make_chip("ok"),
-        make_chip("bad-range", **{"tree-cover": -0.5}),
-        make_chip("bad-sum", **{"tree-cover": 0.9, "cropland": 0.9}),
-        Chip(chip_id="bad-elev", aoi="A", lon=0, lat=0,
-             fractions=full_fractions(), elevation_m=float("nan")),
-        make_chip("bad-emb"),
+    ids = ["ok", "bad-range", "bad-sum", "bad-elev", "bad-emb", "bad-all"]
+    fractions = np.full((6, 7), 0.1)
+    fractions[1, ClassId.TREE_COVER] = -0.5
+    fractions[2, [ClassId.TREE_COVER, ClassId.CROPLAND]] = 0.9
+    fractions[5, [ClassId.SHRUBLAND, ClassId.BUILTUP]] = 1.5
+    elevations = np.full(6, 100.0)
+    elevations[[3, 5]] = np.nan
+    matrix = np.ones((6, 3))
+    matrix[[4, 5], 1] = np.inf
+    report = validate_dataset(
+        _tiny_dataset(ids, matrix, fractions=fractions, elevations=elevations)
+    )
+    bad_all_sum = sum([0.1, 1.5, 0.1, 0.1, 1.5, 0.1, 0.1])  # left to right, as Python sums
+    assert [(v.chip_id, v.rule, v.detail) for v in report.violations] == [
+        ("bad-range", RULE_FRACTION_RANGE, "tree-cover=-0.5"),
+        ("bad-sum", RULE_FRACTION_SUM, "sum=2.3000000000000003"),
+        ("bad-elev", RULE_ELEVATION, "elevation_m=nan"),
+        ("bad-emb", RULE_EMBEDDING, ""),
+        ("bad-all", RULE_FRACTION_RANGE, "shrubland=1.5"),
+        ("bad-all", RULE_FRACTION_RANGE, "builtup=1.5"),
+        ("bad-all", RULE_FRACTION_SUM, f"sum={bad_all_sum!r}"),
+        ("bad-all", RULE_ELEVATION, "elevation_m=nan"),
+        ("bad-all", RULE_EMBEDDING, ""),
     ]
-    matrix = np.ones((5, 3))
-    matrix[4, 1] = np.inf
-    report = validate_dataset(_tiny_dataset(chips, matrix))
-    rules = {(v.chip_id, v.rule) for v in report.violations}
-    assert rules == {
-        ("bad-range", RULE_FRACTION_RANGE),
-        ("bad-sum", RULE_FRACTION_SUM),
-        ("bad-elev", RULE_ELEVATION),
-        ("bad-emb", RULE_EMBEDDING),
-    }
     assert not report.valid
     assert "bad-range" in report.summary()
 
 
 def test_validate_nan_fraction_is_range_violation():
-    chips = [make_chip("nan-frac", **{"shrubland": float("nan")})]
-    report = validate_dataset(_tiny_dataset(chips, np.ones((1, 2))))
+    fractions = np.full((1, 7), 0.1)
+    fractions[0, ClassId.SHRUBLAND] = np.nan
+    report = validate_dataset(_tiny_dataset(["nan-frac"], np.ones((1, 2)),
+                                            fractions=fractions))
     assert [v.rule for v in report.violations] == [RULE_FRACTION_RANGE]
 
 
-def test_dataset_subset_and_aoi_helpers(small_synth):
+def test_dataset_aoi_positions_ascending_and_complete(small_synth):
     ds = small_synth.dataset()
-    pos = ds.positions_for_aoi("aoi-01")
-    assert all(ds.chips[i].aoi == "aoi-01" for i in pos)
-    sub = ds.subset(pos[:5])
-    assert len(sub) == 5
-    assert np.array_equal(sub.matrix, ds.matrix[pos[:5]])
-    parts = ds.by_aoi()
-    assert sorted(parts) == ["aoi-00", "aoi-01", "aoi-02", "aoi-03"]
-    assert sum(len(p) for p in parts.values()) == len(ds)
+    table = small_synth.table
+    assert sorted(ds.aoi_positions) == ["aoi-00", "aoi-01", "aoi-02", "aoi-03"]
+    covered = np.sort(np.concatenate(list(ds.aoi_positions.values())))
+    assert np.array_equal(covered, np.arange(len(ds)))
+    for aoi, pos in ds.aoi_positions.items():
+        assert np.all(np.diff(pos) > 0)
+        assert np.all(table.aois[pos] == aoi)
+        assert not pos.flags.writeable
 
 
 def test_infer_modality_tokenizes():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from probeforge.core import ClassId, FMDescriptor, Modality, validate_dataset
+from probeforge.core import ClassId, FMDescriptor, validate_dataset
 from probeforge.errors import DataFormatError
 from probeforge.ingest import (
     CODE_TO_CLASS,
@@ -54,8 +54,11 @@ def test_chip_table_two_lines(tmp_path):
     p.write_text(CHIP_LINE + "\n" + second + "\n")
     table = load_chip_table(p)
     assert len(table) == 2
-    assert table.get("c1").aoi == "colombia"
-    assert table.get("c1").fractions[ClassId.TREE_COVER] == 0.6
+    assert table.chip_ids == ("c1", "c2")
+    assert table.aois.tolist() == ["colombia", "colombia"]
+    assert table.fractions[0, ClassId.TREE_COVER] == 0.6
+    assert table.lon[0] == -74.1 and table.lat[0] == 4.6
+    assert table.elevations[0] == 2600.0
 
 
 def test_chip_table_empty_file(tmp_path):
@@ -104,6 +107,15 @@ def test_chip_table_unknown_class_label_rejected(tmp_path):
         load_chip_table(p)
 
 
+def test_chip_table_missing_class_named(tmp_path):
+    rec = json.loads(CHIP_LINE)
+    del rec["fractions"]["builtup"]
+    p = tmp_path / "chips.jsonl"
+    p.write_text(CHIP_LINE.replace('"c1"', '"c0"') + "\n" + json.dumps(rec) + "\n")
+    with pytest.raises(DataFormatError, match=r"line 2: .*missing: \['builtup'\]"):
+        load_chip_table(p)
+
+
 def test_chip_table_round_trip(tmp_path, small_synth):
     p = tmp_path / "chips.jsonl"
     save_chip_table(small_synth.table, p)
@@ -118,7 +130,7 @@ def test_chip_table_round_trip(tmp_path, small_synth):
 def make_emb(rng, n=5, d=4, fm_id="m-s2"):
     from probeforge.core import EmbeddingSet
 
-    fm = FMDescriptor(fm_id, Modality.S2, d)
+    fm = FMDescriptor(fm_id, d)
     m = rng.standard_normal((n, d)).astype(np.float32)
     ids = tuple(f"c{i}" for i in range(n))
     return EmbeddingSet(fm=fm, chip_ids=ids, matrix=m)
@@ -135,7 +147,7 @@ def test_embeddings_round_trip_bit_exact(tmp_path, rng):
 def test_embeddings_dim_mismatch(tmp_path, rng):
     emb = make_emb(rng, d=4)
     save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
-    wrong = FMDescriptor("m-s2", Modality.S2, 512)
+    wrong = FMDescriptor("m-s2", 512)
     with pytest.raises(DataFormatError, match="dimension mismatch"):
         load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", wrong)
 
@@ -169,7 +181,7 @@ def test_embeddings_truncated_payload(tmp_path, rng):
 def test_embeddings_non_finite_row_named(tmp_path, rng):
     from probeforge.core import EmbeddingSet
 
-    fm = FMDescriptor("m-s2", Modality.S2, 3)
+    fm = FMDescriptor("m-s2", 3)
     m = rng.standard_normal((4, 3)).astype(np.float32)
     m[2, 1] = np.nan
     emb = EmbeddingSet(fm=fm, chip_ids=("a", "b", "c", "d"), matrix=m)
@@ -386,12 +398,12 @@ def test_synth_passes_validation(small_synth):
 def test_synth_structure(small_synth):
     table = small_synth.table
     assert len(table) == 400
-    aois = {c.aoi for c in table}
-    assert aois == {"aoi-00", "aoi-01", "aoi-02", "aoi-03"}
-    for chip in table:
-        assert 0.0 <= chip.lon <= 1.0 and 0.0 <= chip.lat <= 1.0
-        assert 0.0 <= chip.elevation_m <= 4000.0
-        assert sum(chip.fractions.values()) <= 1.0 + 1e-9
+    assert table.aois[:5].tolist() == ["aoi-00", "aoi-01", "aoi-02", "aoi-03", "aoi-00"]
+    assert set(table.aois.tolist()) == {"aoi-00", "aoi-01", "aoi-02", "aoi-03"}
+    assert np.all((0.0 <= table.lon) & (table.lon <= 1.0))
+    assert np.all((0.0 <= table.lat) & (table.lat <= 1.0))
+    assert np.all((0.0 <= table.elevations) & (table.elevations <= 4000.0))
+    assert np.all(table.fractions.sum(axis=1) <= 1.0 + 1e-9)
     assert small_synth.planted.shape == (7, 16)
     assert np.allclose(np.linalg.norm(small_synth.planted, axis=1), 1.0)
 

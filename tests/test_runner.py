@@ -1,5 +1,6 @@
 """Grid enumeration, single-spec execution, and results-file determinism."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,12 +8,10 @@ import pytest
 
 import probeforge.runner as runner_mod
 from probeforge.core import (
-    Chip,
     ChipTable,
     ClassId,
     EmbeddingSet,
     FMDescriptor,
-    Modality,
     assemble_dataset,
 )
 from probeforge.errors import DataFormatError, GridError
@@ -206,7 +205,13 @@ def test_grid_from_dict_rejects_bad_input():
         GridSpec.from_dict({**ok, "samplers": ["stratified"]})
     with pytest.raises(GridError, match="unknown regimes"):
         GridSpec.from_dict({**ok, "regimes": ["transfer"]})
-    assert GridSpec.from_dict(grid.to_dict()) == grid
+    # duplicate values would enumerate specs that share one key
+    with pytest.raises(GridError, match="n_test_target"):
+        GridSpec.from_dict({**ok, "n_test_target": [5, 6, 5]})
+    with pytest.raises(GridError, match="classes"):
+        GridSpec.from_dict({**ok, "classes": ["tree-cover", "tree-cover"]})
+    with pytest.raises(GridError, match="regimes"):
+        GridSpec.from_dict({**ok, "regimes": ["target-split", "target-split"]})
 
 
 # ---------------------------------------------------------------------------
@@ -252,19 +257,18 @@ def test_run_experiment_marks_oversized_specs_infeasible(small_datasets):
 
 def constant_target_dataset(n=80, dim=6):
     rng = np.random.default_rng(99)
-    fr = {c: 0.1 for c in ClassId}
-    fr[ClassId.TREE_COVER] = 0.3
-    chips = tuple(
-        Chip(chip_id=f"c{i}", aoi="aoi-00", lon=0.1, lat=0.2,
-             fractions=dict(fr), elevation_m=100.0)
-        for i in range(n)
+    fractions = np.full((n, 7), 0.1)
+    fractions[:, ClassId.TREE_COVER] = 0.3
+    ids = tuple(f"c{i}" for i in range(n))
+    table = ChipTable(
+        chip_ids=ids, aois=np.full(n, "aoi-00"), lon=np.full(n, 0.1),
+        lat=np.full(n, 0.2), fractions=fractions, elevations=np.full(n, 100.0),
     )
-    fm = FMDescriptor("flat-s2", Modality.S2, dim)
     emb = EmbeddingSet(
-        fm=fm, chip_ids=tuple(c.chip_id for c in chips),
+        fm=FMDescriptor("flat-s2", dim), chip_ids=ids,
         matrix=rng.standard_normal((n, dim)).astype(np.float32),
     )
-    return assemble_dataset(ChipTable(chips=chips), emb)
+    return assemble_dataset(table, emb)
 
 
 def test_run_experiment_counts_degenerate_repetitions():
@@ -279,7 +283,7 @@ def test_run_experiment_counts_degenerate_repetitions():
 
 def test_run_experiment_splits_stay_disjoint(monkeypatch, small_datasets):
     ds = small_datasets["alpha-s1"]
-    target_pos = set(ds.positions_for_aoi("aoi-00").tolist())
+    target_pos = set(ds.aoi_positions["aoi-00"].tolist())
     captured = []
     orig = runner_mod.split_target
 
@@ -385,6 +389,32 @@ def test_run_grid_rejects_unknown_models(tmp_path, small_datasets):
         run_grid(grid, small_datasets, tmp_path / "r.csv")
 
 
+def test_run_grid_rejects_aois_absent_from_every_dataset(tmp_path, small_datasets):
+    grid = dataclasses.replace(SMALL_GRID, target_aois=("aoi-00", "aoi-9"),
+                               external_aois=("aoi-7", "aoi-01"))
+    out = tmp_path / "r.csv"
+    with pytest.raises(GridError, match=r"\['aoi-7', 'aoi-9'\]"):
+        run_grid(grid, small_datasets, out)
+    assert not out.exists()
+
+
+def test_run_grid_aoi_one_model_lacks_is_infeasible(tmp_path, small_synth, small_datasets):
+    alpha = small_datasets["alpha-s1"]
+    keep = alpha.aoi_positions["aoi-00"]
+    emb = small_synth.embeddings["beta-s2"]
+    partial = EmbeddingSet(
+        fm=FMDescriptor("gamma-s2", emb.fm.dim),
+        chip_ids=tuple(emb.chip_ids[i] for i in keep), matrix=emb.matrix[keep],
+    )
+    datasets = {"alpha-s1": alpha,
+                "gamma-s2": assemble_dataset(small_synth.table, partial)}
+    grid = dataclasses.replace(SMALL_GRID, fms=("alpha-s1", "gamma-s2"),
+                               regimes=(REGIME_TARGET_SPLIT,))
+    records = run_grid(grid, datasets, tmp_path / "r.csv")
+    infeasible = {(r.spec.fm_id, r.spec.target_aoi) for r in records if r.infeasible}
+    assert infeasible == {("gamma-s2", "aoi-01")}
+
+
 def test_run_grid_bytes_identical_across_workers(tmp_path, small_datasets):
     p1 = tmp_path / "serial.csv"
     p4 = tmp_path / "parallel.csv"
@@ -406,6 +436,40 @@ def test_run_grid_resume_completes_partial_file(tmp_path, small_datasets):
     assert partial.read_bytes() == full.read_bytes()
 
 
+def test_run_grid_resume_still_rejects_malformed_middle_row(tmp_path, small_datasets):
+    path = tmp_path / "r.csv"
+    run_grid(SMALL_GRID, small_datasets, path, threads=1)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][:20] + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(DataFormatError, match="line 3"):
+        run_grid(SMALL_GRID, small_datasets, path, threads=1, resume=True)
+
+
+def test_run_grid_resume_appends_after_torn_row_on_fresh_line(
+        tmp_path, small_datasets, monkeypatch):
+    full = tmp_path / "full.csv"
+    run_grid(SMALL_GRID, small_datasets, full, threads=1)
+    lines = full.read_text().splitlines(keepends=True)
+    partial = tmp_path / "partial.csv"
+    partial.write_text("".join(lines[:4]) + lines[4][:20])  # header, 3 rows, torn row
+    real = runner_mod.run_experiment
+    ran = []
+
+    def crash_on_second(spec, dataset):
+        if ran:
+            raise RuntimeError("simulated crash")
+        ran.append(spec)
+        return real(spec, dataset)
+
+    monkeypatch.setattr(runner_mod, "run_experiment", crash_on_second)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        run_grid(SMALL_GRID, small_datasets, partial, threads=1, resume=True)
+    streamed = parse_results_file(partial)  # header, 3 kept rows, 1 appended
+    assert [r.spec.key() for r in streamed[3:]] == [ran[0].key()]
+    assert len(streamed) == 4
+
+
 def test_run_grid_resume_noop_when_complete(tmp_path, small_datasets, caplog):
     path = tmp_path / "r.csv"
     run_grid(SMALL_GRID, small_datasets, path, threads=1)
@@ -419,7 +483,7 @@ def test_run_grid_resume_noop_when_complete(tmp_path, small_datasets, caplog):
 def test_run_grid_resume_ignores_foreign_base_seed(tmp_path, small_datasets, caplog):
     path = tmp_path / "r.csv"
     run_grid(SMALL_GRID, small_datasets, path, threads=1)
-    reseeded = GridSpec.from_dict({**SMALL_GRID.to_dict(), "base_seed": 10})
+    reseeded = dataclasses.replace(SMALL_GRID, base_seed=10)
     with caplog.at_level("WARNING", logger="probeforge.runner"):
         records = run_grid(reseeded, small_datasets, path, threads=1, resume=True)
     assert "foreign base_seed" in caplog.text
