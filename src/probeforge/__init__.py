@@ -13,7 +13,6 @@ from .core import (
     ClassId,
     Dataset,
     EmbeddingSet,
-    FMDescriptor,
     Modality,
     ValidationReport,
     assemble_dataset,
@@ -75,7 +74,6 @@ __all__ = [
     "DegenerateVarianceError",
     "EmbeddingSet",
     "ExperimentSpec",
-    "FMDescriptor",
     "GridError",
     "GridSpec",
     "ImageStack",

@@ -22,11 +22,10 @@ from pathlib import Path
 from .core import (
     CLASS_LABELS,
     ClassId,
-    FMDescriptor,
     assemble_dataset,
     validate_dataset,
 )
-from .errors import ProbeforgeError
+from .errors import DataFormatError, ProbeforgeError
 from .ingest import (
     SynthSpec,
     load_chip_table,
@@ -135,9 +134,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    fm = FMDescriptor(fm_id=args.fm_id or Path(args.emb).stem, dim=args.fm_dim)
     table = load_chip_table(args.chips)
-    emb = load_embeddings(args.emb, args.index, fm)
+    emb = load_embeddings(args.emb, args.index, args.fm_id or Path(args.emb).stem)
+    if emb.matrix.shape[1] != args.fm_dim:
+        raise DataFormatError(
+            f"{args.emb}: dimension mismatch: file dim {emb.matrix.shape[1]}, "
+            f"--fm-dim {args.fm_dim}"
+        )
     report = validate_dataset(assemble_dataset(table, emb))
     print(report.summary())
     return 0 if report.valid else 2

@@ -16,10 +16,11 @@ reported by ``validate_dataset`` instead of raised.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import InitVar, dataclass, field
 from enum import Enum, IntEnum
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -78,18 +79,6 @@ class Modality(str, Enum):
     S2 = "S2"
 
 
-@dataclass(frozen=True)
-class FMDescriptor:
-    """Identity and shape of one upstream embedding model."""
-
-    fm_id: str
-    dim: int
-
-    def __post_init__(self) -> None:
-        if self.dim <= 0:
-            raise ValueError(f"embedding dim must be positive, got {self.dim}")
-
-
 def _readonly(a, dtype=None) -> np.ndarray:
     """``a`` as a read-only array, copied only if the caller could still write it."""
     a = np.asarray(a, dtype=dtype)
@@ -118,12 +107,13 @@ def _set_column(obj, name: str, shape: tuple[int, ...], dtype=np.float64) -> Non
 class EmbeddingSet:
     """Row-aligned embedding matrix for one model over one chip collection.
 
-    The matrix is stored read-only; row ``i`` belongs to ``chip_ids[i]``.
+    The matrix is stored read-only; row ``i`` belongs to ``chip_ids[i]``,
+    and its width, which must be positive, is the model's embedding dim.
     Non-finite entries are representable (validation reports them) but the
     file loader in :mod:`probeforge.ingest` refuses to produce them.
     """
 
-    fm: FMDescriptor
+    fm_id: str
     chip_ids: tuple[str, ...]
     matrix: np.ndarray
 
@@ -136,10 +126,8 @@ class EmbeddingSet:
             raise ValueError(
                 f"row count {m.shape[0]} does not match {len(ids)} chip ids"
             )
-        if m.shape[1] != self.fm.dim:
-            raise ValueError(
-                f"matrix width {m.shape[1]} does not match fm dim {self.fm.dim}"
-            )
+        if m.shape[1] == 0:
+            raise ValueError("embedding matrix has no columns")
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate chip_id in embedding index")
         object.__setattr__(self, "chip_ids", ids)
@@ -206,7 +194,7 @@ class Dataset:
     position.
     """
 
-    fm: FMDescriptor
+    fm_id: str
     chip_ids: tuple[str, ...]
     aois: InitVar[np.ndarray]
     matrix: np.ndarray
@@ -218,7 +206,7 @@ class Dataset:
 
     def __post_init__(self, aois: np.ndarray) -> None:
         n = len(self.chip_ids)
-        _set_column(self, "matrix", (n, self.fm.dim), dtype=None)
+        _set_column(self, "matrix", (n, np.shape(self.matrix)[-1]), dtype=None)
         _set_column(self, "fractions", (n, N_CLASSES))
         _set_column(self, "elevations", (n,))
         aois = np.asarray(aois)
@@ -251,14 +239,8 @@ def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
 
     The result covers the intersection in table order; records present on
     only one side are counted and logged, never fatal. An empty intersection
-    or an embedding width that contradicts the declared model dim raises
-    :class:`AlignmentError`. The joined matrix is the only copy made.
+    raises :class:`AlignmentError`. The joined matrix is the only copy made.
     """
-    if emb.matrix.shape[1] != emb.fm.dim:
-        raise AlignmentError(
-            f"embedding dim {emb.matrix.shape[1]} does not match "
-            f"fm {emb.fm.fm_id!r} dim {emb.fm.dim}"
-        )
     kept, emb_rows = _match(table.chip_ids, emb.chip_ids)
     if not kept.any():
         raise AlignmentError("no aligned chips")
@@ -269,13 +251,13 @@ def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
     if dropped_table or dropped_emb:
         logger.info(
             "join for fm %s dropped %d table-only and %d embedding-only records",
-            emb.fm.fm_id,
+            emb.fm_id,
             dropped_table,
             dropped_emb,
         )
 
     return Dataset(
-        fm=emb.fm,
+        fm_id=emb.fm_id,
         chip_ids=tuple(compress(table.chip_ids, kept.tolist())),
         aois=table.aois[rows],
         matrix=_take(emb.matrix, emb_rows),
@@ -357,22 +339,10 @@ def infer_modality(fm_id: str) -> Modality | None:
 
     Returns None when neither an ``s1`` nor an ``s2`` token appears.
     """
-    tokens = [t for t in _tokenize(fm_id.lower())]
+    tokens = re.findall(r"[^\W_]+", fm_id.lower())
     if "s1" in tokens:
         return Modality.S1
     if "s2" in tokens:
         return Modality.S2
     return None
 
-
-def _tokenize(s: str) -> Iterable[str]:
-    buf = ""
-    for ch in s:
-        if ch.isalnum():
-            buf += ch
-        else:
-            if buf:
-                yield buf
-            buf = ""
-    if buf:
-        yield buf

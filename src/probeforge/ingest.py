@@ -25,7 +25,7 @@ import json
 import logging
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -38,7 +38,6 @@ from .core import (
     ClassId,
     Dataset,
     EmbeddingSet,
-    FMDescriptor,
     assemble_dataset,
 )
 from .errors import DataFormatError
@@ -160,29 +159,20 @@ def save_embeddings(emb: EmbeddingSet, data_path: str | Path, index_path: str | 
     m = np.ascontiguousarray(emb.matrix, dtype="<f4")
     with open(data_path, "wb") as fh:
         fh.write(_EMB_MAGIC)
-        fh.write(struct.pack("<IQ", emb.fm.dim, len(emb)))
+        fh.write(struct.pack("<IQ", m.shape[1], len(emb)))
         fh.write(m.tobytes())
     with open(index_path, "w", encoding="utf-8") as fh:
         for cid in emb.chip_ids:
             fh.write(cid + "\n")
 
 
-def read_embedding_header(data_path: str | Path) -> tuple[int, int]:
-    """Return (dim, count) from an embedding file without reading rows."""
-    with open(data_path, "rb") as fh:
-        head = fh.read(16)
-    if len(head) < 16 or head[:4] != _EMB_MAGIC:
-        raise DataFormatError(f"{data_path}: bad magic, not an embedding file")
-    dim, count = struct.unpack("<IQ", head[4:16])
-    return int(dim), int(count)
-
-
 def load_embeddings(
-    data_path: str | Path, index_path: str | Path, fm: FMDescriptor
+    data_path: str | Path, index_path: str | Path, fm_id: str
 ) -> EmbeddingSet:
-    """Read a binary embedding matrix plus its text index.
+    """Read a binary embedding matrix plus its text index as model ``fm_id``.
 
-    The header dim must equal ``fm.dim``, the index line count must equal
+    The matrix width is the header dim, which must be positive; the payload
+    must hold exactly the header's rows, the index line count must equal
     the header row count, and all values must be finite.
     """
     with open(data_path, "rb") as fh:
@@ -190,10 +180,6 @@ def load_embeddings(
     if len(blob) < 16 or blob[:4] != _EMB_MAGIC:
         raise DataFormatError(f"{data_path}: bad magic, not an embedding file")
     dim, count = struct.unpack("<IQ", blob[4:16])
-    if dim != fm.dim:
-        raise DataFormatError(
-            f"{data_path}: dimension mismatch: file dim {dim}, fm {fm.fm_id!r} dim {fm.dim}"
-        )
     expected = 16 + 4 * dim * count
     if len(blob) != expected:
         raise DataFormatError(
@@ -214,7 +200,10 @@ def load_embeddings(
             f"{data_path}: non-finite values, first offending row {int(bad[0])}"
             f" (chip {ids[int(bad[0])]!r})"
         )
-    return EmbeddingSet(fm=fm, chip_ids=tuple(ids), matrix=matrix)
+    try:
+        return EmbeddingSet(fm_id=fm_id, chip_ids=tuple(ids), matrix=matrix)
+    except ValueError as exc:
+        raise DataFormatError(f"{data_path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +236,11 @@ class LabelGrid:
         return int(self.codes.shape[1])
 
 
-def compute_class_fractions(
-    grid: LabelGrid, code_map: Mapping[int, ClassId] = CODE_TO_CLASS
-) -> dict[ClassId, float]:
+def compute_class_fractions(grid: LabelGrid) -> dict[ClassId, float]:
     """Per-class pixel fractions over the valid (non-no-data) pixels.
 
     All seven classes appear in the result, zero when absent. Codes outside
-    ``code_map`` (the four unused product classes) count toward the
+    ``CODE_TO_CLASS`` (the four unused product classes) count toward the
     denominator only, so the fractions sum to at most 1.
     """
     valid = grid.codes != NODATA_CODE
@@ -261,7 +248,7 @@ def compute_class_fractions(
     if n_valid == 0:
         raise DataFormatError("no valid pixels")
     out = {c: 0.0 for c in ClassId}
-    for code, cls in code_map.items():
+    for code, cls in CODE_TO_CLASS.items():
         out[cls] = int((grid.codes == code).sum()) / n_valid
     return out
 
@@ -456,29 +443,13 @@ class SynthSpec:
             raise ValueError(f"unknown link {self.link!r}")
         object.__setattr__(self, "fm_ids", tuple(self.fm_ids))
 
-    def to_dict(self) -> dict:
-        return {
-            "n_chips": self.n_chips,
-            "dim": self.dim,
-            "noise_sigma": self.noise_sigma,
-            "weight_seed": self.weight_seed,
-            "data_seed": self.data_seed,
-            "n_aois": self.n_aois,
-            "n_classes": self.n_classes,
-            "fm_ids": list(self.fm_ids),
-            "link": self.link,
-        }
-
     @classmethod
     def from_dict(cls, d: Mapping) -> "SynthSpec":
         known = {f for f in cls.__dataclass_fields__}
         unknown = sorted(set(d) - known)
         if unknown:
             raise ValueError(f"unknown synth spec keys: {unknown}")
-        kwargs = dict(d)
-        if "fm_ids" in kwargs:
-            kwargs["fm_ids"] = tuple(kwargs["fm_ids"])
-        return cls(**kwargs)
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -529,8 +500,7 @@ def synthesize_dataset(spec: SynthSpec) -> SynthResult:
         x_rng = stream(spec.data_seed, "X", fm_id)
         m = x_rng.standard_normal((spec.n_chips, spec.dim), dtype=np.float32)
         m.setflags(write=False)
-        fm = FMDescriptor(fm_id=fm_id, dim=spec.dim)
-        embeddings[fm_id] = EmbeddingSet(fm=fm, chip_ids=chip_ids, matrix=m)
+        embeddings[fm_id] = EmbeddingSet(fm_id=fm_id, chip_ids=chip_ids, matrix=m)
 
     signal = embeddings[spec.fm_ids[0]].matrix.astype(np.float64)
     noise_rng = stream(spec.data_seed, "noise")
@@ -606,7 +576,7 @@ def write_dataset_dir(result: SynthResult, out_dir: str | Path) -> None:
             out / "embeddings" / f"{fm_id}.idx",
         )
     planted = {
-        "spec": result.spec.to_dict(),
+        "spec": asdict(result.spec),
         "weights": result.planted.tolist(),
     }
     with open(out / "planted.json", "w", encoding="utf-8") as fh:
@@ -618,7 +588,8 @@ def load_dataset_dir(data_dir: str | Path) -> dict[str, Dataset]:
     """Load every model's aligned Dataset from a dataset directory.
 
     Expects ``chips.jsonl`` plus ``embeddings/<fm_id>.emb`` and matching
-    ``.idx`` files; model dim comes from each file header.
+    ``.idx`` files; each model's id is its file stem and its dim comes from
+    the file header.
     """
     root = Path(data_dir)
     chips_path = root / "chips.jsonl"
@@ -636,7 +607,5 @@ def load_dataset_dir(data_dir: str | Path) -> dict[str, Dataset]:
         index_path = data_path.with_suffix(".idx")
         if not index_path.exists():
             raise DataFormatError(f"{data_path}: missing index file {index_path.name}")
-        dim, _ = read_embedding_header(data_path)
-        fm = FMDescriptor(fm_id=fm_id, dim=dim)
-        datasets[fm_id] = assemble_dataset(table, load_embeddings(data_path, index_path, fm))
+        datasets[fm_id] = assemble_dataset(table, load_embeddings(data_path, index_path, fm_id))
     return datasets

@@ -40,8 +40,6 @@ class AggregateMetrics:
     r_std: float
     rmse_mean: float
     rmse_std: float
-    repetitions: int
-    degenerate_runs: int
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -82,11 +80,10 @@ def rmse(a, b) -> float:
     return float(np.sqrt(np.mean((va - vb) ** 2)))
 
 
-def aggregate(runs: Sequence[RunMetrics], degenerate_runs: int = 0) -> AggregateMetrics:
+def aggregate(runs: Sequence[RunMetrics]) -> AggregateMetrics:
     """Mean and sample standard deviation (n-1 denominator) over usable runs.
 
-    ``runs`` must hold the non-degenerate repetitions only; the count of
-    excluded degenerate ones is carried through unchanged.
+    ``runs`` must hold the non-degenerate repetitions only.
     """
     if len(runs) < 2:
         raise ValueError(f"need at least 2 usable runs, got {len(runs)}")
@@ -97,6 +94,4 @@ def aggregate(runs: Sequence[RunMetrics], degenerate_runs: int = 0) -> Aggregate
         r_std=float(rs.std(ddof=1)),
         rmse_mean=float(es.mean()),
         rmse_std=float(es.std(ddof=1)),
-        repetitions=len(runs),
-        degenerate_runs=int(degenerate_runs),
     )

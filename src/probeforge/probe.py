@@ -42,7 +42,7 @@ class Probe:
         return int(self.weights.shape[0])
 
 
-def fit(X, y, rcond: float = DEFAULT_RCOND) -> Probe:
+def fit(X, y) -> Probe:
     """Fit the minimum-norm least-squares probe.
 
     Columns of ``X`` and ``y`` are centered first, keeping the intercept out
@@ -69,7 +69,7 @@ def fit(X, y, rcond: float = DEFAULT_RCOND) -> Probe:
     yc = yv - y_mean
 
     U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
-    keep = s > rcond * (s[0] if s.size else 0.0)
+    keep = s > DEFAULT_RCOND * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(keep))
     if rank:
         w = Vt[keep].T @ ((U[:, keep].T @ yc) / s[keep])

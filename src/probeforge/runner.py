@@ -26,8 +26,8 @@ import itertools
 import logging
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field, fields, replace
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -174,11 +174,6 @@ class AggregateRecord:
     degenerate_runs: int = 0
     infeasible: bool = False
     wall_ms: float = field(default=0.0, compare=False)
-
-    @property
-    def degenerate(self) -> bool:
-        """True when too few usable runs remained to aggregate."""
-        return self.degenerate_runs >= self.spec.repetitions - 1
 
     @property
     def total_elements(self) -> int:
@@ -345,13 +340,14 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset) -> AggregateRecord:
             spec.n_train <= train_pos_all.size and spec.n_test <= target_pos.size
         )
     else:
-        train_pos_all = None
+        train_pos_all = target_pos  # split_target carves both sets from it
         feasible = spec.n_train + spec.n_test <= target_pos.size
     if not feasible:
         wall = (time.perf_counter() - t0) * 1000.0
         return AggregateRecord(spec=spec, infeasible=True, wall_ms=wall)
 
     y_all = dataset.fractions[:, spec.class_id.value]
+    aux = _aux_for(spec.sampler, dataset, train_pos_all)
     spec_seed = spec.seed()
     runs: list[RunMetrics] = []
     degenerate = 0
@@ -360,7 +356,7 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset) -> AggregateRecord:
         if spec.regime == REGIME_EXTERNAL:
             train = draw(SampleRequest(
                 train_pos_all, spec.n_train, derive_seed(rep_seed, "train"),
-                spec.sampler, **_aux_for(spec.sampler, dataset, train_pos_all),
+                spec.sampler, **aux,
             ))
             test = draw(SampleRequest(
                 target_pos, spec.n_test, derive_seed(rep_seed, "test"),
@@ -368,8 +364,7 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset) -> AggregateRecord:
             ))
         else:
             test, train = split_target(
-                target_pos, spec.n_test, spec.n_train, spec.sampler, rep_seed,
-                **_aux_for(spec.sampler, dataset, target_pos),
+                target_pos, spec.n_test, spec.n_train, spec.sampler, rep_seed, **aux,
             )
         probe = fit(dataset.matrix[train], y_all[train])
         pred = predict(probe, dataset.matrix[test])
@@ -381,18 +376,9 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset) -> AggregateRecord:
             continue
         runs.append(RunMetrics(pearson_r=r_val, rmse=rmse(pred, truth)))
 
-    if len(runs) >= 2:
-        agg = aggregate(runs, degenerate_runs=degenerate)
-        rec = AggregateRecord(
-            spec=spec,
-            r_mean=agg.r_mean, r_std=agg.r_std,
-            rmse_mean=agg.rmse_mean, rmse_std=agg.rmse_std,
-            degenerate_runs=degenerate,
-        )
-    else:
-        rec = AggregateRecord(spec=spec, degenerate_runs=degenerate)
+    metrics = asdict(aggregate(runs)) if len(runs) >= 2 else {}
     wall = (time.perf_counter() - t0) * 1000.0
-    return replace(rec, wall_ms=wall)
+    return AggregateRecord(spec=spec, degenerate_runs=degenerate, wall_ms=wall, **metrics)
 
 
 # Worker-process state, installed once per worker by the pool initializer so
@@ -415,16 +401,20 @@ def _run_one(spec: ExperimentSpec) -> AggregateRecord:
     return run_experiment(spec, _POOL_DATA[spec.fm_id])
 
 
-def _drop_torn_row(path: Path) -> None:
-    """Cut a final line that lacks its newline: a row cut short by a crash."""
+def _drop_torn_row(path: Path) -> int:
+    """Cut a final line that lacks its newline: a row cut short by a crash.
+
+    Returns the byte length that remains.
+    """
     with open(path, "rb+") as fh:
         data = fh.read()
         if data.endswith(b"\n") or not data:
-            return
+            return len(data)
         keep = data.rfind(b"\n") + 1
         logger.warning("%s: dropping torn final line %r",
                        path, data[keep:].decode("utf-8", "replace"))
         fh.truncate(keep)
+        return keep
 
 
 def run_grid(
@@ -438,11 +428,13 @@ def run_grid(
 
     With ``resume``, rows already present in ``out_path`` (matching spec
     key and base seed) are kept and only missing specs execute; a final
-    row without its newline, torn by a crash, is dropped first. While
-    running, finished rows are appended immediately with measured wall
-    times; on completion the whole file is rewritten in enumeration order
-    with wall times zeroed, so the final bytes depend only on grid and
-    data. Returns records in canonical order.
+    row without its newline, torn by a crash, is dropped first, and a file
+    left empty starts over with a fresh header. While running, finished
+    rows are appended immediately with measured wall times; on completion
+    the whole file is rewritten in enumeration order with wall times
+    zeroed, so the final bytes depend only on grid and data. The first
+    failing spec cancels the queued ones and propagates; rows streamed
+    before it stay for a later resume. Returns records in canonical order.
     """
     specs = enumerate_grid(grid)
     missing_fms = sorted({s.fm_id for s in specs} - set(datasets))
@@ -455,8 +447,8 @@ def run_grid(
 
     out_path = Path(out_path)
     done: dict[str, AggregateRecord] = {}
-    if resume and out_path.exists():
-        _drop_torn_row(out_path)
+    append = resume and out_path.exists() and _drop_torn_row(out_path) > 0
+    if append:
         for rec in parse_results_file(out_path):
             if rec.spec.base_seed != grid.base_seed:
                 logger.warning(
@@ -478,10 +470,9 @@ def run_grid(
             len(todo), len(specs), len(specs) - len(todo), max(1, threads),
         )
 
-    mode = "a" if resume and out_path.exists() else "w"
-    with open(out_path, mode, encoding="utf-8", newline="") as stream_fh:
+    with open(out_path, "a" if append else "w", encoding="utf-8", newline="") as stream_fh:
         writer = csv.writer(stream_fh, lineterminator="\n")
-        if mode == "w":
+        if not append:
             writer.writerow(CSV_COLUMNS)
             stream_fh.flush()
 
@@ -495,9 +486,8 @@ def run_grid(
             )
 
         if threads <= 1 or len(todo) <= 1:
-            _init_pool(datasets)
             for i, spec in enumerate(todo, start=1):
-                _collect(_run_one(spec), i)
+                _collect(run_experiment(spec, datasets[spec.fm_id]), i)
         else:
             import multiprocessing
 
@@ -509,13 +499,13 @@ def run_grid(
                 max_workers=threads, mp_context=ctx,
                 initializer=_init_pool, initargs=(datasets,),
             ) as pool:
-                pending = {pool.submit(_run_one, s) for s in todo}
-                i = 0
-                while pending:
-                    finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for fut in finished:
-                        i += 1
+                futures = [pool.submit(_run_one, s) for s in todo]
+                try:
+                    for i, fut in enumerate(as_completed(futures), start=1):
                         _collect(fut.result(), i)
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
 
     records = [done[s.key()] for s in specs]
     write_results_file(out_path, records)

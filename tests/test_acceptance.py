@@ -370,7 +370,7 @@ def test_criterion_10_fixture_formats(tmp_path):
     res = synthesize_dataset(SynthSpec(n_chips=64, dim=24, weight_seed=6, data_seed=7))
     emb = res.embeddings["synth-s2"]
     save_embeddings(emb, tmp_path / "e.emb", tmp_path / "e.idx")
-    again = load_embeddings(tmp_path / "e.emb", tmp_path / "e.idx", emb.fm)
+    again = load_embeddings(tmp_path / "e.emb", tmp_path / "e.idx", emb.fm_id)
     assert again.matrix.tobytes() == emb.matrix.tobytes()
     assert again.chip_ids == emb.chip_ids
     print(f"criterion 10 fixture-formats: PASS (100 grids exact,"

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, driven in-process through main()."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -110,6 +111,26 @@ def test_run_resume_recovers_torn_final_row(workdir, caplog):
         assert run(workdir, "--resume") == 0
     assert "torn final line" in caplog.text
     assert path.read_bytes() == full
+
+
+@pytest.mark.parametrize("left", [b"", b"fm_id,class,regime,tr"],
+                         ids=["empty", "torn-header"])
+def test_run_resume_starts_over_on_empty_or_torn_header(workdir, left):
+    synth(workdir)
+    assert run(workdir) == 0
+    path = workdir / "results.csv"
+    fresh = path.read_bytes()
+    path.write_bytes(left)  # a crash before the header line was complete
+    assert run(workdir, "--resume") == 0
+    assert path.read_bytes() == fresh
+
+
+def test_run_zero_width_embeddings_exits_2(workdir):
+    synth(workdir)
+    emb = workdir / "data" / "embeddings" / "tiny-s1.emb"
+    emb.write_bytes(b"EMB1" + struct.pack("<IQ", 0, SYNTH_SPEC["n_chips"]))
+    assert run(workdir) == 2
+    assert not (workdir / "results.csv").exists()
 
 
 def test_unknown_grid_aoi_exits_2(workdir, capsys):

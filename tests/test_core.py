@@ -10,7 +10,6 @@ from probeforge.core import (
     ChipTable,
     ClassId,
     EmbeddingSet,
-    FMDescriptor,
     RULE_ELEVATION,
     RULE_EMBEDDING,
     RULE_FRACTION_RANGE,
@@ -67,19 +66,20 @@ def test_chip_fraction_vector_order(tmp_path):
 
 
 def test_embedding_set_invariants():
-    fm = FMDescriptor("m-s2", 4)
     m = np.zeros((3, 4))
-    emb = EmbeddingSet(fm=fm, chip_ids=("a", "b", "c"), matrix=m)
+    emb = EmbeddingSet(fm_id="m-s2", chip_ids=("a", "b", "c"), matrix=m)
     assert len(emb) == 3
     assert not emb.matrix.flags.writeable
     m[0, 0] = 1.0  # the caller's writable array was copied
     assert emb.matrix[0, 0] == 0.0
     with pytest.raises(ValueError):
-        EmbeddingSet(fm=fm, chip_ids=("a", "b"), matrix=m)
+        EmbeddingSet(fm_id="m-s2", chip_ids=("a", "b"), matrix=m)
     with pytest.raises(ValueError):
-        EmbeddingSet(fm=fm, chip_ids=("a", "a", "c"), matrix=m)
+        EmbeddingSet(fm_id="m-s2", chip_ids=("a", "a", "c"), matrix=m)
     with pytest.raises(ValueError):
-        EmbeddingSet(fm=fm, chip_ids=("a", "b", "c"), matrix=np.zeros((3, 5)))
+        EmbeddingSet(fm_id="m-s2", chip_ids=("a", "b", "c"), matrix=np.zeros(3))
+    with pytest.raises(ValueError, match="no columns"):
+        EmbeddingSet(fm_id="m-s2", chip_ids=("a", "b", "c"), matrix=np.zeros((3, 0)))
 
 
 def test_chip_table_duplicate_id_named():
@@ -88,11 +88,10 @@ def test_chip_table_duplicate_id_named():
 
 
 def test_assemble_covers_intersection_in_table_order():
-    fm = FMDescriptor("m-s2", 2)
     fractions = np.arange(21, dtype=float).reshape(3, 7) / 100
     table = make_table(["a", "b", "c"], fractions=fractions,
                        elevations=np.array([1.0, 2.0, 3.0]), aois=["P", "Q", "P"])
-    emb = EmbeddingSet(fm=fm, chip_ids=("c", "x", "a"),
+    emb = EmbeddingSet(fm_id="m-s2", chip_ids=("c", "x", "a"),
                        matrix=np.array([[3.0, 3], [9, 9], [1, 1]]))
     ds = assemble_dataset(table, emb)
     assert ds.chip_ids == ("a", "c")
@@ -107,18 +106,16 @@ def test_assemble_covers_intersection_in_table_order():
 
 
 def test_assemble_empty_intersection_raises():
-    fm = FMDescriptor("m-s2", 2)
-    emb = EmbeddingSet(fm=fm, chip_ids=("z",), matrix=np.zeros((1, 2)))
+    emb = EmbeddingSet(fm_id="m-s2", chip_ids=("z",), matrix=np.zeros((1, 2)))
     with pytest.raises(AlignmentError, match="no aligned chips"):
         assemble_dataset(make_table(["a"]), emb)
-    empty = EmbeddingSet(fm=fm, chip_ids=(), matrix=np.zeros((0, 2)))
+    empty = EmbeddingSet(fm_id="m-s2", chip_ids=(), matrix=np.zeros((0, 2)))
     with pytest.raises(AlignmentError, match="no aligned chips"):
         assemble_dataset(make_table(["a"]), empty)
 
 
 def _tiny_dataset(ids, matrix, **columns):
-    fm = FMDescriptor("m-s2", matrix.shape[1])
-    emb = EmbeddingSet(fm=fm, chip_ids=tuple(ids), matrix=matrix)
+    emb = EmbeddingSet(fm_id="m-s2", chip_ids=tuple(ids), matrix=matrix)
     return assemble_dataset(make_table(ids, **columns), emb)
 
 

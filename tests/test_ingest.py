@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from probeforge.core import ClassId, FMDescriptor, validate_dataset
+from probeforge.core import ClassId, validate_dataset
 from probeforge.errors import DataFormatError
 from probeforge.ingest import (
     CODE_TO_CLASS,
@@ -130,26 +130,18 @@ def test_chip_table_round_trip(tmp_path, small_synth):
 def make_emb(rng, n=5, d=4, fm_id="m-s2"):
     from probeforge.core import EmbeddingSet
 
-    fm = FMDescriptor(fm_id, d)
     m = rng.standard_normal((n, d)).astype(np.float32)
     ids = tuple(f"c{i}" for i in range(n))
-    return EmbeddingSet(fm=fm, chip_ids=ids, matrix=m)
+    return EmbeddingSet(fm_id=fm_id, chip_ids=ids, matrix=m)
 
 
 def test_embeddings_round_trip_bit_exact(tmp_path, rng):
     emb = make_emb(rng)
     save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
-    again = load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", emb.fm)
-    assert again.chip_ids == emb.chip_ids
+    again = load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2")
+    assert again.fm_id == "m-s2" and again.chip_ids == emb.chip_ids
+    assert again.matrix.shape == emb.matrix.shape
     assert again.matrix.tobytes() == emb.matrix.tobytes()
-
-
-def test_embeddings_dim_mismatch(tmp_path, rng):
-    emb = make_emb(rng, d=4)
-    save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
-    wrong = FMDescriptor("m-s2", 512)
-    with pytest.raises(DataFormatError, match="dimension mismatch"):
-        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", wrong)
 
 
 def test_embeddings_index_count_mismatch(tmp_path, rng):
@@ -157,7 +149,7 @@ def test_embeddings_index_count_mismatch(tmp_path, rng):
     save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
     (tmp_path / "m.idx").write_text("c0\nc1\n")
     with pytest.raises(DataFormatError, match="index/header mismatch"):
-        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", emb.fm)
+        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", emb.fm_id)
 
 
 def test_embeddings_bad_magic(tmp_path, rng):
@@ -166,7 +158,7 @@ def test_embeddings_bad_magic(tmp_path, rng):
     blob = (tmp_path / "m.emb").read_bytes()
     (tmp_path / "m.emb").write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(DataFormatError, match="magic"):
-        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", emb.fm)
+        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", emb.fm_id)
 
 
 def test_embeddings_truncated_payload(tmp_path, rng):
@@ -175,19 +167,18 @@ def test_embeddings_truncated_payload(tmp_path, rng):
     blob = (tmp_path / "m.emb").read_bytes()
     (tmp_path / "m.emb").write_bytes(blob[:-4])
     with pytest.raises(DataFormatError, match="bytes"):
-        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", emb.fm)
+        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", emb.fm_id)
 
 
 def test_embeddings_non_finite_row_named(tmp_path, rng):
     from probeforge.core import EmbeddingSet
 
-    fm = FMDescriptor("m-s2", 3)
     m = rng.standard_normal((4, 3)).astype(np.float32)
     m[2, 1] = np.nan
-    emb = EmbeddingSet(fm=fm, chip_ids=("a", "b", "c", "d"), matrix=m)
+    emb = EmbeddingSet(fm_id="m-s2", chip_ids=("a", "b", "c", "d"), matrix=m)
     save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
     with pytest.raises(DataFormatError, match="row 2"):
-        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", fm)
+        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2")
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,6 @@ def test_aggregate_constant_runs():
     agg = aggregate([run(0.8) for _ in range(20)])
     assert np.isclose(agg.r_mean, 0.8, rtol=0, atol=1e-12)
     assert agg.r_std < 1e-12
-    assert agg.repetitions == 20
 
 
 def test_aggregate_two_point_std():
@@ -106,9 +105,3 @@ def test_aggregate_permutation_invariant(rng):
     b = aggregate([runs[i] for i in order])
     for name in ("r_mean", "r_std", "rmse_mean", "rmse_std"):
         assert np.isclose(getattr(a, name), getattr(b, name), rtol=1e-12)
-
-
-def test_aggregate_carries_degenerate_count():
-    agg = aggregate([run(0.8), run(0.9)], degenerate_runs=18)
-    assert agg.degenerate_runs == 18
-    assert agg.repetitions == 2

@@ -1,7 +1,10 @@
 """Grid enumeration, single-spec execution, and results-file determinism."""
 
 import dataclasses
+import gc
 import itertools
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +14,6 @@ from probeforge.core import (
     ChipTable,
     ClassId,
     EmbeddingSet,
-    FMDescriptor,
     assemble_dataset,
 )
 from probeforge.errors import DataFormatError, GridError
@@ -265,7 +267,7 @@ def constant_target_dataset(n=80, dim=6):
         lat=np.full(n, 0.2), fractions=fractions, elevations=np.full(n, 100.0),
     )
     emb = EmbeddingSet(
-        fm=FMDescriptor("flat-s2", dim), chip_ids=ids,
+        fm_id="flat-s2", chip_ids=ids,
         matrix=rng.standard_normal((n, dim)).astype(np.float32),
     )
     return assemble_dataset(table, emb)
@@ -276,7 +278,6 @@ def test_run_experiment_counts_degenerate_repetitions():
     spec = make_spec(fm_id="flat-s2", n_train=30, n_test=20, repetitions=4)
     rec = run_experiment(spec, ds)
     assert rec.degenerate_runs == 4
-    assert rec.degenerate
     assert np.isnan(rec.r_mean) and np.isnan(rec.rmse_mean)
     assert not rec.infeasible
 
@@ -403,7 +404,7 @@ def test_run_grid_aoi_one_model_lacks_is_infeasible(tmp_path, small_synth, small
     keep = alpha.aoi_positions["aoi-00"]
     emb = small_synth.embeddings["beta-s2"]
     partial = EmbeddingSet(
-        fm=FMDescriptor("gamma-s2", emb.fm.dim),
+        fm_id="gamma-s2",
         chip_ids=tuple(emb.chip_ids[i] for i in keep), matrix=emb.matrix[keep],
     )
     datasets = {"alpha-s1": alpha,
@@ -489,3 +490,36 @@ def test_run_grid_resume_ignores_foreign_base_seed(tmp_path, small_datasets, cap
     assert "foreign base_seed" in caplog.text
     assert all(r.spec.base_seed == 10 for r in records)
     assert all(r.spec.base_seed == 10 for r in parse_results_file(path))
+
+
+def test_run_grid_worker_failure_cancels_queued_specs(tmp_path, monkeypatch, small_datasets):
+    grid = GridSpec(
+        fms=("alpha-s1",), classes=tuple(ClassId), samplers=(SamplerKind.RANDOM,),
+        target_aois=("aoi-00", "aoi-01", "aoi-02"), n_train_target=(10,),
+        n_test_target=(5,), regimes=(REGIME_TARGET_SPLIT,), repetitions=2,
+    )
+    specs = enumerate_grid(grid)
+    assert len(specs) == 21
+    ran = tmp_path / "ran"
+    ran.mkdir()
+
+    def fail_first(spec, dataset):  # forked workers inherit this patch
+        if spec == specs[0]:
+            raise RuntimeError("worker failure")
+        time.sleep(0.2)
+        (ran / str(spec.seed())).touch()
+        return runner_mod.AggregateRecord(spec=spec)
+
+    monkeypatch.setattr(runner_mod, "run_experiment", fail_first)
+    with pytest.raises(RuntimeError, match="worker failure"):
+        run_grid(grid, small_datasets, tmp_path / "r.csv", threads=2)
+    assert len(list(ran.iterdir())) < (len(specs) - 1) / 2
+
+
+def test_serial_run_grid_keeps_no_dataset_alive(tmp_path, small_synth):
+    ds = small_synth.dataset("alpha-s1")
+    ref = weakref.ref(ds)
+    run_grid(SMALL_GRID, {"alpha-s1": ds}, tmp_path / "r.csv", threads=1)
+    del ds
+    gc.collect()
+    assert ref() is None
