@@ -2,9 +2,10 @@
 
 Pipeline: ingest (or synthesize) a chip table plus per-model embedding
 matrices, enumerate an experiment grid over training regimes, samplers and
-budget sizes, fit a linear probe per repetition, aggregate Pearson/RMSE
-across repetitions, and report heatmaps, scatter data, and threshold-based
-configuration selections.
+budget sizes, factorize each repetition's training set once and fit a
+linear probe per class on it, aggregate Pearson/RMSE across repetitions,
+and report heatmaps, scatter data, and threshold-based configuration
+selections.
 """
 
 from .core import (
@@ -41,7 +42,7 @@ from .ingest import (
     write_dataset_dir,
 )
 from .metrics import AggregateMetrics, RunMetrics, aggregate, pearson, rmse
-from .probe import Probe, fit, predict
+from .probe import Factorization, Probe, factorize, fit, predict
 from .report import (
     SelectionCriterion,
     ablation_scatter,
@@ -74,6 +75,7 @@ __all__ = [
     "DegenerateVarianceError",
     "EmbeddingSet",
     "ExperimentSpec",
+    "Factorization",
     "GridError",
     "GridSpec",
     "ImageStack",
@@ -94,6 +96,7 @@ __all__ = [
     "derive_seed",
     "draw",
     "enumerate_grid",
+    "factorize",
     "fit",
     "heatmap_matrix",
     "infer_modality",

@@ -42,46 +42,72 @@ class Probe:
         return int(self.weights.shape[0])
 
 
-def fit(X, y) -> Probe:
-    """Fit the minimum-norm least-squares probe.
+@dataclass(frozen=True)
+class Factorization:
+    """Thin SVD of a centered training matrix, shared by every target fitted on it.
 
-    Columns of ``X`` and ``y`` are centered first, keeping the intercept out
-    of the regularized subspace; the intercept is recovered as
-    ``mean(y) - mean_row(X) @ weights``.
+    Only the singular triplets above the cut-off are kept: ``U`` (n x r),
+    ``s`` (r,) and ``Vt`` (r x d), plus the column means.
     """
+
+    x_mean: np.ndarray
+    U: np.ndarray
+    s: np.ndarray
+    Vt: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of the factorized matrix."""
+        return self.U.shape[0], self.Vt.shape[1]
+
+
+def factorize(X) -> Factorization:
+    """Center the columns of ``X`` and keep the SVD triplets above the cut-off."""
     Xm = np.asarray(X, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
     if Xm.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {Xm.shape}")
-    if yv.ndim != 1 or yv.shape[0] != Xm.shape[0]:
-        raise ValueError(f"y shape {yv.shape} does not match X rows {Xm.shape[0]}")
     n, d = Xm.shape
     if n < 2:
         raise ValueError(f"need at least 2 training points, got {n}")
     if d < 1:
         raise ValueError("X must have at least one column")
-    if not np.isfinite(Xm).all() or not np.isfinite(yv).all():
+    if not np.isfinite(Xm).all():
         raise ValueError("non-finite values in training data")
 
     x_mean = Xm.mean(axis=0)
-    y_mean = float(yv.mean())
-    Xc = Xm - x_mean
-    yc = yv - y_mean
+    U, s, Vt = np.linalg.svd(Xm - x_mean, full_matrices=False)
+    keep = s > DEFAULT_RCOND * s[0]
+    return Factorization(x_mean=x_mean, U=U[:, keep], s=s[keep], Vt=Vt[keep])
 
-    U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
-    keep = s > DEFAULT_RCOND * (s[0] if s.size else 0.0)
-    rank = int(np.count_nonzero(keep))
+
+def fit(X, y) -> Probe:
+    """Fit the minimum-norm least-squares probe.
+
+    ``X`` is a training matrix or its ``factorize(X)``; the two give
+    bit-identical probes, so one factorization serves every target of a
+    training set. Columns of ``X`` and ``y`` are centered first, keeping the
+    intercept out of the regularized subspace; the intercept is recovered as
+    ``mean(y) - mean_row(X) @ weights``.
+    """
+    f = X if isinstance(X, Factorization) else factorize(X)
+    yv = np.asarray(y, dtype=np.float64)
+    if yv.ndim != 1 or yv.shape[0] != f.shape[0]:
+        raise ValueError(f"y shape {yv.shape} does not match X rows {f.shape[0]}")
+    if not np.isfinite(yv).all():
+        raise ValueError("non-finite values in training data")
+
+    y_mean = float(yv.mean())
+    rank = f.s.size
     if rank:
-        w = Vt[keep].T @ ((U[:, keep].T @ yc) / s[keep])
+        w = f.Vt.T @ ((f.U.T @ (yv - y_mean)) / f.s)
     else:
-        w = np.zeros(d, dtype=np.float64)
-    intercept = y_mean - float(x_mean @ w)
+        w = np.zeros(f.shape[1], dtype=np.float64)
     return Probe(
         weights=w,
-        intercept=intercept,
+        intercept=y_mean - float(f.x_mean @ w),
         effective_rank=rank,
-        sigma_max=float(s[0]) if s.size else 0.0,
-        sigma_min_retained=float(s[keep][-1]) if rank else 0.0,
+        sigma_max=float(f.s[0]) if rank else 0.0,
+        sigma_min_retained=float(f.s[-1]) if rank else 0.0,
     )
 
 

@@ -8,11 +8,14 @@ sampler, sizes, repetition count. Two regimes exist:
 * ``target-split`` carves disjoint test and train sets out of a single
   AOI, test drawn first.
 
-Each spec derives its own seed from the grid's base seed and the spec's
-canonical key, and each repetition derives from the spec seed, so results
-are independent of execution order and of how many workers run. The runner
-streams one CSV row per finished spec (appendable; a crash can tear at most
-the final row, which a resume drops) and then rewrites the file in
+Each spec derives its seed from the grid's base seed and the spec's *draw
+key*, its canonical key without the class, and each repetition derives from
+that seed, so results are independent of execution order and of how many
+workers run. Specs that differ only in class therefore draw the same train
+and test chips in every repetition; the runner runs them as one draw group,
+which factorizes each training matrix once and solves it per class. The
+runner streams one CSV row per finished spec (appendable; a crash can tear
+at most the final row, which a resume drops) and then rewrites the file in
 canonical enumeration order with wall times zeroed, making completed result
 files byte-comparable across parallelism levels.
 Wall-clock measurements still reach the log and the streaming rows; they
@@ -26,7 +29,7 @@ import itertools
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -36,7 +39,7 @@ import numpy as np
 from .core import ClassId, Dataset
 from .errors import DataFormatError, DegenerateVarianceError, GridError
 from .metrics import RunMetrics, aggregate, pearson, rmse
-from .probe import fit, predict
+from .probe import factorize, fit, predict
 from .sampling import SampleRequest, SamplerKind, draw, split_target
 from .seeds import derive_seed
 
@@ -79,17 +82,24 @@ class ExperimentSpec:
         if self.repetitions < 2:
             raise ValueError("repetitions must be at least 2")
 
-    def key(self) -> str:
-        """Canonical encoding; the resume identity and the seed tag."""
+    def _key(self, class_field: str) -> str:
         return (
-            f"regime={self.regime};fm={self.fm_id};class={self.class_id.label};"
+            f"regime={self.regime};fm={self.fm_id};{class_field}"
             f"train={self.train_aoi or '-'};target={self.target_aoi};"
             f"sampler={self.sampler.value};n_train={self.n_train};"
             f"n_test={self.n_test};reps={self.repetitions}"
         )
 
+    def key(self) -> str:
+        """Canonical encoding; the resume identity."""
+        return self._key(f"class={self.class_id.label};")
+
+    def draw_key(self) -> str:
+        """The key without the class, and the seed tag: no draw reads the class."""
+        return self._key("")
+
     def seed(self) -> int:
-        return derive_seed(self.base_seed, self.key())
+        return derive_seed(self.base_seed, self.draw_key())
 
 
 @dataclass(frozen=True)
@@ -323,17 +333,29 @@ def _aux_for(kind: SamplerKind, ds: Dataset, pos: np.ndarray) -> dict:
 _NO_POSITIONS = np.zeros(0, dtype=np.intp)
 
 
-def run_experiment(spec: ExperimentSpec, dataset: Dataset) -> AggregateRecord:
-    """Execute one spec: repeated resample, fit, predict, aggregate.
+@dataclass
+class SpecRuns:
+    """One spec's share of a draw group run: what its record aggregates."""
 
-    Sizes the AOIs cannot supply, including an AOI this dataset lacks,
-    yield an infeasible record; repetitions whose test-side variance
-    vanishes are counted degenerate and excluded, and when fewer than two
-    usable repetitions remain the metric fields stay NaN.
+    runs: list[RunMetrics] = field(default_factory=list)
+    degenerate: int = 0
+    infeasible: bool = False
+    wall_ms: float = 0.0
+
+
+def _run_draw_group(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[SpecRuns]:
+    """Run specs that share one draw key, repetition by repetition.
+
+    Each repetition draws once, gathers the train and test rows once and
+    factorizes the training matrix once; then every spec fits, predicts and
+    scores its own class. Sizes the AOIs cannot supply, including an AOI
+    this dataset lacks, make every spec infeasible; repetitions whose
+    test-side variance vanishes are counted degenerate and excluded. Each
+    spec's ``wall_ms`` is an equal share of the group's wall time.
     """
     t0 = time.perf_counter()
+    spec = specs[0]
     target_pos = dataset.aoi_positions.get(spec.target_aoi, _NO_POSITIONS)
-
     if spec.regime == REGIME_EXTERNAL:
         train_pos_all = dataset.aoi_positions.get(spec.train_aoi, _NO_POSITIONS)
         feasible = (
@@ -342,43 +364,68 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset) -> AggregateRecord:
     else:
         train_pos_all = target_pos  # split_target carves both sets from it
         feasible = spec.n_train + spec.n_test <= target_pos.size
-    if not feasible:
-        wall = (time.perf_counter() - t0) * 1000.0
-        return AggregateRecord(spec=spec, infeasible=True, wall_ms=wall)
 
-    y_all = dataset.fractions[:, spec.class_id.value]
-    aux = _aux_for(spec.sampler, dataset, train_pos_all)
-    spec_seed = spec.seed()
-    runs: list[RunMetrics] = []
-    degenerate = 0
-    for r in range(spec.repetitions):
-        rep_seed = derive_seed(spec_seed, "rep", r)
-        if spec.regime == REGIME_EXTERNAL:
-            train = draw(SampleRequest(
-                train_pos_all, spec.n_train, derive_seed(rep_seed, "train"),
-                spec.sampler, **aux,
-            ))
-            test = draw(SampleRequest(
-                target_pos, spec.n_test, derive_seed(rep_seed, "test"),
-                SamplerKind.RANDOM,
-            ))
-        else:
-            test, train = split_target(
-                target_pos, spec.n_test, spec.n_train, spec.sampler, rep_seed, **aux,
-            )
-        probe = fit(dataset.matrix[train], y_all[train])
-        pred = predict(probe, dataset.matrix[test])
-        truth = y_all[test]
-        try:
-            r_val = pearson(pred, truth)
-        except DegenerateVarianceError:
-            degenerate += 1
-            continue
-        runs.append(RunMetrics(pearson_r=r_val, rmse=rmse(pred, truth)))
+    shares = [SpecRuns(infeasible=not feasible) for _ in specs]
+    if feasible:
+        targets = [dataset.fractions[:, s.class_id.value] for s in specs]
+        aux = _aux_for(spec.sampler, dataset, train_pos_all)
+        spec_seed = spec.seed()
+        for r in range(spec.repetitions):
+            rep_seed = derive_seed(spec_seed, "rep", r)
+            if spec.regime == REGIME_EXTERNAL:
+                train = draw(SampleRequest(
+                    train_pos_all, spec.n_train, derive_seed(rep_seed, "train"),
+                    spec.sampler, **aux,
+                ))
+                test = draw(SampleRequest(
+                    target_pos, spec.n_test, derive_seed(rep_seed, "test"),
+                    SamplerKind.RANDOM,
+                ))
+            else:
+                test, train = split_target(
+                    target_pos, spec.n_test, spec.n_train, spec.sampler, rep_seed, **aux,
+                )
+            train_svd = factorize(dataset.matrix[train])
+            test_matrix = dataset.matrix[test].astype(np.float64)
+            for share, y_all in zip(shares, targets):
+                pred = predict(fit(train_svd, y_all[train]), test_matrix)
+                truth = y_all[test]
+                try:
+                    r_val = pearson(pred, truth)
+                except DegenerateVarianceError:
+                    share.degenerate += 1
+                    continue
+                share.runs.append(RunMetrics(pearson_r=r_val, rmse=rmse(pred, truth)))
 
-    metrics = asdict(aggregate(runs)) if len(runs) >= 2 else {}
-    wall = (time.perf_counter() - t0) * 1000.0
-    return AggregateRecord(spec=spec, degenerate_runs=degenerate, wall_ms=wall, **metrics)
+    wall = (time.perf_counter() - t0) * 1000.0 / len(specs)
+    for share in shares:
+        share.wall_ms = wall
+    return shares
+
+
+def _record(spec: ExperimentSpec, share: SpecRuns) -> AggregateRecord:
+    metrics = asdict(aggregate(share.runs)) if len(share.runs) >= 2 else {}
+    return AggregateRecord(spec=spec, degenerate_runs=share.degenerate,
+                           infeasible=share.infeasible, wall_ms=share.wall_ms, **metrics)
+
+
+def run_experiment(spec: ExperimentSpec, dataset: Dataset,
+                   share: SpecRuns | None = None) -> AggregateRecord:
+    """One spec's results row: repeated resample, fit, predict, aggregate.
+
+    ``run_grid`` passes the spec's ``share`` of its draw group. Alone, the
+    spec runs as a group of one, which gives the same record: its draws
+    depend only on its draw key, and its fits only on its own class. When
+    fewer than two usable repetitions remain the metric fields stay NaN.
+    """
+    if share is None:
+        share = _run_draw_group([spec], dataset)[0]
+    return _record(spec, share)
+
+
+def _run_group(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[AggregateRecord]:
+    shares = _run_draw_group(specs, dataset)
+    return [run_experiment(s, dataset, share) for s, share in zip(specs, shares)]
 
 
 # Worker-process state, installed once per worker by the pool initializer so
@@ -397,8 +444,19 @@ def _init_pool(datasets: Mapping[str, Dataset]) -> None:
         pass
 
 
-def _run_one(spec: ExperimentSpec) -> AggregateRecord:
-    return run_experiment(spec, _POOL_DATA[spec.fm_id])
+def _run_one(specs: list[ExperimentSpec]) -> list[AggregateRecord]:
+    return _run_group(specs, _POOL_DATA[specs[0].fm_id])
+
+
+def _check_resumed_row(path: Path, line: int, kept: AggregateRecord,
+                       dataset: Dataset) -> None:
+    """Re-run a kept row's spec; a row these inputs do not reproduce stops the resume."""
+    again = _record(kept.spec, _run_draw_group([kept.spec], dataset)[0])
+    if record_to_row(again, zero_wall=True) != record_to_row(kept, zero_wall=True):
+        raise DataFormatError(
+            f"{path}: line {line}: kept row is not reproduced by re-running its spec"
+            f" on this data ({kept.spec.key()}); rerun without --resume"
+        )
 
 
 def _drop_torn_row(path: Path) -> int:
@@ -426,15 +484,19 @@ def run_grid(
 ) -> list[AggregateRecord]:
     """Execute every grid spec and persist the canonical results file.
 
-    With ``resume``, rows already present in ``out_path`` (matching spec
-    key and base seed) are kept and only missing specs execute; a final
-    row without its newline, torn by a crash, is dropped first, and a file
-    left empty starts over with a fresh header. While running, finished
-    rows are appended immediately with measured wall times; on completion
-    the whole file is rewritten in enumeration order with wall times
-    zeroed, so the final bytes depend only on grid and data. The first
-    failing spec cancels the queued ones and propagates; rows streamed
-    before it stay for a later resume. Returns records in canonical order.
+    Specs still to run are grouped by draw key, and each group runs as one
+    task (see ``_run_draw_group``). With ``resume``, rows already present
+    in ``out_path`` (matching spec key and base seed) are kept and only
+    missing specs execute; a final row without its newline, torn by a
+    crash, is dropped first, and a file left empty starts over with a fresh
+    header. The first kept row in canonical order is re-run first, and a
+    mismatch (other data, or another seed scheme) raises
+    ``DataFormatError``. While running, finished rows are appended
+    immediately with measured wall times; on completion the whole file is
+    rewritten in enumeration order with wall times zeroed, so the final
+    bytes depend only on grid and data. The first failing group stops the
+    run, and no further group starts; rows streamed before it stay for a
+    later resume. Returns records in canonical order.
     """
     specs = enumerate_grid(grid)
     missing_fms = sorted({s.fm_id for s in specs} - set(datasets))
@@ -447,9 +509,10 @@ def run_grid(
 
     out_path = Path(out_path)
     done: dict[str, AggregateRecord] = {}
+    lines: dict[str, int] = {}
     append = resume and out_path.exists() and _drop_torn_row(out_path) > 0
     if append:
-        for rec in parse_results_file(out_path):
+        for line, rec in enumerate(parse_results_file(out_path), start=2):
             if rec.spec.base_seed != grid.base_seed:
                 logger.warning(
                     "ignoring resumed row with foreign base_seed %d: %s",
@@ -457,8 +520,16 @@ def run_grid(
                 )
                 continue
             done[rec.spec.key()] = rec
+            lines[rec.spec.key()] = line
+        first = next((s for s in specs if s.key() in done), None)
+        if first is not None:
+            _check_resumed_row(out_path, lines[first.key()], done[first.key()],
+                               datasets[first.fm_id])
 
     todo = [s for s in specs if s.key() not in done]
+    groups: dict[str, list[ExperimentSpec]] = {}
+    for s in todo:
+        groups.setdefault(s.draw_key(), []).append(s)
     stale = len(done) - (len(specs) - len(todo))
     if stale > 0:
         logger.warning("%d resumed rows do not match any grid spec; dropping", stale)
@@ -466,8 +537,8 @@ def run_grid(
         logger.info("all specs present; nothing to run")
     else:
         logger.info(
-            "running %d of %d specs (%d resumed) with %d worker(s)",
-            len(todo), len(specs), len(specs) - len(todo), max(1, threads),
+            "running %d of %d specs (%d resumed) in %d draw groups with %d worker(s)",
+            len(todo), len(specs), len(specs) - len(todo), len(groups), max(1, threads),
         )
 
     with open(out_path, "a" if append else "w", encoding="utf-8", newline="") as stream_fh:
@@ -476,18 +547,21 @@ def run_grid(
             writer.writerow(CSV_COLUMNS)
             stream_fh.flush()
 
-        def _collect(rec: AggregateRecord, i: int) -> None:
-            done[rec.spec.key()] = rec
-            writer.writerow(record_to_row(rec))
-            stream_fh.flush()
-            logger.info(
-                "[%d/%d] %s r_mean=%s wall=%.1fms",
-                i, len(todo), rec.spec.key(), fmt_float(rec.r_mean), rec.wall_ms,
-            )
+        progress = itertools.count(1)
 
-        if threads <= 1 or len(todo) <= 1:
-            for i, spec in enumerate(todo, start=1):
-                _collect(run_experiment(spec, datasets[spec.fm_id]), i)
+        def _collect(recs: list[AggregateRecord]) -> None:
+            for rec in recs:
+                done[rec.spec.key()] = rec
+                writer.writerow(record_to_row(rec))
+                stream_fh.flush()
+                logger.info(
+                    "[%d/%d] %s r_mean=%s wall=%.1fms", next(progress), len(todo),
+                    rec.spec.key(), fmt_float(rec.r_mean), rec.wall_ms,
+                )
+
+        if threads <= 1 or len(groups) <= 1:
+            for group in groups.values():
+                _collect(_run_group(group, datasets[group[0].fm_id]))
         else:
             import multiprocessing
 
@@ -499,13 +573,16 @@ def run_grid(
                 max_workers=threads, mp_context=ctx,
                 initializer=_init_pool, initargs=(datasets,),
             ) as pool:
-                futures = [pool.submit(_run_one, s) for s in todo]
-                try:
-                    for i, fut in enumerate(as_completed(futures), start=1):
-                        _collect(fut.result(), i)
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)
-                    raise
+                # One group per worker in flight: the executor starts queued
+                # tasks early, and a started task cannot be cancelled.
+                queued = iter(groups.values())
+                running = {pool.submit(_run_one, g) for g in itertools.islice(queued, threads)}
+                while running:
+                    finished, running = wait(running, return_when=FIRST_COMPLETED)
+                    for fut in finished:
+                        _collect(fut.result())
+                        running.update(pool.submit(_run_one, g)
+                                       for g in itertools.islice(queued, 1))
 
     records = [done[s.key()] for s in specs]
     write_results_file(out_path, records)

@@ -125,6 +125,50 @@ def test_run_resume_starts_over_on_empty_or_torn_header(workdir, left):
     assert path.read_bytes() == fresh
 
 
+def _resume_after_keeping_two_rows(workdir, data_b_seed=None, edit_r_mean=None):
+    """Run a 4-spec grid, keep the header and 2 rows, resume (optionally on other data)."""
+    grid = {**GRID, "classes": ["tree-cover", "builtup"],
+            "target_aois": ["aoi-00", "aoi-01"]}
+    (workdir / "grid.json").write_text(json.dumps(grid))
+    synth(workdir)
+    assert run(workdir) == 0
+    path = workdir / "results.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    kept = rows[:2]
+    if edit_r_mean is not None:
+        fields = kept[0].split(",")
+        fields[9] = edit_r_mean
+        kept[0] = ",".join(fields)
+    path.write_text(header + "".join(kept))
+    before = path.read_bytes()
+    data = "data"
+    if data_b_seed is not None:
+        (workdir / "synth-b.json").write_text(
+            json.dumps({**SYNTH_SPEC, "data_seed": data_b_seed}))
+        assert main(["synth", "--spec", str(workdir / "synth-b.json"),
+                     "--out-dir", str(workdir / "data-b")]) == 0
+        data = "data-b"
+    code = main(["run", "--grid", str(workdir / "grid.json"),
+                 "--data-dir", str(workdir / data), "--out", str(path), "--resume"])
+    return code, before, path.read_bytes()
+
+
+@pytest.mark.parametrize("change", [{"data_b_seed": 53}, {"edit_r_mean": "0.5"}],
+                         ids=["other-data", "edited-r-mean"])
+def test_run_resume_refuses_rows_it_cannot_reproduce(workdir, capsys, change):
+    code, before, after = _resume_after_keeping_two_rows(workdir, **change)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "results.csv: line 2" in err and "without --resume" in err
+    assert after == before  # the check streams no row
+
+
+def test_run_resume_keeps_rows_it_reproduces(workdir):
+    code, before, after = _resume_after_keeping_two_rows(workdir)
+    assert code == 0
+    assert after.startswith(before)
+
+
 def test_run_zero_width_embeddings_exits_2(workdir):
     synth(workdir)
     emb = workdir / "data" / "embeddings" / "tiny-s1.emb"

@@ -48,19 +48,19 @@ GOLDEN = {
     "synth/planted.json":
         "5a37085db34d10b7df6604bd43c22171a3fc17c292a143991b434a84a308ade9",
     "run/results.csv":
-        "1bff553385cd600a87bea9db967abe93acf5a4d189a02b4c4759fb8528add180",
+        "9739d08740bb9b59362e93efe1de80933cd838047163e22cd64f671ac03d7cb1",
     "run-threads-2/results.csv":
-        "1bff553385cd600a87bea9db967abe93acf5a4d189a02b4c4759fb8528add180",
+        "9739d08740bb9b59362e93efe1de80933cd838047163e22cd64f671ac03d7cb1",
     "report-heatmap":
-        "4337e17090dec6b0331b7985e51d5fb751462a4ff62636c8bd797337feca509c",
+        "2c494c4d9233cb85a45bb9ded255ada1631afcc6dda70e6e865c2bc615655e67",
     "report-scatter":
-        "8b28d49748173c8786bbbc6a553cd3e06c813aea2d13fad4fbbb69270e65b187",
+        "3651d8f309b9549087394e74e7876a6f571a72a537e088b8dacd9536249c42cb",
     "report-select/csv":
-        "8fcb19fcfcf58144104ed147cd66a3f66cc9a41e575aebe92b1fc280b24aca5a",
+        "4ef3ed920d8975a3dd06c301fb9cadb3276742a558d8e08ce8ac89fa62f27733",
     "report-select/text":
-        "80422a37d5519f0294d19428b05eb50ffcbb21dda26799bc3b8c3c9b7c47f355",
+        "6f7d353134ae59f3f34e43a2fda7fcfa0b5b131662a8f146325c87e8a41433d3",
     "report-select/best-corr-mean":
-        "c28a7969c9a361fd73fe33bbe8fc2f1ebb972096328ca982cf38e465caae5b96",
+        "67ef6c5be3241f2e4097bbc15e21c3f6a82834be16ce034e11ac6938dbce02be",
     "validate/stdout":
         "1cc67877168e32455c906371f090303f1a8ac61fabbc8e20e4323253e3ebc7b9",
 }

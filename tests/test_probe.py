@@ -1,9 +1,11 @@
 """Probe solver versus an independently coded least-squares oracle."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from probeforge.probe import Probe, fit, predict
+from probeforge.probe import Probe, factorize, fit, predict
 
 
 def lstsq_oracle(X, y, rcond=1e-10):
@@ -109,6 +111,28 @@ def test_predict_dimension_check(rng):
     p = fit(rng.standard_normal((10, 3)), rng.standard_normal(10))
     with pytest.raises(ValueError):
         predict(p, rng.standard_normal((5, 4)))
+
+
+def assert_same_bits(a, b):
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert struct.pack("<d", a.intercept) == struct.pack("<d", b.intercept)
+    assert a.effective_rank == b.effective_rank
+    assert (a.sigma_max, a.sigma_min_retained) == (b.sigma_max, b.sigma_min_retained)
+
+
+@pytest.mark.parametrize("n, d, rank", [(10, 40, 10), (60, 8, 8), (40, 12, 5)],
+                         ids=["n<d", "n>d", "rank-deficient"])
+def test_fit_on_a_factorization_is_bit_identical(rng, n, d, rank):
+    X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+    f = factorize(X)
+    assert f.shape == (n, d)
+    for y in (rng.standard_normal(n), np.full(n, 0.25), rng.standard_normal(n)):
+        assert_same_bits(fit(f, y), fit(X, y))  # one factorization, many targets
+    assert fit(f, y).effective_rank == min(rank, n - 1)  # centering costs one
+    with pytest.raises(ValueError):
+        fit(f, y[:-1])
+    with pytest.raises(ValueError):
+        fit(f, np.full(n, np.inf))
 
 
 def test_probe_is_a_plain_record():

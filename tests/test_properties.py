@@ -11,7 +11,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from probeforge.core import ChipTable, ClassId  # noqa: E402
 from probeforge.ingest import load_chip_table, save_chip_table  # noqa: E402
-from probeforge.probe import DEFAULT_RCOND, fit, predict  # noqa: E402
+from probeforge.probe import DEFAULT_RCOND, factorize, fit, predict  # noqa: E402
 from probeforge.runner import (  # noqa: E402
     REGIME_EXTERNAL,
     REGIME_TARGET_SPLIT,
@@ -84,6 +84,23 @@ def test_fit_is_the_lstsq_minimum_norm_solution(n, d, data, data_seed):
     assert probe.effective_rank <= rank
     pred = predict(probe, X)
     assert np.allclose(pred, Xc @ want + y.mean(), atol=1e-7 * scale)
+
+
+@PROPERTY
+@given(n=st.integers(2, 30), d=st.integers(1, 30), data=st.data(), data_seed=seeds)
+def test_fit_on_a_factorization_is_bit_identical(n, d, data, data_seed):
+    # n < d, n > d and rank-deficient X alike
+    rank = data.draw(st.integers(1, min(n, d)), label="rank")
+    rng = np.random.default_rng(data_seed)
+    X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+    f = factorize(X)
+    for y in (rng.standard_normal(n), rng.uniform(0, 1, n)):
+        a, b = fit(f, y), fit(X, y)
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert math.copysign(1, a.intercept) == math.copysign(1, b.intercept)
+        assert a.intercept == b.intercept
+        assert a.effective_rank == b.effective_rank
+        assert (a.sigma_max, a.sigma_min_retained) == (b.sigma_max, b.sigma_min_retained)
 
 
 _names = st.text(alphabet="ab-,\" ", min_size=1, max_size=6)

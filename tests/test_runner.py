@@ -113,8 +113,12 @@ def test_spec_seeds_stable_under_grid_growth():
 
 def test_spec_seeds_distinct_within_grid():
     specs = enumerate_grid(SMALL_GRID)
-    seeds = [s.seed() for s in specs]
-    assert len(set(seeds)) == len(seeds)
+    seeds = {s.seed() for s in specs}
+    draw_keys = {s.draw_key() for s in specs}
+    assert len(draw_keys) == len(specs) // len(SMALL_GRID.classes)
+    assert len(seeds) == len(draw_keys)  # distinct across draw keys
+    for s in specs:  # equal within one: the classes share their draws
+        assert s.seed() == dataclasses.replace(s, class_id=ClassId.CROPLAND).seed()
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +306,48 @@ def test_run_experiment_splits_stay_disjoint(monkeypatch, small_datasets):
         assert set(train.tolist()) <= target_pos
 
 
+def test_class_rows_do_not_depend_on_the_other_classes(tmp_path, small_datasets):
+    # what lets a resume finish a draw group that is only partly done
+    grid = dataclasses.replace(SMALL_GRID, samplers=tuple(SamplerKind))
+    alone = run_grid(dataclasses.replace(grid, classes=(ClassId.BUILTUP,)),
+                     small_datasets, tmp_path / "alone.csv")
+    together = run_grid(
+        dataclasses.replace(grid, classes=(ClassId.TREE_COVER, ClassId.CROPLAND,
+                                           ClassId.BUILTUP)),
+        small_datasets, tmp_path / "together.csv")
+    want = [record_to_row(r, zero_wall=True) for r in together
+            if r.spec.class_id is ClassId.BUILTUP]
+    assert [record_to_row(r, zero_wall=True) for r in alone] == want
+    assert all(np.isfinite(r.r_mean) for r in alone)
+    for rec in alone[::5]:  # and run_experiment alone gives the grouped record
+        single = run_experiment(rec.spec, small_datasets[rec.spec.fm_id])
+        assert record_to_row(single, zero_wall=True) == record_to_row(rec, zero_wall=True)
+
+
+def test_one_factorization_per_draw_group_and_repetition(
+        tmp_path, monkeypatch, small_datasets):
+    grid = dataclasses.replace(SMALL_GRID, classes=tuple(ClassId))
+    specs = enumerate_grid(grid)
+    groups = {s.draw_key() for s in specs}
+    assert len(specs) == 7 * len(groups)
+    calls = {"factorize": 0, "fit": 0}
+
+    def spy(name):
+        real = getattr(runner_mod, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(runner_mod, name, spy(name))
+    records = run_grid(grid, small_datasets, tmp_path / "r.csv")
+    assert not any(r.infeasible for r in records)
+    assert calls == {"factorize": len(groups) * grid.repetitions,
+                     "fit": len(specs) * grid.repetitions}
+
+
 # ---------------------------------------------------------------------------
 # rows and files
 
@@ -457,11 +503,11 @@ def test_run_grid_resume_appends_after_torn_row_on_fresh_line(
     real = runner_mod.run_experiment
     ran = []
 
-    def crash_on_second(spec, dataset):
+    def crash_on_second(spec, dataset, share):
         if ran:
             raise RuntimeError("simulated crash")
         ran.append(spec)
-        return real(spec, dataset)
+        return real(spec, dataset, share)
 
     monkeypatch.setattr(runner_mod, "run_experiment", crash_on_second)
     with pytest.raises(RuntimeError, match="simulated crash"):
@@ -503,11 +549,11 @@ def test_run_grid_worker_failure_cancels_queued_specs(tmp_path, monkeypatch, sma
     ran = tmp_path / "ran"
     ran.mkdir()
 
-    def fail_first(spec, dataset):  # forked workers inherit this patch
+    def fail_first(spec, dataset, share):  # forked workers inherit this patch
         if spec == specs[0]:
             raise RuntimeError("worker failure")
         time.sleep(0.2)
-        (ran / str(spec.seed())).touch()
+        (ran / spec.key()).touch()
         return runner_mod.AggregateRecord(spec=spec)
 
     monkeypatch.setattr(runner_mod, "run_experiment", fail_first)
