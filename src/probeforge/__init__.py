@@ -8,6 +8,16 @@ and report heatmaps, scatter data, and threshold-based configuration
 selections.
 """
 
+import os
+
+# One BLAS thread per process: each probe is a small thin SVD, where a second
+# OpenBLAS thread costs more than it saves, and ``run --threads N`` supplies
+# the parallelism. numpy reads these when it loads, so they are set before
+# anything below imports it; a value already in the environment is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .core import (
     CLASS_LABELS,
     ChipTable,

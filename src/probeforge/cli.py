@@ -89,7 +89,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", required=True, help="grid spec JSON file")
     p.add_argument("--data-dir", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="results CSV path")
-    p.add_argument("--threads", type=int, default=1, help="worker count hint")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes (one BLAS thread each)")
     p.add_argument("--resume", action="store_true",
                    help="keep completed rows in --out and run only missing specs")
 
@@ -159,6 +160,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     with open(args.grid, encoding="utf-8") as fh:
         grid = GridSpec.from_dict(json.load(fh))
     env_seed = os.environ.get(SEED_ENV)

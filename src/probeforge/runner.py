@@ -436,12 +436,6 @@ _POOL_DATA: Mapping[str, Dataset] = {}
 def _init_pool(datasets: Mapping[str, Dataset]) -> None:
     global _POOL_DATA
     _POOL_DATA = datasets
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(1)
-    except ImportError:
-        pass
 
 
 def _run_one(specs: list[ExperimentSpec]) -> list[AggregateRecord]:
@@ -485,7 +479,8 @@ def run_grid(
     """Execute every grid spec and persist the canonical results file.
 
     Specs still to run are grouped by draw key, and each group runs as one
-    task (see ``_run_draw_group``). With ``resume``, rows already present
+    task (see ``_run_draw_group``) on one of ``threads`` worker processes,
+    or fewer when there are fewer groups. With ``resume``, rows already present
     in ``out_path`` (matching spec key and base seed) are kept and only
     missing specs execute; a final row without its newline, torn by a
     crash, is dropped first, and a file left empty starts over with a fresh
@@ -530,6 +525,8 @@ def run_grid(
     groups: dict[str, list[ExperimentSpec]] = {}
     for s in todo:
         groups.setdefault(s.draw_key(), []).append(s)
+    # The pool starts every worker at once and each holds the datasets: no idle ones.
+    workers = max(1, min(threads, len(groups)))
     stale = len(done) - (len(specs) - len(todo))
     if stale > 0:
         logger.warning("%d resumed rows do not match any grid spec; dropping", stale)
@@ -538,7 +535,7 @@ def run_grid(
     else:
         logger.info(
             "running %d of %d specs (%d resumed) in %d draw groups with %d worker(s)",
-            len(todo), len(specs), len(specs) - len(todo), len(groups), max(1, threads),
+            len(todo), len(specs), len(specs) - len(todo), len(groups), workers,
         )
 
     with open(out_path, "a" if append else "w", encoding="utf-8", newline="") as stream_fh:
@@ -559,7 +556,7 @@ def run_grid(
                     rec.spec.key(), fmt_float(rec.r_mean), rec.wall_ms,
                 )
 
-        if threads <= 1 or len(groups) <= 1:
+        if workers == 1:
             for group in groups.values():
                 _collect(_run_group(group, datasets[group[0].fm_id]))
         else:
@@ -570,13 +567,13 @@ def run_grid(
             except ValueError:
                 ctx = multiprocessing.get_context()
             with ProcessPoolExecutor(
-                max_workers=threads, mp_context=ctx,
+                max_workers=workers, mp_context=ctx,
                 initializer=_init_pool, initargs=(datasets,),
             ) as pool:
                 # One group per worker in flight: the executor starts queued
                 # tasks early, and a started task cannot be cancelled.
                 queued = iter(groups.values())
-                running = {pool.submit(_run_one, g) for g in itertools.islice(queued, threads)}
+                running = {pool.submit(_run_one, g) for g in itertools.islice(queued, workers)}
                 while running:
                     finished, running = wait(running, return_when=FIRST_COMPLETED)
                     for fut in finished:

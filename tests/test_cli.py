@@ -263,6 +263,14 @@ def test_usage_errors_exit_1(capsys):
     assert main(["report-heatmap", "--results", "r.csv", "--class", "lava"]) == 1
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_run_threads_below_one_exits_1(workdir, capsys, threads):
+    synth(workdir)
+    assert run(workdir, "--threads", threads) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not (workdir / "results.csv").exists()
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "probeforge" in capsys.readouterr().out

@@ -5,6 +5,7 @@ import gc
 import itertools
 import time
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -560,6 +561,40 @@ def test_run_grid_worker_failure_cancels_queued_specs(tmp_path, monkeypatch, sma
     with pytest.raises(RuntimeError, match="worker failure"):
         run_grid(grid, small_datasets, tmp_path / "r.csv", threads=2)
     assert len(list(ran.iterdir())) < (len(specs) - 1) / 2
+
+
+def test_run_grid_starts_no_more_workers_than_draw_groups(tmp_path, monkeypatch, small_datasets):
+    started = []
+
+    class InProcessPool:
+        """Records the pool size it is given and runs each task at submit."""
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(runner_mod, "_POOL_DATA", {})
+    groups = len({s.draw_key() for s in enumerate_grid(SMALL_GRID)})
+    assert groups == 4
+    serial = tmp_path / "serial.csv"
+    run_grid(SMALL_GRID, small_datasets, serial, threads=1)
+    for threads in (16, 3):
+        path = tmp_path / f"threads-{threads}.csv"
+        run_grid(SMALL_GRID, small_datasets, path, threads=threads)
+        assert path.read_bytes() == serial.read_bytes()
+    assert started == [groups, 3]
 
 
 def test_serial_run_grid_keeps_no_dataset_alive(tmp_path, small_synth):
