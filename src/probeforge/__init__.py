@@ -10,7 +10,8 @@ selections.
 
 import os
 
-# One BLAS thread per process: each probe is a small thin SVD, where a second
+# One BLAS thread per process: each probe is a small factorization (a Gram
+# ``eigh``, or a thin SVD when that is ill-conditioned), where a second
 # OpenBLAS thread costs more than it saves, and ``run --threads N`` supplies
 # the parallelism. numpy reads these when it loads, so they are set before
 # anything below imports it; a value already in the environment is kept.

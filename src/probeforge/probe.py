@@ -4,9 +4,18 @@ The probe is deliberately the plainest model available so that its score
 reflects the raw information content of the embeddings. Training sets can
 be far smaller than the embedding dimension (10 points against 768 dims),
 where ordinary normal equations are singular; we therefore solve centered
-minimum-norm least squares through an SVD pseudoinverse. In the n <= d
-regime the solution interpolates the training data with the smallest
-weight norm among all interpolants.
+minimum-norm least squares through a pseudoinverse built from the singular
+triplets of the centered training matrix Xc. In the n <= d regime the
+solution interpolates the training data with the smallest weight norm among
+all interpolants.
+
+The triplets come from ``eigh`` of the smaller Gram matrix (Xc^T Xc when
+n > d, Xc Xc^T otherwise), which costs 2-3x less than a thin SVD on one
+BLAS thread. Forming it squares the condition number, so that path is taken
+only when Xc has full rank and kappa(Xc) <= 1e3 (``GRAM_TAU``). Every other
+input (rank deficiency, duplicate chips with n <= d, kappa above 1e3) runs
+the thin SVD with the ``DEFAULT_RCOND`` cut-off after the ``eigh`` it could
+not use, so such inputs cost about 1.1-1.4x a plain SVD.
 
 Predictions are raw affine outputs, never clipped to [0, 1]: clipping
 would silently distort the correlation metric downstream.
@@ -21,10 +30,14 @@ import numpy as np
 #: Singular values below rcond * sigma_max are discarded from the inverse.
 DEFAULT_RCOND = 1e-10
 
+#: The Gram path is taken only if lambda_min >= GRAM_TAU * lambda_max, that is
+#: kappa(Xc) <= 1e3; squaring kappa then costs about kappa^2 * eps ~ 1e-10.
+GRAM_TAU = 1e-6
+
 
 @dataclass(frozen=True)
 class Probe:
-    """A fitted affine map plus SVD diagnostics of the fit."""
+    """A fitted affine map plus singular-value diagnostics of the fit."""
 
     weights: np.ndarray
     intercept: float
@@ -44,10 +57,11 @@ class Probe:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Thin SVD of a centered training matrix, shared by every target fitted on it.
+    """Singular triplets of a centered training matrix, shared by every target fitted on it.
 
-    Only the singular triplets above the cut-off are kept: ``U`` (n x r),
-    ``s`` (r,) and ``Vt`` (r x d), plus the column means.
+    Only the triplets above the cut-off are kept: ``U`` (n x r), ``s`` (r,
+    descending) and ``Vt`` (r x d), plus the column means. They come from the
+    Gram path when it is well conditioned and from a thin SVD otherwise.
     """
 
     x_mean: np.ndarray
@@ -62,7 +76,10 @@ class Factorization:
 
 
 def factorize(X) -> Factorization:
-    """Center the columns of ``X`` and keep the SVD triplets above the cut-off."""
+    """Center the columns of ``X`` and keep its singular triplets above the cut-off.
+
+    Well-conditioned inputs take the Gram path; anything else runs the thin SVD.
+    """
     Xm = np.asarray(X, dtype=np.float64)
     if Xm.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {Xm.shape}")
@@ -75,9 +92,37 @@ def factorize(X) -> Factorization:
         raise ValueError("non-finite values in training data")
 
     x_mean = Xm.mean(axis=0)
-    U, s, Vt = np.linalg.svd(Xm - x_mean, full_matrices=False)
+    Xc = Xm - x_mean
+    gram = _gram_factors(Xc)
+    if gram is not None:
+        return Factorization(x_mean, *gram)
+    U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
     keep = s > DEFAULT_RCOND * s[0]
     return Factorization(x_mean=x_mean, U=U[:, keep], s=s[keep], Vt=Vt[keep])
+
+
+def _gram_factors(Xc: np.ndarray):
+    """``(U, s, Vt)`` of centered ``Xc`` from ``eigh`` of its smaller Gram matrix.
+
+    Returns None unless every retained eigenvalue is positive and at least
+    ``GRAM_TAU`` times the largest, i.e. unless Xc has full rank and
+    kappa(Xc) <= 1e3. For n <= d the smallest eigenvalue of Xc Xc^T is the
+    null direction (the ones vector) that centering creates; it is dropped.
+    """
+    n, d = Xc.shape
+    wide = n <= d
+    with np.errstate(over="ignore"):  # entries near 1e154 overflow; the SVD takes those
+        G = Xc @ Xc.T if wide else Xc.T @ Xc
+    if not np.isfinite(G).all():
+        return None
+    lam, Q = np.linalg.eigh(G)  # ascending
+    lam, Q = (lam[:0:-1], Q[:, :0:-1]) if wide else (lam[::-1], Q[:, ::-1])
+    if not (lam[-1] > 0 and lam[-1] >= GRAM_TAU * lam[0]):
+        return None
+    s = np.sqrt(lam)
+    if wide:
+        return Q.copy(), s, ((Xc.T @ Q) / s).T.copy()
+    return (Xc @ Q) / s, s, Q.T.copy()
 
 
 def fit(X, y) -> Probe:

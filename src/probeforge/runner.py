@@ -30,7 +30,7 @@ import logging
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -141,10 +141,23 @@ class GridSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "GridSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(d) - known)
+        """Build a grid from parsed JSON, naming the key of any malformed entry."""
+        if not isinstance(d, Mapping):
+            raise GridError(f"a grid must be a JSON object, got {type(d).__name__}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise GridError(f"unknown grid keys: {unknown}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+        if missing:
+            raise GridError(f"missing grid keys: {missing}")
+        for key, value in d.items():
+            if key in _GRID_INTS:
+                if not _is_int(value):
+                    raise GridError(f"{key} must be an integer, got {value!r}")
+                continue
+            want, what = (_is_int, "integers") if key in _GRID_INT_AXES else (_is_str, "strings")
+            if not isinstance(value, list) or not all(want(v) for v in value):
+                raise GridError(f"axis {key} must be a JSON list of {what}, got {value!r}")
         kwargs = dict(d)
         try:
             if "classes" in kwargs:
@@ -158,6 +171,18 @@ class GridSpec:
         except ValueError as exc:
             raise GridError(str(exc)) from exc
         return cls(**kwargs)
+
+
+_GRID_INTS = ("repetitions", "base_seed")
+_GRID_INT_AXES = ("n_test_target", "n_train_external", "n_train_target")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_str(v) -> bool:
+    return isinstance(v, str)
 
 
 #: Nothing in an AggregateRecord beyond these fields enters the results file.

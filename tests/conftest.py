@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import probeforge  # noqa: F401  first, so its BLAS pin is set before numpy loads
+
 import numpy as np
 import pytest
 

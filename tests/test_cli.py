@@ -290,3 +290,17 @@ def test_unknown_grid_key_exits_2(workdir, capsys):
     (workdir / "grid.json").write_text(json.dumps({**GRID, "budget": 3}))
     assert run(workdir) == 2
     assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, key", [
+    ({"fms": ["tiny-s1"]}, "classes"),
+    ({**GRID, "repetitions": "3"}, "repetitions"),
+    ({**GRID, "fms": [["tiny-s1"]]}, "fms"),
+    ({**GRID, "classes": "tree-cover"}, "classes"),
+], ids=["missing-key", "string-repetitions", "nested-axis", "string-axis"])
+def test_malformed_grid_exits_2(workdir, capsys, grid, key):
+    synth(workdir)
+    (workdir / "grid.json").write_text(json.dumps(grid))
+    assert run(workdir) == 2
+    err = capsys.readouterr().err
+    assert key in err and "unexpected" not in err

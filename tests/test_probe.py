@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from probeforge.probe import Probe, factorize, fit, predict
+from probeforge.probe import DEFAULT_RCOND, Probe, factorize, fit, predict
 
 
 def lstsq_oracle(X, y, rcond=1e-10):
@@ -133,6 +133,43 @@ def test_fit_on_a_factorization_is_bit_identical(rng, n, d, rank):
         fit(f, y[:-1])
     with pytest.raises(ValueError):
         fit(f, np.full(n, np.inf))
+
+
+def _duplicate_columns(rng):
+    base = rng.standard_normal((40, 5))
+    return np.hstack([base, base[:, :3]])
+
+
+def _duplicate_rows(rng):  # n <= d
+    X = rng.standard_normal((10, 40))
+    return np.vstack([X, X[:3]])
+
+
+def _kappa_1e5(rng):
+    return rng.standard_normal((200, 16)) * np.logspace(0, 5, 16)
+
+
+@pytest.mark.parametrize("make, svds", [
+    (lambda rng: rng.standard_normal((500, 64)), 0),
+    (lambda rng: rng.standard_normal((100, 256)), 0),
+    (_duplicate_columns, 1),
+    (_duplicate_rows, 1),
+    (_kappa_1e5, 1),
+    (lambda rng: rng.standard_normal((50, 4)) * 1e160, 1),  # the Gram matrix overflows
+], ids=["500x64", "100x256", "duplicate-columns", "duplicate-rows-n<d", "kappa-1e5",
+        "overflowing-gram"])
+def test_factorize_takes_the_svd_only_when_the_gram_path_is_ill_conditioned(
+        rng, monkeypatch, make, svds):
+    X = make(rng)
+    Xc = X - X.mean(axis=0)
+    s = np.linalg.svd(Xc, compute_uv=False)
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    f = factorize(X)
+    assert len(calls) == svds
+    assert f.s.size == np.count_nonzero(s > DEFAULT_RCOND * s[0])  # the SVD's rank
+    assert np.allclose(f.s, s[:f.s.size], rtol=1e-10)
+    assert np.allclose(f.U * f.s @ f.Vt, Xc, atol=1e-10 * s[0])
 
 
 def test_probe_is_a_plain_record():

@@ -69,19 +69,28 @@ def test_split_target_is_disjoint(n, data, data_seed, seed, kind):
 
 
 @PROPERTY
-@given(n=st.integers(3, 30), d=st.integers(2, 20), data=st.data(), data_seed=seeds)
-def test_fit_is_the_lstsq_minimum_norm_solution(n, d, data, data_seed):
-    rank = data.draw(st.integers(1, min(n, d) - 1), label="rank")
+@given(n=st.integers(3, 30), d=st.integers(2, 20), data=st.data(), data_seed=seeds,
+       log_kappa=st.floats(0, 5))
+def test_fit_is_the_lstsq_minimum_norm_solution(n, d, data, data_seed, log_kappa):
+    # full-rank and rank-deficient X, with columns scaled over 1..1e5 so that
+    # both the Gram path (kappa <= 1e3) and its SVD fallback are reached
+    rank = data.draw(st.one_of(st.just(min(n, d)), st.integers(1, min(n, d) - 1)),
+                     label="rank")
     rng = np.random.default_rng(data_seed)
     X = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, d))
+    X *= np.logspace(0, log_kappa, d)
     y = rng.standard_normal(n)
     probe = fit(X, y)
 
     Xc = X - X.mean(axis=0)
     want = np.linalg.lstsq(Xc, y - y.mean(), rcond=DEFAULT_RCOND)[0]
+    s = np.linalg.svd(Xc, compute_uv=False)
+    kept = s[s > DEFAULT_RCOND * s[0]]
+    assert probe.effective_rank == kept.size <= rank
+    kappa = kept[0] / kept[-1]
+    tol = min(1e-8, 1e3 * np.finfo(np.float64).eps * kappa**2)  # criterion 01's cap
+    assert np.linalg.norm(probe.weights - want) <= tol * np.linalg.norm(want)
     scale = 1.0 + np.linalg.norm(want)
-    assert np.linalg.norm(probe.weights - want) <= 1e-7 * scale
-    assert probe.effective_rank <= rank
     pred = predict(probe, X)
     assert np.allclose(pred, Xc @ want + y.mean(), atol=1e-7 * scale)
 

@@ -219,6 +219,16 @@ def test_grid_from_dict_rejects_bad_input():
         GridSpec.from_dict({**ok, "classes": ["tree-cover", "tree-cover"]})
     with pytest.raises(GridError, match="regimes"):
         GridSpec.from_dict({**ok, "regimes": ["target-split", "target-split"]})
+    # malformed documents name the key instead of failing as a TypeError
+    with pytest.raises(GridError, match="JSON object"):
+        GridSpec.from_dict([ok])
+    with pytest.raises(GridError, match="missing grid keys.*'classes'"):
+        GridSpec.from_dict({"fms": ["a"]})
+    for key, value in [("repetitions", "3"), ("repetitions", True), ("base_seed", 1.5),
+                       ("fms", [["a"]]), ("classes", "tree-cover"), ("samplers", None),
+                       ("n_test_target", ["5"]), ("n_train_target", [10.0])]:
+        with pytest.raises(GridError, match=key):
+            GridSpec.from_dict({**ok, key: value})
 
 
 # ---------------------------------------------------------------------------
