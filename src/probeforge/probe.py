@@ -14,8 +14,10 @@ n > d, Xc Xc^T otherwise), which costs 2-3x less than a thin SVD on one
 BLAS thread. Forming it squares the condition number, so that path is taken
 only when Xc has full rank and kappa(Xc) <= 1e3 (``GRAM_TAU``). Every other
 input (rank deficiency, duplicate chips with n <= d, kappa above 1e3) runs
-the thin SVD with the ``DEFAULT_RCOND`` cut-off after the ``eigh`` it could
-not use, so such inputs cost about 1.1-1.4x a plain SVD.
+the thin SVD with the ``DEFAULT_RCOND`` cut-off. When the column norms
+(n > d) or row norms (n <= d) of Xc already differ by more than 1e3, as
+when a few dimensions dominate, the SVD runs at once; otherwise it runs
+after the ``eigh`` it could not use, and costs up to about 1.35x a plain SVD.
 
 Predictions are raw affine outputs, never clipped to [0, 1]: clipping
 would silently distort the correlation metric downstream.
@@ -114,6 +116,12 @@ def _gram_factors(Xc: np.ndarray):
     with np.errstate(over="ignore"):  # entries near 1e154 overflow; the SVD takes those
         G = Xc @ Xc.T if wide else Xc.T @ Xc
     if not np.isfinite(G).all():
+        return None
+    # The diagonal holds squared column (n > d) or row (n <= d) norms of Xc,
+    # each between lambda_min and lambda_max, so min/max below GRAM_TAU fails
+    # the guard below without paying for the eigh.
+    g = np.diagonal(G)
+    if not g.min() >= GRAM_TAU * g.max():
         return None
     lam, Q = np.linalg.eigh(G)  # ascending
     lam, Q = (lam[:0:-1], Q[:, :0:-1]) if wide else (lam[::-1], Q[:, ::-1])

@@ -127,7 +127,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         for name in ("fms", "classes", "samplers", "target_aois", "n_test_target",
                      "regimes", "external_aois", "n_train_external", "n_train_target"):
-            values = tuple(getattr(self, name))
+            values = getattr(self, name)
+            if isinstance(values, str):
+                raise GridError(f"axis {name} must be a list, got the string {values!r}")
+            values = tuple(values)
             if len(set(values)) != len(values):
                 raise GridError(f"duplicate values in axis {name}: {list(values)}")
             object.__setattr__(self, name, values)
@@ -150,14 +153,19 @@ class GridSpec:
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
         if missing:
             raise GridError(f"missing grid keys: {missing}")
-        for key, value in d.items():
-            if key in _GRID_INTS:
-                if not _is_int(value):
-                    raise GridError(f"{key} must be an integer, got {value!r}")
+        for f in fields(cls):  # JSON types, read off the field annotations
+            if f.name not in d:
                 continue
-            want, what = (_is_int, "integers") if key in _GRID_INT_AXES else (_is_str, "strings")
-            if not isinstance(value, list) or not all(want(v) for v in value):
-                raise GridError(f"axis {key} must be a JSON list of {what}, got {value!r}")
+            value = d[f.name]
+            if f.type == "int":
+                if not _is_int(value):
+                    raise GridError(f"{f.name} must be an integer, got {value!r}")
+                continue
+            ints = f.type == "tuple[int, ...]"
+            if not isinstance(value, list) or not all(
+                    _is_int(v) if ints else isinstance(v, str) for v in value):
+                what = "integers" if ints else "strings"
+                raise GridError(f"axis {f.name} must be a JSON list of {what}, got {value!r}")
         kwargs = dict(d)
         try:
             if "classes" in kwargs:
@@ -173,16 +181,8 @@ class GridSpec:
         return cls(**kwargs)
 
 
-_GRID_INTS = ("repetitions", "base_seed")
-_GRID_INT_AXES = ("n_test_target", "n_train_external", "n_train_target")
-
-
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_str(v) -> bool:
-    return isinstance(v, str)
 
 
 #: Nothing in an AggregateRecord beyond these fields enters the results file.

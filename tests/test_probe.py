@@ -145,28 +145,37 @@ def _duplicate_rows(rng):  # n <= d
     return np.vstack([X, X[:3]])
 
 
-def _kappa_1e5(rng):
+def _kappa_1e5(rng):  # the spread of the column norms already shows it
     return rng.standard_normal((200, 16)) * np.logspace(0, 5, 16)
 
 
-@pytest.mark.parametrize("make, svds", [
-    (lambda rng: rng.standard_normal((500, 64)), 0),
-    (lambda rng: rng.standard_normal((100, 256)), 0),
-    (_duplicate_columns, 1),
-    (_duplicate_rows, 1),
-    (_kappa_1e5, 1),
-    (lambda rng: rng.standard_normal((50, 4)) * 1e160, 1),  # the Gram matrix overflows
+def _kappa_1e5_rotated(rng):  # column norms within 1e3, so only the eigenvalues show it
+    Q = np.linalg.qr(rng.standard_normal((16, 16)))[0]
+    return _kappa_1e5(rng) @ Q
+
+
+@pytest.mark.parametrize("make, eighs, svds", [
+    (lambda rng: rng.standard_normal((500, 64)), 1, 0),
+    (lambda rng: rng.standard_normal((100, 256)), 1, 0),
+    (_duplicate_columns, 1, 1),
+    (_duplicate_rows, 1, 1),
+    (_kappa_1e5, 0, 1),
+    (_kappa_1e5_rotated, 1, 1),
+    (lambda rng: rng.standard_normal((50, 4)) * 1e160, 0, 1),  # the Gram matrix overflows
 ], ids=["500x64", "100x256", "duplicate-columns", "duplicate-rows-n<d", "kappa-1e5",
-        "overflowing-gram"])
+        "kappa-1e5-rotated", "overflowing-gram"])
 def test_factorize_takes_the_svd_only_when_the_gram_path_is_ill_conditioned(
-        rng, monkeypatch, make, svds):
+        rng, monkeypatch, make, eighs, svds):
     X = make(rng)
     Xc = X - X.mean(axis=0)
     s = np.linalg.svd(Xc, compute_uv=False)
-    svd, calls = np.linalg.svd, []
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    calls = []
+    for name in ("eigh", "svd"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, name=name, real=real, **k: calls.append(name) or real(*a, **k))
     f = factorize(X)
-    assert len(calls) == svds
+    assert (calls.count("eigh"), calls.count("svd")) == (eighs, svds)
     assert f.s.size == np.count_nonzero(s > DEFAULT_RCOND * s[0])  # the SVD's rank
     assert np.allclose(f.s, s[:f.s.size], rtol=1e-10)
     assert np.allclose(f.U * f.s @ f.Vt, Xc, atol=1e-10 * s[0])

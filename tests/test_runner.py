@@ -231,6 +231,12 @@ def test_grid_from_dict_rejects_bad_input():
             GridSpec.from_dict({**ok, key: value})
 
 
+def test_grid_rejects_a_string_axis_built_directly():
+    with pytest.raises(GridError, match="axis fms must be a list"):
+        GridSpec(fms="sig-s2", classes=(ClassId.TREE_COVER,),
+                 samplers=(SamplerKind.RANDOM,), target_aois=("p",), n_test_target=(5,))
+
+
 # ---------------------------------------------------------------------------
 # single-spec execution
 
