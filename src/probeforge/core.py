@@ -19,7 +19,7 @@ import logging
 import re
 from dataclasses import InitVar, dataclass, field
 from enum import Enum, IntEnum
-from itertools import compress
+from itertools import compress, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -89,7 +89,10 @@ def _readonly(a, dtype=None) -> np.ndarray:
 
 
 def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The given rows of ``a`` as a new read-only array that nothing else holds."""
+    """The given rows of read-only ``a``, as ``a`` itself when ``rows`` lists
+    every row in order, and otherwise as a new read-only copy."""
+    if np.array_equal(rows, np.arange(len(a))):
+        return a
     out = a[rows]
     out.setflags(write=False)
     return out
@@ -200,8 +203,6 @@ class Dataset:
     matrix: np.ndarray
     fractions: np.ndarray
     elevations: np.ndarray
-    dropped_table_only: int = 0
-    dropped_embedding_only: int = 0
     aoi_positions: Mapping[str, np.ndarray] = field(init=False)
 
     def __post_init__(self, aois: np.ndarray) -> None:
@@ -212,11 +213,13 @@ class Dataset:
         aois = np.asarray(aois)
         if aois.shape != (n,):
             raise ValueError(f"aois shape {aois.shape} does not match ({n},)")
-        labels, inverse = np.unique(aois, return_inverse=True)
+        labels = aois.tolist()
+        codes = {label: i for i, label in enumerate(sorted(set(labels)))}
+        inverse = np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=n)
         order = np.argsort(inverse, kind="stable")
         order.setflags(write=False)
         groups = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
-        object.__setattr__(self, "aoi_positions", dict(zip(labels.tolist(), groups)))
+        object.__setattr__(self, "aoi_positions", dict(zip(codes, groups)))
 
     def __len__(self) -> int:
         return len(self.chip_ids)
@@ -224,13 +227,9 @@ class Dataset:
 
 def _match(keys: Sequence[str], ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Which ``keys`` occur in ``ids`` (a mask), and at which ``ids`` position each does."""
-    ids_a = np.array(ids, dtype=object)
-    if not ids_a.size:
-        return np.zeros(len(keys), dtype=bool), np.zeros(0, dtype=np.intp)
-    keys_a = np.array(keys, dtype=object)
-    order = np.argsort(ids_a)
-    pos = order[np.searchsorted(ids_a, keys_a, sorter=order).clip(max=ids_a.size - 1)]
-    found = ids_a[pos] == keys_a
+    index = {cid: i for i, cid in enumerate(ids)}
+    pos = np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+    found = pos >= 0
     return found, pos[found]
 
 
@@ -239,7 +238,10 @@ def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
 
     The result covers the intersection in table order; records present on
     only one side are counted and logged, never fatal. An empty intersection
-    raises :class:`AlignmentError`. The joined matrix is the only copy made.
+    raises :class:`AlignmentError`. Each joined array is the source array
+    itself when the join keeps all of its rows in order, as it does for an
+    embedding index that lists every chip in chip-table order; otherwise it
+    is a copy of the kept rows.
     """
     kept, emb_rows = _match(table.chip_ids, emb.chip_ids)
     if not kept.any():
@@ -263,8 +265,6 @@ def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
         matrix=_take(emb.matrix, emb_rows),
         fractions=_take(table.fractions, rows),
         elevations=_take(table.elevations, rows),
-        dropped_table_only=dropped_table,
-        dropped_embedding_only=dropped_emb,
     )
 
 

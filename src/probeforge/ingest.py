@@ -173,7 +173,9 @@ def load_embeddings(
 
     The matrix width is the header dim, which must be positive; the payload
     must hold exactly the header's rows, the index line count must equal
-    the header row count, and all values must be finite.
+    the header row count, and all values must be finite. A repeated chip id
+    is reported with the index file and the 1-based line of its second
+    occurrence.
     """
     with open(data_path, "rb") as fh:
         blob = fh.read()
@@ -203,6 +205,14 @@ def load_embeddings(
     try:
         return EmbeddingSet(fm_id=fm_id, chip_ids=tuple(ids), matrix=matrix)
     except ValueError as exc:
+        # A repeated id is the index's fault: name its line, not the matrix file.
+        seen: set[str] = set()
+        for lineno, chip_id in enumerate(ids, start=1):
+            if chip_id in seen:
+                raise DataFormatError(
+                    f"{index_path}: line {lineno}: duplicate chip_id: {chip_id!r}"
+                ) from exc
+            seen.add(chip_id)
         raise DataFormatError(f"{data_path}: {exc}") from exc
 
 

@@ -134,6 +134,10 @@ class GridSpec:
             if len(set(values)) != len(values):
                 raise GridError(f"duplicate values in axis {name}: {list(values)}")
             object.__setattr__(self, name, values)
+        for name in ("n_test_target", "n_train_external", "n_train_target"):
+            small = [v for v in getattr(self, name) if v < 2]
+            if small:
+                raise GridError(f"axis {name} needs sizes of at least 2, got {small}")
         unknown = [r for r in self.regimes if r not in REGIMES]
         if unknown:
             raise GridError(f"unknown regimes: {unknown}")

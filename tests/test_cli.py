@@ -297,10 +297,14 @@ def test_unknown_grid_key_exits_2(workdir, capsys):
     ({**GRID, "repetitions": "3"}, "repetitions"),
     ({**GRID, "fms": [["tiny-s1"]]}, "fms"),
     ({**GRID, "classes": "tree-cover"}, "classes"),
-], ids=["missing-key", "string-repetitions", "nested-axis", "string-axis"])
+    ({**GRID, "n_test_target": [1]}, "n_test_target"),
+    ({**GRID, "n_train_target": [1]}, "n_train_target"),
+], ids=["missing-key", "string-repetitions", "nested-axis", "string-axis",
+        "test-size-1", "train-size-1"])
 def test_malformed_grid_exits_2(workdir, capsys, grid, key):
     synth(workdir)
     (workdir / "grid.json").write_text(json.dumps(grid))
     assert run(workdir) == 2
     err = capsys.readouterr().err
     assert key in err and "unexpected" not in err
+    assert not (workdir / "results.csv").exists()

@@ -1,6 +1,7 @@
 """Domain types, dataset assembly, and value validation."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -87,21 +88,46 @@ def test_chip_table_duplicate_id_named():
         make_table(["c0", "c1", "c0"])
 
 
-def test_assemble_covers_intersection_in_table_order():
+def test_assemble_covers_intersection_in_table_order(caplog):
     fractions = np.arange(21, dtype=float).reshape(3, 7) / 100
     table = make_table(["a", "b", "c"], fractions=fractions,
                        elevations=np.array([1.0, 2.0, 3.0]), aois=["P", "Q", "P"])
     emb = EmbeddingSet(fm_id="m-s2", chip_ids=("c", "x", "a"),
                        matrix=np.array([[3.0, 3], [9, 9], [1, 1]]))
-    ds = assemble_dataset(table, emb)
+    with caplog.at_level(logging.INFO, logger="probeforge.core"):
+        ds = assemble_dataset(table, emb)
     assert ds.chip_ids == ("a", "c")
     assert np.array_equal(ds.matrix, [[1, 1], [3, 3]])
     assert np.array_equal(ds.fractions, fractions[[0, 2]])
     assert np.array_equal(ds.elevations, [1.0, 3.0])
     assert list(ds.aoi_positions) == ["P"]
-    assert ds.dropped_table_only == 1
-    assert ds.dropped_embedding_only == 1
+    assert caplog.messages == [
+        "join for fm m-s2 dropped 1 table-only and 1 embedding-only records"
+    ]
     for a in (ds.matrix, ds.fractions, ds.elevations, ds.aoi_positions["P"]):
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("emb_ids, matrix_shared, table_shared", [
+    (("a", "b", "c"), True, True),
+    (("b", "a", "c"), False, True),
+    (("a", "c"), True, False),
+    (("a", "b", "c", "d"), False, True),
+    (("c", "a"), False, False),
+], ids=["aligned", "permuted", "missing-in-order", "extra", "missing-permuted"])
+def test_assemble_copies_only_rows_that_move(emb_ids, matrix_shared, table_shared):
+    """A side whose every row is kept in order is used as is; any other is copied."""
+    table = make_table(["a", "b", "c"], elevations=np.array([1.0, 2.0, 3.0]))
+    emb = EmbeddingSet(fm_id="m-s2", chip_ids=emb_ids,
+                       matrix=np.arange(2.0 * len(emb_ids)).reshape(-1, 2))
+    ds = assemble_dataset(table, emb)
+    assert np.shares_memory(ds.matrix, emb.matrix) is matrix_shared
+    assert np.shares_memory(ds.fractions, table.fractions) is table_shared
+    assert np.shares_memory(ds.elevations, table.elevations) is table_shared
+    rows = [emb_ids.index(cid) for cid in ds.chip_ids]
+    assert np.array_equal(ds.matrix, emb.matrix[rows])
+    assert np.array_equal(ds.elevations, [1.0 + "abc".index(c) for c in ds.chip_ids])
+    for a in (ds.matrix, ds.fractions, ds.elevations):
         assert not a.flags.writeable
 
 

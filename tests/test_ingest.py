@@ -1,6 +1,7 @@
 """File formats, raster fractions, composites, and the synthetic generator."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -178,6 +179,22 @@ def test_embeddings_non_finite_row_named(tmp_path, rng):
     emb = EmbeddingSet(fm_id="m-s2", chip_ids=("a", "b", "c", "d"), matrix=m)
     save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
     with pytest.raises(DataFormatError, match="row 2"):
+        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2")
+
+
+def test_embeddings_duplicate_id_names_the_index_line(tmp_path, rng):
+    emb = make_emb(rng, n=4)
+    save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
+    (tmp_path / "m.idx").write_text("c0\nc1\nc2\nc1\n")
+    with pytest.raises(DataFormatError) as info:
+        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", emb.fm_id)
+    assert str(info.value) == f"{tmp_path / 'm.idx'}: line 4: duplicate chip_id: 'c1'"
+
+
+def test_embeddings_zero_dim_names_the_matrix_file(tmp_path):
+    (tmp_path / "m.emb").write_bytes(b"EMB1" + struct.pack("<IQ", 0, 2))
+    (tmp_path / "m.idx").write_text("c0\nc1\n")
+    with pytest.raises(DataFormatError, match=r"m\.emb: embedding matrix has no columns"):
         load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2")
 
 

@@ -1,4 +1,5 @@
-"""Property-based checks: samplers, target splits, the probe, result rows, chip tables."""
+"""Property-based checks: samplers, target splits, the probe, result rows, chip tables,
+and the chip-to-embedding join."""
 
 import math
 
@@ -9,7 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from probeforge.core import ChipTable, ClassId  # noqa: E402
+from probeforge.core import ChipTable, ClassId, EmbeddingSet, assemble_dataset  # noqa: E402
+from probeforge.errors import AlignmentError  # noqa: E402
 from probeforge.ingest import load_chip_table, save_chip_table  # noqa: E402
 from probeforge.probe import DEFAULT_RCOND, factorize, fit, predict  # noqa: E402
 from probeforge.runner import (  # noqa: E402
@@ -179,3 +181,56 @@ def test_chip_table_round_trips_through_jsonl(tmp_path_factory, n, data):
     path = tmp_path_factory.mktemp("chips") / "chips.jsonl"
     save_chip_table(table, path)
     assert load_chip_table(path) == table
+
+
+_CHIPS = [f"c{i}" for i in range(10)]
+
+
+@PROPERTY
+@given(data=st.data())
+def test_assemble_dataset_matches_a_loop_join(data):
+    table_ids = data.draw(st.lists(st.sampled_from(_CHIPS), max_size=10, unique=True),
+                          label="table_ids")
+    emb_ids = data.draw(st.one_of(
+        st.just(table_ids),
+        st.permutations(table_ids),
+        st.lists(st.sampled_from(_CHIPS), max_size=10, unique=True),
+    ), label="emb_ids")
+    aoi_pool = data.draw(st.lists(_labels, min_size=1, max_size=3, unique=True), label="pool")
+    aois = data.draw(st.lists(st.sampled_from(aoi_pool), min_size=len(table_ids),
+                              max_size=len(table_ids)), label="aois")
+    n, m = len(table_ids), len(emb_ids)
+    table = ChipTable(
+        chip_ids=tuple(table_ids), aois=np.array(aois, dtype=object),
+        lon=np.zeros(n), lat=np.zeros(n),
+        fractions=np.arange(7.0 * n).reshape(n, 7), elevations=-np.arange(1.0 * n),
+    )
+    emb = EmbeddingSet(fm_id="m-s2", chip_ids=tuple(emb_ids),
+                       matrix=np.arange(3.0 * m, dtype=np.float32).reshape(m, 3))
+
+    pairs = []  # (table row, embedding row) of every shared chip, in table order
+    for t, cid in enumerate(table_ids):
+        for e, eid in enumerate(emb_ids):
+            if eid == cid:
+                pairs.append((t, e))
+    if not pairs:
+        with pytest.raises(AlignmentError):
+            assemble_dataset(table, emb)
+        return
+    ds = assemble_dataset(table, emb)
+
+    t_rows = [t for t, _ in pairs]
+    assert ds.chip_ids == tuple(table_ids[t] for t in t_rows)
+    assert ds.matrix.dtype == emb.matrix.dtype
+    assert np.array_equal(ds.matrix, np.array([emb.matrix[e] for _, e in pairs]))
+    assert np.array_equal(ds.fractions, np.array([table.fractions[t] for t in t_rows]))
+    assert np.array_equal(ds.elevations, np.array([table.elevations[t] for t in t_rows]))
+    groups: dict[str, list[int]] = {}
+    for i, t in enumerate(t_rows):
+        groups.setdefault(aois[t], []).append(i)
+    assert list(ds.aoi_positions) == sorted(groups)
+    for label, positions in ds.aoi_positions.items():
+        assert positions.tolist() == groups[label]
+        assert not positions.flags.writeable
+    for a in (ds.matrix, ds.fractions, ds.elevations):
+        assert not a.flags.writeable

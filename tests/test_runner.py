@@ -229,6 +229,11 @@ def test_grid_from_dict_rejects_bad_input():
                        ("n_test_target", ["5"]), ("n_train_target", [10.0])]:
         with pytest.raises(GridError, match=key):
             GridSpec.from_dict({**ok, key: value})
+    # a size below 2 cannot be fitted or correlated; fail before any data loads
+    for key, value in [("n_test_target", [5, 1]), ("n_train_target", [1]),
+                       ("n_train_external", [0]), ("n_test_target", [-3])]:
+        with pytest.raises(GridError, match=f"axis {key} needs sizes of at least 2"):
+            GridSpec.from_dict({**ok, key: value})
 
 
 def test_grid_rejects_a_string_axis_built_directly():
