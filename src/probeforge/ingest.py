@@ -125,7 +125,11 @@ def _parse_chip(line: str) -> tuple[str, str, list[float]]:
             f"chip {rec['chip_id']!r}: fractions must cover all seven classes"
             f" (missing: {sorted(_LABEL_SET - raw_fr.keys())})"
         )
-    return str(rec["chip_id"]), str(rec["aoi"]), [
+    chip_id, aoi = rec["chip_id"], rec["aoi"]
+    if not (isinstance(chip_id, str) and isinstance(aoi, str)):
+        key = "aoi" if isinstance(chip_id, str) else "chip_id"
+        raise ValueError(f"{key} must be a JSON string, got {rec[key]!r}")
+    return chip_id, aoi, [
         float(rec["lon"]),
         float(rec["lat"]),
         *(float(raw_fr[label]) for label in CLASS_LABELS),

@@ -145,6 +145,8 @@ class GridSpec:
             raise GridError("empty axis: regimes")
         if self.repetitions < 2:
             raise GridError("repetitions must be at least 2")
+        if not 0 <= self.base_seed < 2**64:
+            raise GridError(f"base_seed must be in [0, 2**64), got {self.base_seed}")
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "GridSpec":

@@ -12,7 +12,8 @@ Four ways to pick k training chips from a candidate pool:
   Euclidean distance to the chosen set.
 * ``srtm``   - elevation stratification: equal-count quantile bins over the
   candidates' elevations (ties share the lower bin), one uniform draw per
-  non-empty bin, spreading picks across the elevation range.
+  non-empty bin, spreading picks across the elevation range; a shortfall
+  left by empty bins is drawn uniformly from the unchosen chips.
 
 Everything is a pure function of the request, including its seed; each
 request owns a private RNG stream. Ties always break toward the lowest
@@ -160,29 +161,36 @@ def srtm_sample(req: SampleRequest) -> np.ndarray:
 
     Candidates are ranked by elevation; tied elevations all take the rank
     of their first occurrence, so a tie group lands in a single (lower)
-    bin and bins can be empty under heavy ties. One chip is drawn uniformly
-    from each non-empty bin in ascending bin order; any remaining picks are
-    drawn uniformly from the unchosen chips.
+    bin and bins can be empty under heavy ties. Rank r falls in bin
+    ``r * k // n``. One chip is drawn uniformly from each non-empty bin in
+    ascending bin order, a bin's members listed by ascending candidate
+    position; any remaining picks are drawn uniformly from the unchosen
+    chips.
+
+    One argsort ranks the pool and one sort of ``bin * n + position`` keys
+    groups it by bin, so a draw costs O(n log n) plus one RNG call per
+    non-empty bin, O(n log n + k) in all.
     """
     elev = _require(req, "elevations")
     if elev.ndim != 1:
         raise ValueError(f"elevations must be 1-D, got shape {elev.shape}")
     rng = np.random.default_rng(req.seed)
 
-    sorted_elev = np.sort(elev, kind="stable")
-    min_rank = np.searchsorted(sorted_elev, elev, side="left")
-    bins = (min_rank * req.k) // req.n
-
-    chosen: list[int] = []
-    taken = np.zeros(req.n, dtype=bool)
-    for b in range(req.k):
-        members = np.flatnonzero(bins == b)
-        if members.size == 0:
-            continue
-        pick = int(members[rng.integers(members.size)])
-        chosen.append(pick)
-        taken[pick] = True
+    order = np.argsort(elev)
+    ranked = elev[order]
+    # Bin of each candidate, listed in elevation order; the rank comes from
+    # the values alone, so it does not depend on how the sort broke ties.
+    bins = np.searchsorted(ranked, ranked, side="left") * req.k // req.n
+    members = np.sort(bins * req.n + order) % req.n
+    sizes = np.bincount(bins, minlength=req.k)
+    chosen = [
+        int(members[end - size + rng.integers(size)])
+        for size, end in zip(sizes.tolist(), np.cumsum(sizes).tolist())
+        if size
+    ]
     if len(chosen) < req.k:
+        taken = np.zeros(req.n, dtype=bool)
+        taken[chosen] = True
         free = np.flatnonzero(~taken)
         extra = rng.choice(free.size, size=req.k - len(chosen), replace=False)
         chosen.extend(int(free[i]) for i in extra)

@@ -299,8 +299,10 @@ def test_unknown_grid_key_exits_2(workdir, capsys):
     ({**GRID, "classes": "tree-cover"}, "classes"),
     ({**GRID, "n_test_target": [1]}, "n_test_target"),
     ({**GRID, "n_train_target": [1]}, "n_train_target"),
+    ({**GRID, "base_seed": -1}, "base_seed"),
+    ({**GRID, "base_seed": 2**64}, "base_seed"),
 ], ids=["missing-key", "string-repetitions", "nested-axis", "string-axis",
-        "test-size-1", "train-size-1"])
+        "test-size-1", "train-size-1", "negative-seed", "seed-2-64"])
 def test_malformed_grid_exits_2(workdir, capsys, grid, key):
     synth(workdir)
     (workdir / "grid.json").write_text(json.dumps(grid))

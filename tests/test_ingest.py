@@ -91,6 +91,22 @@ def test_chip_table_missing_key_carries_number(tmp_path):
         load_chip_table(p)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("chip_id", None), ("chip_id", 7), ("chip_id", 1.0), ("chip_id", True),
+    ("aoi", 3), ("aoi", None), ("aoi", ["colombia"]),
+], ids=["id-null", "id-int", "id-float", "id-bool", "aoi-int", "aoi-null", "aoi-list"])
+def test_chip_table_non_string_id_or_aoi_names_the_line(tmp_path, key, value):
+    # a converted id such as "1.0" would fail, without a word, to join the
+    # .idx line "1"
+    rec = json.loads(CHIP_LINE)
+    rec[key] = value
+    p = tmp_path / "chips.jsonl"
+    p.write_text(CHIP_LINE.replace('"c1"', '"c0"') + "\n" + json.dumps(rec) + "\n")
+    with pytest.raises(DataFormatError,
+                       match=rf"chips\.jsonl: line 2: {key} must be a JSON string"):
+        load_chip_table(p)
+
+
 def test_chip_table_unknown_keys_ignored(tmp_path):
     rec = json.loads(CHIP_LINE)
     rec["extra"] = {"nested": True}

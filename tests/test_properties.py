@@ -70,6 +70,47 @@ def test_split_target_is_disjoint(n, data, data_seed, seed, kind):
     assert set(test.tolist()) | set(train.tolist()) <= set(candidates.tolist())
 
 
+def _srtm_loop_oracle(candidates, elev, k, seed):
+    """srtm as first written: one full scan of the pool per bin."""
+    n = elev.size
+    rng = np.random.default_rng(seed)
+    sorted_elev = np.sort(elev, kind="stable")
+    min_rank = np.searchsorted(sorted_elev, elev, side="left")
+    bins = (min_rank * k) // n
+    chosen = []
+    taken = np.zeros(n, dtype=bool)
+    for b in range(k):
+        members = np.flatnonzero(bins == b)
+        if members.size == 0:
+            continue
+        pick = int(members[rng.integers(members.size)])
+        chosen.append(pick)
+        taken[pick] = True
+    if len(chosen) < k:
+        free = np.flatnonzero(~taken)
+        extra = rng.choice(free.size, size=k - len(chosen), replace=False)
+        chosen.extend(int(free[i]) for i in extra)
+    return candidates[np.array(chosen, dtype=np.intp)]
+
+
+# quantized elevations tie heavily; NaN, the infinities and -0.0 probe the rank rule
+elevation_values = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+)
+
+
+@PROPERTY
+@given(n=st.integers(1, 300), data=st.data(), seed=seeds)
+def test_srtm_matches_a_loop_oracle(n, data, seed):
+    k = data.draw(st.integers(1, n), label="k")
+    elev = np.array(data.draw(st.lists(elevation_values, min_size=n, max_size=n),
+                              label="elevations"))
+    candidates = np.arange(n)[::-1] * 3
+    got = draw(SampleRequest(candidates, k, seed, SamplerKind.SRTM, elevations=elev))
+    assert np.array_equal(got, _srtm_loop_oracle(candidates, elev, k, seed))
+
+
 @PROPERTY
 @given(n=st.integers(3, 30), d=st.integers(2, 20), data=st.data(), data_seed=seeds,
        log_kappa=st.floats(0, 5))

@@ -234,6 +234,12 @@ def test_grid_from_dict_rejects_bad_input():
                        ("n_train_external", [0]), ("n_test_target", [-3])]:
         with pytest.raises(GridError, match=f"axis {key} needs sizes of at least 2"):
             GridSpec.from_dict({**ok, key: value})
+    # derive_seed masks to 64 bits, so a seed outside [0, 2**64) would alias
+    # one inside it while writing a different base_seed column
+    for seed in (-1, 2**64, 2**70):
+        with pytest.raises(GridError, match=r"base_seed must be in \[0, 2\*\*64\)"):
+            GridSpec.from_dict({**ok, "base_seed": seed})
+    assert GridSpec.from_dict({**ok, "base_seed": 2**64 - 1}).base_seed == 2**64 - 1
 
 
 def test_grid_rejects_a_string_axis_built_directly():
