@@ -73,60 +73,3 @@ from .sampling import SampleRequest, SamplerKind, draw, split_target
 from .seeds import derive_seed, stream
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregateMetrics",
-    "AggregateRecord",
-    "AlignmentError",
-    "CLASS_LABELS",
-    "ChipTable",
-    "ClassId",
-    "DataFormatError",
-    "Dataset",
-    "DegenerateVarianceError",
-    "EmbeddingSet",
-    "ExperimentSpec",
-    "Factorization",
-    "GridError",
-    "GridSpec",
-    "ImageStack",
-    "LabelGrid",
-    "Modality",
-    "Probe",
-    "ProbeforgeError",
-    "RunMetrics",
-    "SampleRequest",
-    "SamplerKind",
-    "SelectionCriterion",
-    "SynthSpec",
-    "ValidationReport",
-    "ablation_scatter",
-    "aggregate",
-    "assemble_dataset",
-    "compute_class_fractions",
-    "derive_seed",
-    "draw",
-    "enumerate_grid",
-    "factorize",
-    "fit",
-    "heatmap_matrix",
-    "infer_modality",
-    "load_chip_table",
-    "load_dataset_dir",
-    "load_embeddings",
-    "parse_results_file",
-    "pearson",
-    "predict",
-    "rmse",
-    "run_experiment",
-    "run_grid",
-    "save_chip_table",
-    "save_embeddings",
-    "seasonal_median_composite",
-    "selection_table",
-    "split_target",
-    "stream",
-    "synthesize_dataset",
-    "validate_dataset",
-    "write_dataset_dir",
-]

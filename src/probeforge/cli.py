@@ -34,9 +34,10 @@ from .ingest import (
     synthesize_dataset,
     write_dataset_dir,
 )
+from .metrics import R_THRESHOLD, STD_THRESHOLD
 from .report import (
-    BEST_CORR_MEAN,
     LEAST_TOTAL_ELEMENTS,
+    SELECTION_RULES,
     SelectionCriterion,
     ablation_scatter,
     heatmap_matrix,
@@ -116,10 +117,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("report-select",
                        help="best qualifying configuration per target AOI and class")
     p.add_argument("--results", required=True)
-    p.add_argument("--criterion", default="least-total-elements",
-                   choices=["least-total-elements", "best-corr-mean"])
-    p.add_argument("--r-min", type=float, default=None)
-    p.add_argument("--std-max", type=float, default=None)
+    p.add_argument("--criterion", default=LEAST_TOTAL_ELEMENTS, choices=SELECTION_RULES)
+    p.add_argument("--r-min", type=float, default=R_THRESHOLD)
+    p.add_argument("--std-max", type=float, default=STD_THRESHOLD)
     p.add_argument("--format", default="csv", choices=["csv", "text"],
                    dest="out_format")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
@@ -210,14 +210,8 @@ def _cmd_report_scatter(args: argparse.Namespace) -> int:
 
 def _cmd_report_select(args: argparse.Namespace) -> int:
     records = parse_results_file(args.results)
-    rule = (LEAST_TOTAL_ELEMENTS if args.criterion == "least-total-elements"
-            else BEST_CORR_MEAN)
-    kwargs = {}
-    if args.r_min is not None:
-        kwargs["r_min"] = args.r_min
-    if args.std_max is not None:
-        kwargs["std_max"] = args.std_max
-    rows = selection_table(records, SelectionCriterion(rule=rule, **kwargs))
+    rows = selection_table(records, SelectionCriterion(
+        rule=args.criterion, r_min=args.r_min, std_max=args.std_max))
     render = selection_csv if args.out_format == "csv" else selection_text
     _emit(render(rows), args.out)
     return 0

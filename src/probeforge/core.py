@@ -301,6 +301,12 @@ RULE_ELEVATION = "non-finite elevation"
 RULE_EMBEDDING = "non-finite embedding"
 
 
+def fraction_out_of_range(fr: np.ndarray) -> np.ndarray:
+    """Elementwise test of the ``fraction out of range`` rule: the value is
+    non-finite, below 0 or above 1."""
+    return ~(np.isfinite(fr) & (fr >= 0.0) & (fr <= 1.0))
+
+
 def validate_dataset(ds: Dataset) -> ValidationReport:
     """Check every chip- and embedding-level value invariant.
 
@@ -309,7 +315,7 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
     They come in row order, and within a chip in rule order.
     """
     fr = ds.fractions
-    bad_range = ~(np.isfinite(fr) & (fr >= 0.0) & (fr <= 1.0))
+    bad_range = fraction_out_of_range(fr)
     totals = fr.sum(axis=1)
     bad_sum = np.isfinite(totals) & (totals > 1.0 + FRACTION_SUM_TOL)
     bad_elev = ~np.isfinite(ds.elevations)

@@ -22,7 +22,6 @@ so probe recovery is checkable against closed-form targets.
 from __future__ import annotations
 
 import json
-import logging
 import struct
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -34,16 +33,16 @@ import numpy as np
 from .core import (
     CLASS_LABELS,
     N_CLASSES,
+    RULE_FRACTION_RANGE,
     ChipTable,
     ClassId,
     Dataset,
     EmbeddingSet,
     assemble_dataset,
+    fraction_out_of_range,
 )
 from .errors import DataFormatError
 from .seeds import stream
-
-logger = logging.getLogger(__name__)
 
 _EMB_MAGIC = b"EMB1"
 
@@ -472,7 +471,6 @@ class SynthResult:
     table: ChipTable
     embeddings: dict[str, EmbeddingSet] = field(default_factory=dict)
     planted: np.ndarray = field(default_factory=lambda: np.zeros((N_CLASSES, 0)))
-    raw: np.ndarray = field(default_factory=lambda: np.zeros((0, N_CLASSES)))
 
     def dataset(self, fm_id: str | None = None) -> Dataset:
         fm_id = fm_id or self.spec.fm_ids[0]
@@ -542,13 +540,7 @@ def synthesize_dataset(spec: SynthSpec) -> SynthResult:
         fractions=fractions,
         elevations=elev,
     )
-    return SynthResult(
-        spec=spec,
-        table=table,
-        embeddings=embeddings,
-        planted=weights,
-        raw=raw,
-    )
+    return SynthResult(spec=spec, table=table, embeddings=embeddings, planted=weights)
 
 
 def _linear_link(raw: np.ndarray, base: float = 0.1, margin: float = 1e-3) -> np.ndarray:
@@ -603,13 +595,21 @@ def load_dataset_dir(data_dir: str | Path) -> dict[str, Dataset]:
 
     Expects ``chips.jsonl`` plus ``embeddings/<fm_id>.emb`` and matching
     ``.idx`` files; each model's id is its file stem and its dim comes from
-    the file header.
+    the file header. A fraction out of range, which no probe can fit or
+    score, is refused here with the first offending chip named.
     """
     root = Path(data_dir)
     chips_path = root / "chips.jsonl"
     if not chips_path.exists():
         raise DataFormatError(f"{root}: missing chips.jsonl")
     table = load_chip_table(chips_path)
+    bad = np.argwhere(fraction_out_of_range(table.fractions))
+    if bad.size:
+        i, c = bad[0].tolist()
+        raise DataFormatError(
+            f"{chips_path}: chip {table.chip_ids[i]!r}: {RULE_FRACTION_RANGE}"
+            f" ({CLASS_LABELS[c]}={float(table.fractions[i, c])!r})"
+        )
 
     emb_dir = root / "embeddings"
     paths = sorted(emb_dir.glob("*.emb")) if emb_dir.is_dir() else []

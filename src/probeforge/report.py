@@ -18,15 +18,18 @@ import numpy as np
 
 from .core import ClassId, Modality, infer_modality
 from .metrics import R_THRESHOLD, STD_THRESHOLD
-from .runner import REGIME_EXTERNAL, AggregateRecord, fmt_float
+from .runner import (
+    CSV_COLUMNS, REGIME_EXTERNAL, AggregateRecord, fmt_float, record_to_row,
+)
 from .sampling import SamplerKind
 
 #: Marker emitted for a (target_aoi, class) group where no configuration
 #: clears both thresholds.
 NO_SELECTION = "no satisfactory configuration"
 
-LEAST_TOTAL_ELEMENTS = "least_total_elements"
-BEST_CORR_MEAN = "best_corr_mean"
+LEAST_TOTAL_ELEMENTS = "least-total-elements"
+BEST_CORR_MEAN = "best-corr-mean"
+SELECTION_RULES = (LEAST_TOTAL_ELEMENTS, BEST_CORR_MEAN)
 
 
 def _csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -35,6 +38,19 @@ def _csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
     w.writerow(header)
     w.writerows(rows)
     return buf.getvalue()
+
+
+def _project(rec: AggregateRecord, columns: Sequence[str], **extra: str) -> list[str]:
+    """The named results-file columns of ``rec``, formatted as in that file,
+    plus any ``extra`` columns the results file does not hold."""
+    row = dict(zip(CSV_COLUMNS, record_to_row(rec)), **extra)
+    return [row[c] for c in columns]
+
+
+def _matching(records: Iterable[AggregateRecord], **fields) -> list[AggregateRecord]:
+    """Records whose spec equals every given field; a None field matches any."""
+    wanted = [(k, v) for k, v in fields.items() if v is not None]
+    return [r for r in records if all(getattr(r.spec, k) == v for k, v in wanted)]
 
 
 def _modality_rank(fm_id: str) -> int:
@@ -86,14 +102,8 @@ def heatmap_matrix(
     an ambiguous cell (several records surviving the filters) is an error
     asking for tighter filters, a missing one is an empty cell.
     """
-    pool = [
-        r for r in records
-        if r.spec.regime == REGIME_EXTERNAL
-        and r.spec.class_id == class_id
-        and (n_train is None or r.spec.n_train == n_train)
-        and (n_test is None or r.spec.n_test == n_test)
-        and (sampler is None or r.spec.sampler == sampler)
-    ]
+    pool = _matching(records, regime=REGIME_EXTERNAL, class_id=class_id,
+                     n_train=n_train, n_test=n_test, sampler=sampler)
     if not any(r.spec.class_id == class_id for r in records):
         raise ValueError(f"class {class_id.label!r} absent from results")
     if not pool:
@@ -139,25 +149,13 @@ def ablation_scatter(
     regime: str | None = None,
 ) -> list[AggregateRecord]:
     """Flat filtered view of records for size/uncertainty scatter plots."""
-    return [
-        r for r in records
-        if (fm_id is None or r.spec.fm_id == fm_id)
-        and (class_id is None or r.spec.class_id == class_id)
-        and (target_aoi is None or r.spec.target_aoi == target_aoi)
-        and (sampler is None or r.spec.sampler == sampler)
-        and (regime is None or r.spec.regime == regime)
-    ]
+    return _matching(records, fm_id=fm_id, class_id=class_id,
+                     target_aoi=target_aoi, sampler=sampler, regime=regime)
 
 
 def scatter_csv(records: Sequence[AggregateRecord]) -> str:
     """One row per record; always emits the header."""
-    return _csv(SCATTER_COLUMNS, (
-        [r.spec.fm_id, r.spec.class_id.label, r.spec.regime,
-         r.spec.target_aoi, r.spec.sampler.value,
-         str(r.spec.n_train), str(r.spec.n_test),
-         fmt_float(r.r_mean), fmt_float(r.r_std)]
-        for r in records
-    ))
+    return _csv(SCATTER_COLUMNS, (_project(r, SCATTER_COLUMNS) for r in records))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,7 @@ class SelectionCriterion:
     std_max: float = STD_THRESHOLD
 
     def __post_init__(self) -> None:
-        if self.rule not in (LEAST_TOTAL_ELEMENTS, BEST_CORR_MEAN):
+        if self.rule not in SELECTION_RULES:
             raise ValueError(f"unknown selection rule {self.rule!r}")
         if not (math.isfinite(self.r_min) and -1.0 < self.r_min < 1.0):
             raise ValueError(f"r_min must be finite in (-1, 1), got {self.r_min}")
@@ -238,13 +236,9 @@ def selection_csv(rows: Sequence[SelectionRow]) -> str:
         if r is None:
             out.append([row.target_aoi, row.class_id.label, NO_SELECTION]
                        + [""] * (len(SELECTION_COLUMNS) - 3))
-            continue
-        out.append([
-            row.target_aoi, row.class_id.label, "selected",
-            r.spec.fm_id, r.spec.regime, r.spec.train_aoi or "",
-            r.spec.sampler.value, str(r.spec.n_train), str(r.spec.n_test),
-            str(r.total_elements), fmt_float(r.r_mean), fmt_float(r.r_std),
-        ])
+        else:
+            out.append(_project(r, SELECTION_COLUMNS, status="selected",
+                                total_elements=str(r.total_elements)))
     return _csv(SELECTION_COLUMNS, out)
 
 

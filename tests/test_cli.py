@@ -177,6 +177,28 @@ def test_run_zero_width_embeddings_exits_2(workdir):
     assert not (workdir / "results.csv").exists()
 
 
+@pytest.mark.parametrize("grid", [
+    {"regimes": ["external"], "external_aois": ["aoi-00"], "target_aois": ["aoi-01"],
+     "n_train_external": [40]},
+    {"target_aois": ["aoi-01"]},
+], ids=["external", "target-split"])
+def test_run_refuses_out_of_range_fractions(workdir, capsys, grid):
+    synth(workdir)
+    chips_path = workdir / "data" / "chips.jsonl"
+    chips = [json.loads(line) for line in chips_path.read_text().splitlines()]
+    for chip in chips:
+        if chip["aoi"] == "aoi-01":
+            chip["fractions"]["tree-cover"] = float("nan")
+    chips_path.write_text("".join(json.dumps(c) + "\n" for c in chips))
+    first_bad = next(c["chip_id"] for c in chips if c["aoi"] == "aoi-01")
+    (workdir / "grid.json").write_text(json.dumps({**GRID, **grid}))
+    assert run(workdir) == 2
+    err = capsys.readouterr().err
+    assert "chips.jsonl" in err and repr(first_bad) in err
+    assert "fraction out of range" in err
+    assert not (workdir / "results.csv").exists()
+
+
 def test_unknown_grid_aoi_exits_2(workdir, capsys):
     synth(workdir)
     (workdir / "grid.json").write_text(json.dumps({**GRID, "target_aois": ["aoi-9"]}))

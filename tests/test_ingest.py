@@ -433,13 +433,15 @@ def test_synth_structure(small_synth):
 
 
 def test_synth_noiseless_presquash_recovery():
-    # fit on the raw (pre-squash) target: exact linear model, r = 1 held out
-    spec = SynthSpec(n_chips=400, dim=16, noise_sigma=0.0, weight_seed=3, data_seed=4)
+    # the linear link is an affine image of the pre-squash target, so Pearson
+    # r against it is r against that target: exact linear model, r = 1 held out
+    spec = SynthSpec(n_chips=400, dim=16, noise_sigma=0.0, weight_seed=3, data_seed=4,
+                     link="linear")
     res = synthesize_dataset(spec)
     X = res.embeddings["synth-s2"].matrix.astype(np.float64)
-    raw = res.raw[:, 0]
-    p = fit(X[:300], raw[:300])
-    r = pearson(predict(p, X[300:]), raw[300:])
+    y = res.table.fractions[:, 0]
+    p = fit(X[:300], y[:300])
+    r = pearson(predict(p, X[300:]), y[300:])
     assert r >= 1.0 - 1e-9
 
 
@@ -447,12 +449,12 @@ def test_synth_noise_hits_closed_form_correlation():
     rho = 0.9
     spec = SynthSpec(n_chips=4000, dim=16,
                      noise_sigma=noise_sigma_for_correlation(rho),
-                     weight_seed=5, data_seed=6)
+                     weight_seed=5, data_seed=6, link="linear")
     res = synthesize_dataset(spec)
     X = res.embeddings["synth-s2"].matrix.astype(np.float64)
-    raw = res.raw[:, 2]
-    p = fit(X[:3000], raw[:3000])
-    r = pearson(predict(p, X[3000:]), raw[3000:])
+    y = res.table.fractions[:, 2]
+    p = fit(X[:3000], y[:3000])
+    r = pearson(predict(p, X[3000:]), y[3000:])
     assert abs(r - rho) <= 0.05
 
 

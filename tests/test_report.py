@@ -1,5 +1,7 @@
 """Heatmap, scatter, and selection artifacts built from result records."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,62 @@ def test_scatter_csv_shape():
     assert scatter_csv([]) == lines[0] + "\n"
 
 
+def _varied_records(rng):
+    """One record per (model, class, AOI pair), target-split ones included,
+    with sampler and sizes drawn at random."""
+    aois = ("p", "q", "r")
+    out = []
+    for fm in ("a-s1", "b-s2", "c-s1"):
+        for cls in (ClassId.TREE_COVER, ClassId.BUILTUP):
+            for train in (*aois, None):
+                for target in aois:
+                    if train == target:
+                        continue
+                    out.append(make_record(
+                        fm_id=fm, class_id=cls, train_aoi=train, target_aoi=target,
+                        regime=REGIME_TARGET_SPLIT if train is None else REGIME_EXTERNAL,
+                        sampler=(SamplerKind.RANDOM, SamplerKind.FPS)[int(rng.integers(2))],
+                        n_train=int(rng.choice([50, 100])),
+                        n_test=int(rng.choice([10, 20])),
+                        r_mean=float(rng.random()),
+                    ))
+    return out
+
+
+_FILTERS = [
+    ("heatmap", "n_train", 100, lambda s: s.n_train == 100),
+    ("heatmap", "n_test", 20, lambda s: s.n_test == 20),
+    ("heatmap", "sampler", SamplerKind.FPS, lambda s: s.sampler is SamplerKind.FPS),
+    ("scatter", "fm_id", "b-s2", lambda s: s.fm_id == "b-s2"),
+    ("scatter", "class_id", ClassId.BUILTUP, lambda s: s.class_id is ClassId.BUILTUP),
+    ("scatter", "target_aoi", "q", lambda s: s.target_aoi == "q"),
+    ("scatter", "sampler", SamplerKind.FPS, lambda s: s.sampler is SamplerKind.FPS),
+    ("scatter", "regime", REGIME_TARGET_SPLIT,
+     lambda s: s.regime == REGIME_TARGET_SPLIT),
+]
+
+
+@pytest.mark.parametrize("view, field, value, keep", _FILTERS,
+                         ids=[f"{view}-{field}" for view, field, *_ in _FILTERS])
+def test_every_report_filter_matches_brute_force(rng, view, field, value, keep):
+    records = _varied_records(rng)
+    if view == "scatter":
+        want = [r for r in records if keep(r.spec)]
+        assert 0 < len(want) < len(records)
+        assert ablation_scatter(records, **{field: value}) == want
+        return
+    pool = [r for r in records
+            if r.spec.regime == REGIME_EXTERNAL and r.spec.class_id is ClassId.TREE_COVER]
+    want = [r for r in pool if keep(r.spec)]
+    assert 0 < len(want) < len(pool)
+    hm = heatmap_matrix(records, ClassId.TREE_COVER, **{field: value})
+    got = {(fm, pair): v
+           for fm, row in zip(hm.fm_ids, hm.cells.tolist())
+           for pair, v in zip(hm.pairs, row) if not math.isnan(v)}
+    assert got == {(r.spec.fm_id, (r.spec.train_aoi, r.spec.target_aoi)): r.r_mean
+                   for r in want}
+
+
 # ---------------------------------------------------------------------------
 # selection
 
@@ -262,8 +320,9 @@ def test_selection_text_rendering():
 
 
 def test_selection_criterion_validation():
-    with pytest.raises(ValueError, match="rule"):
-        SelectionCriterion(rule="highest_rmse")
+    for rule in ("highest_rmse", "least_total_elements", "best_corr_mean"):
+        with pytest.raises(ValueError, match="rule"):
+            SelectionCriterion(rule=rule)
     with pytest.raises(ValueError, match="r_min"):
         SelectionCriterion(r_min=1.0)
     with pytest.raises(ValueError, match="r_min"):
