@@ -46,7 +46,14 @@ from .report import (
     selection_table,
     selection_text,
 )
-from .runner import GridSpec, REGIMES, parse_results_file, run_grid
+from .runner import (
+    GridSpec,
+    REGIMES,
+    enumerate_grid,
+    grid_reads,
+    parse_results_file,
+    run_grid,
+)
 from .sampling import SamplerKind
 
 logger = logging.getLogger(__name__)
@@ -174,7 +181,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise UsageError(f"{SEED_ENV} must fit in 64 bits, got {env_seed}")
         logger.info("%s=%d overrides grid base_seed %d", SEED_ENV, seed, grid.base_seed)
         grid = dataclasses.replace(grid, base_seed=seed)
-    datasets = load_dataset_dir(args.data_dir)
+    fms, aois = grid_reads(enumerate_grid(grid))
+    datasets = load_dataset_dir(args.data_dir, fms, aois)
     records = run_grid(grid, datasets, args.out,
                        threads=args.threads, resume=args.resume)
     logger.info("results: %d rows at %s", len(records), args.out)
@@ -209,9 +217,12 @@ def _cmd_report_scatter(args: argparse.Namespace) -> int:
 
 
 def _cmd_report_select(args: argparse.Namespace) -> int:
-    records = parse_results_file(args.results)
-    rows = selection_table(records, SelectionCriterion(
-        rule=args.criterion, r_min=args.r_min, std_max=args.std_max))
+    try:
+        criterion = SelectionCriterion(
+            rule=args.criterion, r_min=args.r_min, std_max=args.std_max)
+    except ValueError as exc:
+        raise UsageError(f"probeforge report-select: {exc}") from exc
+    rows = selection_table(parse_results_file(args.results), criterion)
     render = selection_csv if args.out_format == "csv" else selection_text
     _emit(render(rows), args.out)
     return 0

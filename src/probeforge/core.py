@@ -174,6 +174,17 @@ class ChipTable:
     def __len__(self) -> int:
         return len(self.chip_ids)
 
+    def take(self, rows: np.ndarray) -> "ChipTable":
+        """The table of the chips at positions ``rows``, in that order: the
+        table itself when ``rows`` lists every chip in order."""
+        if np.array_equal(rows, np.arange(len(self))):
+            return self
+        return ChipTable(
+            chip_ids=tuple(self.chip_ids[i] for i in rows.tolist()),
+            **{name: _take(getattr(self, name), rows)
+               for name in ("aois", "lon", "lat", "fractions", "elevations")},
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChipTable):
             return NotImplemented
@@ -227,6 +238,8 @@ class Dataset:
 
 def _match(keys: Sequence[str], ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """Which ``keys`` occur in ``ids`` (a mask), and at which ``ids`` position each does."""
+    if keys == ids:  # as the dataset loader lines rows up: no lookups needed
+        return np.ones(len(keys), dtype=bool), np.arange(len(keys))
     index = {cid: i for i, cid in enumerate(ids)}
     pos = np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
     found = pos >= 0
@@ -239,9 +252,9 @@ def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
     The result covers the intersection in table order; records present on
     only one side are counted and logged, never fatal. An empty intersection
     raises :class:`AlignmentError`. Each joined array is the source array
-    itself when the join keeps all of its rows in order, as it does for an
-    embedding index that lists every chip in chip-table order; otherwise it
-    is a copy of the kept rows.
+    itself when the join keeps all of its rows in order, as it does for the
+    rows ``ingest.load_dataset_dir`` reads, which come in chip-table order;
+    otherwise it is a copy of the kept rows.
     """
     kept, emb_rows = _match(table.chip_ids, emb.chip_ids)
     if not kept.any():

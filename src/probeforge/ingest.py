@@ -22,11 +22,13 @@ so probe recovery is checkable against closed-form targets.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import warnings
 from dataclasses import asdict, dataclass, field
+from itertools import compress, repeat
 from pathlib import Path
-from typing import Mapping
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -41,10 +43,13 @@ from .core import (
     assemble_dataset,
     fraction_out_of_range,
 )
-from .errors import DataFormatError
+from .errors import AlignmentError, DataFormatError
 from .seeds import stream
 
 _EMB_MAGIC = b"EMB1"
+
+#: Bytes of ``.emb`` payload read per block: a few MiB, whatever the dim.
+_BLOCK_BYTES = 1 << 22
 
 #: Class codes of the upstream land-cover product (eleven classes) and the
 #: no-data sentinel. Only seven of the eleven are regression targets.
@@ -170,7 +175,10 @@ def save_embeddings(emb: EmbeddingSet, data_path: str | Path, index_path: str | 
 
 
 def load_embeddings(
-    data_path: str | Path, index_path: str | Path, fm_id: str
+    data_path: str | Path,
+    index_path: str | Path,
+    fm_id: str,
+    chips: Sequence[str] | None = None,
 ) -> EmbeddingSet:
     """Read a binary embedding matrix plus its text index as model ``fm_id``.
 
@@ -179,43 +187,78 @@ def load_embeddings(
     the header row count, and all values must be finite. A repeated chip id
     is reported with the index file and the 1-based line of its second
     occurrence.
+
+    The payload is read once, in blocks of a fixed byte size, and every row
+    is checked whatever ``chips`` keeps. Without ``chips`` the set holds
+    every row in file order; with a sequence of distinct chip ids it holds
+    the rows of those the index lists, in ``chips`` order, and nothing else.
     """
     with open(data_path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:4] != _EMB_MAGIC:
-        raise DataFormatError(f"{data_path}: bad magic, not an embedding file")
-    dim, count = struct.unpack("<IQ", blob[4:16])
-    expected = 16 + 4 * dim * count
-    if len(blob) != expected:
-        raise DataFormatError(
-            f"{data_path}: payload is {len(blob)} bytes, header implies {expected}"
-        )
-    matrix = np.frombuffer(blob, dtype="<f4", offset=16).reshape(count, dim)
+        head = fh.read(16)
+        if len(head) < 16 or head[:4] != _EMB_MAGIC:
+            raise DataFormatError(f"{data_path}: bad magic, not an embedding file")
+        dim, count = struct.unpack("<IQ", head[4:16])
+        size = os.fstat(fh.fileno()).st_size
+        expected = 16 + 4 * dim * count
+        if size != expected:
+            raise DataFormatError(
+                f"{data_path}: payload is {size} bytes, header implies {expected}"
+            )
 
-    with open(index_path, encoding="utf-8") as fh:
-        ids = fh.read().splitlines()
-    if len(ids) != count:
-        raise DataFormatError(
-            f"{index_path}: index/header mismatch: header rows {count}, index lines {len(ids)}"
-        )
+        with open(index_path, encoding="utf-8") as ih:
+            ids = ih.read().splitlines()
+        if len(ids) != count:
+            raise DataFormatError(
+                f"{index_path}: index/header mismatch: header rows {count}, index lines {len(ids)}"
+            )
 
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if bad.size:
-        raise DataFormatError(
-            f"{data_path}: non-finite values, first offending row {int(bad[0])}"
-            f" (chip {ids[int(bad[0])]!r})"
-        )
-    try:
-        return EmbeddingSet(fm_id=fm_id, chip_ids=tuple(ids), matrix=matrix)
-    except ValueError as exc:
+        # dest[i] is the output row of file row i, or -1 for a row not kept.
+        # Without it every row is kept in file order, so blocks are read
+        # straight into the matrix; with it, into a buffer whose kept rows
+        # are then copied.
+        dest = None
+        kept = ids
+        if chips is not None and list(chips) != ids:
+            row_of = {chip_id: i for i, chip_id in enumerate(ids)}
+            src = np.fromiter(map(row_of.get, chips, repeat(-1)), dtype=np.intp,
+                              count=len(chips))
+            found = src >= 0
+            kept = list(compress(chips, found.tolist()))
+            dest = np.full(count, -1, dtype=np.intp)
+            dest[src[found]] = np.arange(len(kept))
+        matrix = np.empty((len(kept), dim), dtype="<f4")
+        step = max(1, _BLOCK_BYTES // max(4 * dim, 1))
+        block = matrix if dest is None else np.empty((min(count, step), dim), dtype="<f4")
+        for start in range(0, count, step):
+            rows = block[start:start + step] if dest is None else block[: count - start]
+            if fh.readinto(rows) != rows.nbytes:
+                raise DataFormatError(f"{data_path}: payload shrank while being read")
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            if bad.size:
+                row = start + int(bad[0])
+                raise DataFormatError(
+                    f"{data_path}: non-finite values, first offending row {row}"
+                    f" (chip {ids[row]!r})"
+                )
+            if dest is not None:
+                to = dest[start:start + len(rows)]
+                mine = to >= 0
+                matrix[to[mine]] = rows[mine]
+    matrix.setflags(write=False)
+
+    # A zero width is reported before a repeated id, as EmbeddingSet checks it first.
+    if dim and len(set(ids)) != count:
         # A repeated id is the index's fault: name its line, not the matrix file.
         seen: set[str] = set()
         for lineno, chip_id in enumerate(ids, start=1):
             if chip_id in seen:
                 raise DataFormatError(
                     f"{index_path}: line {lineno}: duplicate chip_id: {chip_id!r}"
-                ) from exc
+                )
             seen.add(chip_id)
+    try:
+        return EmbeddingSet(fm_id=fm_id, chip_ids=tuple(kept), matrix=matrix)
+    except ValueError as exc:
         raise DataFormatError(f"{data_path}: {exc}") from exc
 
 
@@ -590,13 +633,23 @@ def write_dataset_dir(result: SynthResult, out_dir: str | Path) -> None:
         fh.write("\n")
 
 
-def load_dataset_dir(data_dir: str | Path) -> dict[str, Dataset]:
-    """Load every model's aligned Dataset from a dataset directory.
+def load_dataset_dir(
+    data_dir: str | Path,
+    fms: Collection[str] | None = None,
+    aois: Collection[str] | None = None,
+) -> dict[str, Dataset]:
+    """Load each model's aligned Dataset from a dataset directory.
 
     Expects ``chips.jsonl`` plus ``embeddings/<fm_id>.emb`` and matching
     ``.idx`` files; each model's id is its file stem and its dim comes from
     the file header. A fraction out of range, which no probe can fit or
     score, is refused here with the first offending chip named.
+
+    ``fms`` and ``aois``, when given, name what a grid reads. Every file is
+    still checked in full, and every model's index must share a chip with
+    the table, but only models in ``fms`` get a Dataset, and it holds only
+    the chips of ``aois``. A model with none of those chips gets an empty
+    Dataset, on which every spec is infeasible.
     """
     root = Path(data_dir)
     chips_path = root / "chips.jsonl"
@@ -610,6 +663,8 @@ def load_dataset_dir(data_dir: str | Path) -> dict[str, Dataset]:
             f"{chips_path}: chip {table.chip_ids[i]!r}: {RULE_FRACTION_RANGE}"
             f" ({CLASS_LABELS[c]}={float(table.fractions[i, c])!r})"
         )
+    reads = table if aois is None else table.take(
+        np.flatnonzero([a in aois for a in table.aois.tolist()]))
 
     emb_dir = root / "embeddings"
     paths = sorted(emb_dir.glob("*.emb")) if emb_dir.is_dir() else []
@@ -621,5 +676,18 @@ def load_dataset_dir(data_dir: str | Path) -> dict[str, Dataset]:
         index_path = data_path.with_suffix(".idx")
         if not index_path.exists():
             raise DataFormatError(f"{data_path}: missing index file {index_path.name}")
-        datasets[fm_id] = assemble_dataset(table, load_embeddings(data_path, index_path, fm_id))
+        read = fms is None or fm_id in fms
+        emb = load_embeddings(data_path, index_path, fm_id, reads.chip_ids if read else ())
+        if len(emb):
+            datasets[fm_id] = assemble_dataset(reads, emb)
+            continue
+        # Nothing kept: the whole index tells a join with no chip from an empty one.
+        with open(index_path, encoding="utf-8") as fh:
+            if set(table.chip_ids).isdisjoint(fh.read().splitlines()):
+                raise AlignmentError("no aligned chips")
+        if read:
+            datasets[fm_id] = Dataset(
+                fm_id=fm_id, chip_ids=(), aois=reads.aois[:0], matrix=emb.matrix,
+                fractions=reads.fractions[:0], elevations=reads.elevations[:0],
+            )
     return datasets

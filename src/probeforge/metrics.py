@@ -60,12 +60,16 @@ def pearson(a, b) -> float:
     vb = _as_vector(b, "b")
     if va.shape != vb.shape:
         raise ValueError(f"length mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    if va.shape[0] < 2:
+    n = va.shape[0]
+    if n < 2:
         raise ValueError("pearson needs at least 2 points")
-    if np.std(va) <= DEGENERATE_STD or np.std(vb) <= DEGENERATE_STD:
-        raise DegenerateVarianceError("degenerate variance")
-    da = va - va.mean()
-    db = vb - vb.mean()
+    # The sums np.mean and np.std take, so each vector is centered once and
+    # the guard decides exactly as np.std(v) <= DEGENERATE_STD would.
+    da = va - np.add.reduce(va) / n
+    db = vb - np.add.reduce(vb) / n
+    for name, d in (("a", da), ("b", db)):
+        if np.sqrt(np.add.reduce(d * d) / n) <= DEGENERATE_STD:
+            raise DegenerateVarianceError(f"degenerate variance: {name} is (near-)constant")
     return float((da @ db) / np.sqrt((da @ da) * (db @ db)))
 
 
@@ -75,9 +79,11 @@ def rmse(a, b) -> float:
     vb = _as_vector(b, "b")
     if va.shape != vb.shape:
         raise ValueError(f"length mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    if va.shape[0] < 1:
+    n = va.shape[0]
+    if n < 1:
         raise ValueError("rmse needs at least 1 point")
-    return float(np.sqrt(np.mean((va - vb) ** 2)))
+    d = va - vb
+    return float(np.sqrt(np.add.reduce(d * d) / n))
 
 
 def aggregate(runs: Sequence[RunMetrics]) -> AggregateMetrics:

@@ -149,7 +149,7 @@ def fit(X, y) -> Probe:
     if not np.isfinite(yv).all():
         raise ValueError("non-finite values in training data")
 
-    y_mean = float(yv.mean())
+    y_mean = float(np.add.reduce(yv) / yv.shape[0])  # the sum yv.mean() takes
     rank = f.s.size
     if rank:
         w = f.Vt.T @ ((f.U.T @ (yv - y_mean)) / f.s)

@@ -351,6 +351,13 @@ def enumerate_grid(grid: GridSpec) -> list[ExperimentSpec]:
     return specs
 
 
+def grid_reads(specs: Sequence[ExperimentSpec]) -> tuple[frozenset[str], frozenset[str]]:
+    """The models and the AOIs that ``specs`` read: all the data a run loads."""
+    fms = frozenset(s.fm_id for s in specs)
+    aois = frozenset(a for s in specs for a in (s.target_aoi, s.train_aoi) if a)
+    return fms, aois
+
+
 def _aux_for(kind: SamplerKind, ds: Dataset, pos: np.ndarray) -> dict:
     if kind == SamplerKind.ESAWC:
         return {"fractions": ds.fractions[pos]}
@@ -525,11 +532,11 @@ def run_grid(
     later resume. Returns records in canonical order.
     """
     specs = enumerate_grid(grid)
-    missing_fms = sorted({s.fm_id for s in specs} - set(datasets))
+    fms, aois = grid_reads(specs)
+    missing_fms = sorted(fms - set(datasets))
     if missing_fms:
         raise GridError(f"grid references models absent from data: {missing_fms}")
-    used = {s.target_aoi for s in specs} | {s.train_aoi for s in specs if s.train_aoi}
-    missing_aois = sorted(used.difference(*(ds.aoi_positions for ds in datasets.values())))
+    missing_aois = sorted(aois.difference(*(ds.aoi_positions for ds in datasets.values())))
     if missing_aois:
         raise GridError(f"grid references AOIs absent from every dataset: {missing_aois}")
 

@@ -199,6 +199,52 @@ def test_run_refuses_out_of_range_fractions(workdir, capsys, grid):
     assert not (workdir / "results.csv").exists()
 
 
+def _poison_row(emb_path, row):
+    """Overwrite the first value of ``row`` in an .emb file with NaN."""
+    blob = bytearray(emb_path.read_bytes())
+    dim = struct.unpack("<I", blob[4:8])[0]
+    blob[16 + 4 * dim * row:20 + 4 * dim * row] = struct.pack("<f", float("nan"))
+    emb_path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("where, expect", [
+    ("unread-aoi", ["tiny-s1.emb", "non-finite values, first offending row 1"]),
+    ("unread-model", ["other-s2.emb", "non-finite values, first offending row 5"]),
+    ("unread-model-truncated", ["other-s2.emb", "header implies"]),
+], ids=["unread-aoi", "unread-model", "unread-model-truncated"])
+def test_run_refuses_bad_embeddings_the_grid_does_not_read(workdir, capsys, where, expect):
+    # The grid reads tiny-s1 on aoi-00 only; chip 1 lies in aoi-01.
+    synth(workdir)
+    emb_dir = workdir / "data" / "embeddings"
+    if where == "unread-aoi":
+        _poison_row(emb_dir / "tiny-s1.emb", 1)
+    else:
+        (emb_dir / "other-s2.idx").write_bytes((emb_dir / "tiny-s1.idx").read_bytes())
+        blob = (emb_dir / "tiny-s1.emb").read_bytes()
+        (emb_dir / "other-s2.emb").write_bytes(blob[:-4] if where.endswith("truncated") else blob)
+        if where == "unread-model":
+            _poison_row(emb_dir / "other-s2.emb", 5)
+    assert run(workdir) == 2
+    err = capsys.readouterr().err
+    assert all(part in err for part in expect), err
+    assert not (workdir / "results.csv").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--r-min", "2"], "r_min must be finite in (-1, 1), got 2.0"),
+    (["--r-min", "nan"], "r_min must be finite in (-1, 1), got nan"),
+    (["--std-max", "0"], "std_max must be finite and positive, got 0.0"),
+], ids=["r-min-2", "r-min-nan", "std-max-0"])
+def test_report_select_bad_threshold_exits_1(workdir, capsys, flags, message):
+    synth(workdir)
+    assert run(workdir) == 0
+    capsys.readouterr()
+    code = main(["report-select", "--results", str(workdir / "results.csv"), *flags])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_unknown_grid_aoi_exits_2(workdir, capsys):
     synth(workdir)
     (workdir / "grid.json").write_text(json.dumps({**GRID, "target_aois": ["aoi-9"]}))

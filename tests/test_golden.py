@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import math
+import shutil
 import struct
 
 import pytest
@@ -149,3 +150,36 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_bytes(outputs, name):
     assert outputs[name] == GOLDEN[name], f"{name}: new digest {outputs[name]}"
+
+
+def test_data_the_grid_does_not_read_leaves_the_results_unchanged(tmp_path, monkeypatch):
+    """An extra AOI, interleaved with the chips, and an extra model change no byte."""
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    (tmp_path / "synth.json").write_text(json.dumps(SYNTH_SPEC))
+    (tmp_path / "grid.json").write_text(json.dumps(GRID))
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", str(tmp_path / "synth.json"),
+                 "--out-dir", str(data)]) == 0
+
+    lines = (data / "chips.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    extra = [f"extra-{i:03d}" for i in range(0, len(lines), 7)]
+    mixed = []
+    for i, line in enumerate(lines):
+        if i % 7 == 0:
+            mixed.append(_chip(extra[i // 7]).replace('"aoi": "A"', '"aoi": "aoi-zz"') + "\n")
+        mixed.append(line)
+    (data / "chips.jsonl").write_text("".join(mixed), encoding="utf-8")
+
+    emb, idx = data / "embeddings" / "a-s2.emb", data / "embeddings" / "a-s2.idx"
+    blob = emb.read_bytes()
+    dim, count = struct.unpack("<IQ", blob[4:16])
+    rows = struct.pack(f"<{dim * len(extra)}f", *range(dim * len(extra)))
+    emb.write_bytes(b"EMB1" + struct.pack("<IQ", dim, count + len(extra)) + blob[16:] + rows)
+    idx.write_text(idx.read_text(encoding="utf-8") + "\n".join(extra) + "\n", encoding="utf-8")
+    shutil.copy(emb, data / "embeddings" / "b-s2.emb")
+    shutil.copy(idx, data / "embeddings" / "b-s2.idx")
+
+    out = tmp_path / "results.csv"
+    assert main(["run", "--grid", str(tmp_path / "grid.json"),
+                 "--data-dir", str(data), "--out", str(out)]) == 0
+    assert _digest(out) == GOLDEN["run/results.csv"]

@@ -6,8 +6,9 @@ import struct
 import numpy as np
 import pytest
 
+import probeforge.ingest as ingest_mod
 from probeforge.core import ClassId, validate_dataset
-from probeforge.errors import DataFormatError
+from probeforge.errors import AlignmentError, DataFormatError
 from probeforge.ingest import (
     CODE_TO_CLASS,
     ImageStack,
@@ -212,6 +213,42 @@ def test_embeddings_zero_dim_names_the_matrix_file(tmp_path):
     (tmp_path / "m.idx").write_text("c0\nc1\n")
     with pytest.raises(DataFormatError, match=r"m\.emb: embedding matrix has no columns"):
         load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2")
+
+
+def test_embeddings_keep_only_the_chips_asked_for_in_their_order(tmp_path, rng):
+    emb = make_emb(rng, n=5)
+    save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
+    got = load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2",
+                          ("c3", "zz", "c0", "c4"))
+    assert got.chip_ids == ("c3", "c0", "c4")
+    assert got.matrix.tobytes() == emb.matrix[[3, 0, 4]].tobytes()
+    assert not got.matrix.flags.writeable
+    none = load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2", ())
+    assert none.chip_ids == () and none.matrix.shape == (0, emb.matrix.shape[1])
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 64])
+@pytest.mark.parametrize("chips", [None, ("c0",)], ids=["all", "one"])
+def test_embeddings_check_every_row_in_every_block(tmp_path, rng, monkeypatch,
+                                                   block_rows, chips):
+    emb = make_emb(rng, n=7, d=3)
+    save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
+    monkeypatch.setattr(ingest_mod, "_BLOCK_BYTES", 4 * 3 * block_rows)
+    again = load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2")
+    assert again.matrix.tobytes() == emb.matrix.tobytes()
+    blob = bytearray((tmp_path / "m.emb").read_bytes())
+    blob[16 + 4 * 3 * 5 + 8:16 + 4 * 3 * 5 + 12] = struct.pack("<f", float("inf"))
+    (tmp_path / "m.emb").write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match=r"first offending row 5 \(chip 'c5'\)"):
+        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2", chips)
+
+
+def test_embeddings_repeated_id_outside_the_kept_chips_is_refused(tmp_path, rng):
+    emb = make_emb(rng, n=4)
+    save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
+    (tmp_path / "m.idx").write_text("c0\nc1\nc2\nc1\n")
+    with pytest.raises(DataFormatError, match=r"m\.idx: line 4: duplicate chip_id: 'c1'"):
+        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", emb.fm_id, ("c0",))
 
 
 # ---------------------------------------------------------------------------
@@ -511,3 +548,33 @@ def test_dataset_dir_missing_pieces(tmp_path, small_synth):
     (tmp_path / "data" / "embeddings" / "alpha-s1.idx").unlink()
     with pytest.raises(DataFormatError, match="alpha-s1"):
         load_dataset_dir(tmp_path / "data")
+
+
+def test_dataset_dir_keeps_only_the_models_and_aois_asked_for(tmp_path, small_synth):
+    write_dataset_dir(small_synth, tmp_path / "data")
+    full = load_dataset_dir(tmp_path / "data")
+    part = load_dataset_dir(tmp_path / "data", {"beta-s2", "ghost-s2"}, {"aoi-01", "aoi-03"})
+    assert list(part) == ["beta-s2"]
+    ds, was = part["beta-s2"], full["beta-s2"]
+    assert list(ds.aoi_positions) == ["aoi-01", "aoi-03"]
+    assert len(ds) == was.aoi_positions["aoi-01"].size + was.aoi_positions["aoi-03"].size
+    for aoi, pos in ds.aoi_positions.items():
+        assert np.array_equal(ds.matrix[pos], was.matrix[was.aoi_positions[aoi]])
+        assert np.array_equal(ds.fractions[pos], was.fractions[was.aoi_positions[aoi]])
+
+
+def test_dataset_dir_model_without_the_grid_aois_is_empty(tmp_path, small_synth):
+    write_dataset_dir(small_synth, tmp_path / "data")
+    ds = load_dataset_dir(tmp_path / "data", {"alpha-s1"}, {"aoi-9"})["alpha-s1"]
+    assert len(ds) == 0 and ds.aoi_positions == {}
+    assert ds.matrix.shape == (0, small_synth.spec.dim)
+
+
+@pytest.mark.parametrize("fms", [{"alpha-s1", "beta-s2"}, {"alpha-s1"}],
+                         ids=["read", "unread"])
+def test_dataset_dir_index_sharing_no_chip_is_refused(tmp_path, small_synth, fms):
+    write_dataset_dir(small_synth, tmp_path / "data")
+    idx = tmp_path / "data" / "embeddings" / "beta-s2.idx"
+    idx.write_text("".join(f"x{line}\n" for line in idx.read_text().splitlines()))
+    with pytest.raises(AlignmentError, match="no aligned chips"):
+        load_dataset_dir(tmp_path / "data", fms, {"aoi-00"})

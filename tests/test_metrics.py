@@ -45,9 +45,9 @@ def test_pearson_bounded(rng):
 def test_pearson_degenerate_raises():
     a = np.full(10, 3.0)
     b = np.arange(10.0)
-    with pytest.raises(DegenerateVarianceError):
+    with pytest.raises(DegenerateVarianceError, match="^degenerate variance: a "):
         pearson(a, b)
-    with pytest.raises(DegenerateVarianceError):
+    with pytest.raises(DegenerateVarianceError, match="^degenerate variance: b "):
         pearson(b, a)
 
 

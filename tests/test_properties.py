@@ -1,7 +1,8 @@
-"""Property-based checks: samplers, target splits, the probe, result rows, chip tables,
-and the chip-to-embedding join."""
+"""Property-based checks: samplers, target splits, the probe, the metrics, result rows,
+chip tables, the chip-to-embedding join and the dataset loader."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from probeforge import ingest  # noqa: E402
 from probeforge.core import ChipTable, ClassId, EmbeddingSet, assemble_dataset  # noqa: E402
-from probeforge.errors import AlignmentError  # noqa: E402
-from probeforge.ingest import load_chip_table, save_chip_table  # noqa: E402
+from probeforge.errors import AlignmentError, DegenerateVarianceError  # noqa: E402
+from probeforge.ingest import load_chip_table, save_chip_table, save_embeddings  # noqa: E402
+from probeforge.metrics import DEGENERATE_STD, pearson, rmse  # noqa: E402
 from probeforge.probe import DEFAULT_RCOND, factorize, fit, predict  # noqa: E402
 from probeforge.runner import (  # noqa: E402
     REGIME_EXTERNAL,
@@ -275,3 +278,116 @@ def test_assemble_dataset_matches_a_loop_join(data):
         assert not positions.flags.writeable
     for a in (ds.matrix, ds.fractions, ds.elevations):
         assert not a.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# metrics against their np.std / np.mean forms
+
+
+def _pearson_reference(a, b):
+    """``metrics.pearson`` as it was written with ``np.std`` and ``mean``."""
+    va, vb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if np.std(va) <= DEGENERATE_STD or np.std(vb) <= DEGENERATE_STD:
+        raise DegenerateVarianceError("degenerate variance")
+    da = va - va.mean()
+    db = vb - vb.mean()
+    return float((da @ db) / np.sqrt((da @ da) * (db @ db)))
+
+
+def _rmse_reference(a, b):
+    va, vb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return float(np.sqrt(np.mean((va - vb) ** 2)))
+
+
+def _outcome(fn, *args):
+    """The result's bits (any NaN counts as one value), or the error raised."""
+    try:
+        x = fn(*args)
+    except DegenerateVarianceError:
+        return "degenerate"
+    return "nan" if math.isnan(x) else struct.pack("<d", x)
+
+
+@st.composite
+def _vectors(draw, n):
+    kind = draw(st.sampled_from(["any", "constant", "near-constant", "special"]))
+    if kind == "constant":
+        return np.full(n, draw(st.floats(-1e6, 1e6)))
+    if kind == "near-constant":
+        base = draw(st.floats(-1e3, 1e3))
+        scale = 10.0 ** draw(st.integers(-18, -9))
+        rng = np.random.default_rng(draw(seeds))
+        return base + scale * rng.standard_normal(n)
+    elements = st.floats(-1e6, 1e6, allow_subnormal=True)
+    if kind == "special":
+        elements = st.one_of(elements, st.sampled_from([math.nan, math.inf, -math.inf]))
+    return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=np.float64)
+
+
+@PROPERTY
+@given(n=st.integers(2, 40), data=st.data())
+def test_metrics_match_their_np_std_forms(n, data):
+    a = data.draw(_vectors(n), label="a")
+    b = data.draw(_vectors(n), label="b")
+    with np.errstate(all="ignore"):
+        assert _outcome(pearson, a, b) == _outcome(_pearson_reference, a, b)
+        assert _outcome(rmse, a, b) == _outcome(_rmse_reference, a, b)
+        # fit's intercept rests on the same identity for the target mean
+        assert _outcome(lambda v: float(np.add.reduce(v) / v.shape[0]), a) == \
+            _outcome(lambda v: float(v.mean()), a)
+
+
+# ---------------------------------------------------------------------------
+# loading only what a grid reads
+
+
+@PROPERTY
+@given(data=st.data())
+def test_filtered_load_matches_a_loop_join_of_the_read_aois(tmp_path_factory, data):
+    table_ids = data.draw(st.lists(st.sampled_from(_CHIPS), min_size=1, max_size=10,
+                                   unique=True), label="table_ids")
+    emb_ids = data.draw(st.one_of(
+        st.just(table_ids),
+        st.permutations(table_ids),
+        st.lists(st.sampled_from(_CHIPS), min_size=1, max_size=10, unique=True),
+    ), label="emb_ids")
+    n, m = len(table_ids), len(emb_ids)
+    aois = data.draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=n, max_size=n),
+                     label="aois")
+    read = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(["x", "y", "z", "w"]))),
+                     label="read")
+    block_rows = data.draw(st.sampled_from([1, 2, 3, 1 << 20]), label="block_rows")
+    table = ChipTable(
+        chip_ids=tuple(table_ids), aois=np.array(aois, dtype=object),
+        lon=np.zeros(n), lat=np.zeros(n),
+        fractions=np.linspace(0.0, 0.1, 7 * n).reshape(n, 7), elevations=-np.arange(1.0 * n),
+    )
+    matrix = np.arange(3.0 * m, dtype=np.float32).reshape(m, 3)
+    root = tmp_path_factory.mktemp("filtered")
+    (root / "embeddings").mkdir()
+    save_chip_table(table, root / "chips.jsonl")
+    save_embeddings(EmbeddingSet(fm_id="m-s2", chip_ids=tuple(emb_ids), matrix=matrix),
+                    root / "embeddings" / "m-s2.emb", root / "embeddings" / "m-s2.idx")
+    saved = ingest._BLOCK_BYTES
+    ingest._BLOCK_BYTES = 4 * 3 * block_rows
+    try:
+        if not set(table_ids) & set(emb_ids):
+            with pytest.raises(AlignmentError):
+                ingest.load_dataset_dir(root, {"m-s2"}, read)
+            return
+        ds = ingest.load_dataset_dir(root, {"m-s2"}, read)["m-s2"]
+    finally:
+        ingest._BLOCK_BYTES = saved
+
+    rows = [t for t, cid in enumerate(table_ids)
+            if cid in emb_ids and (read is None or aois[t] in read)]
+    assert ds.chip_ids == tuple(table_ids[t] for t in rows)
+    assert np.array_equal(ds.matrix.reshape(-1, 3),
+                          np.array([matrix[emb_ids.index(table_ids[t])] for t in rows]
+                                   ).reshape(-1, 3))
+    assert np.array_equal(ds.fractions, table.fractions[rows])
+    assert np.array_equal(ds.elevations, table.elevations[rows])
+    groups: dict[str, list[int]] = {}
+    for i, t in enumerate(rows):
+        groups.setdefault(aois[t], []).append(i)
+    assert {a: p.tolist() for a, p in ds.aoi_positions.items()} == groups

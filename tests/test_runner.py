@@ -27,6 +27,7 @@ from probeforge.runner import (
     REGIME_EXTERNAL,
     REGIME_TARGET_SPLIT,
     enumerate_grid,
+    grid_reads,
     parse_results_file,
     record_from_row,
     record_to_row,
@@ -451,6 +452,19 @@ def test_parse_results_file_errors(tmp_path):
 
 # ---------------------------------------------------------------------------
 # whole-grid runs
+
+
+def test_grid_reads_names_each_model_and_aoi_a_spec_draws_from():
+    external_only = dataclasses.replace(
+        SMALL_GRID, fms=("alpha-s1", "beta-s2"), regimes=(REGIME_EXTERNAL,),
+        external_aois=("aoi-03",), target_aois=("aoi-00", "aoi-03"),
+    )
+    assert grid_reads(enumerate_grid(external_only)) == (
+        frozenset({"alpha-s1", "beta-s2"}), frozenset({"aoi-00", "aoi-03"}))
+    split_only = dataclasses.replace(SMALL_GRID, regimes=(REGIME_TARGET_SPLIT,),
+                                     target_aois=("aoi-02",))
+    assert grid_reads(enumerate_grid(split_only)) == (
+        frozenset({"alpha-s1"}), frozenset({"aoi-02"}))
 
 
 def test_run_grid_rejects_unknown_models(tmp_path, small_datasets):
