@@ -1,4 +1,5 @@
-"""Domain types shared by all modules, plus dataset assembly and validation.
+"""Domain types shared by all modules, plus dataset assembly and validation,
+and the JSON field check that grid and synth specs share.
 
 A *chip* is one fixed-size image tile; each chip carries per-class cover
 fractions and a mean elevation. A chip table holds them as columns, one row
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import InitVar, dataclass, field
+from dataclasses import MISSING, InitVar, dataclass, field, fields
 from enum import Enum, IntEnum
 from itertools import compress, repeat
 from typing import Mapping, Sequence
@@ -106,6 +107,18 @@ def _set_column(obj, name: str, shape: tuple[int, ...], dtype=np.float64) -> Non
     object.__setattr__(obj, name, a)
 
 
+def first_repeat(ids: Sequence[str]) -> int | None:
+    """The position of the first id equal to an earlier one; None when all differ."""
+    if len(set(ids)) == len(ids):
+        return None
+    seen: set[str] = set()
+    for i, cid in enumerate(ids):
+        if cid in seen:
+            return i
+        seen.add(cid)
+    return None
+
+
 @dataclass(frozen=True)
 class EmbeddingSet:
     """Row-aligned embedding matrix for one model over one chip collection.
@@ -131,7 +144,7 @@ class EmbeddingSet:
             )
         if m.shape[1] == 0:
             raise ValueError("embedding matrix has no columns")
-        if len(set(ids)) != len(ids):
+        if first_repeat(ids) is not None:
             raise ValueError("duplicate chip_id in embedding index")
         object.__setattr__(self, "chip_ids", ids)
         object.__setattr__(self, "matrix", m)
@@ -158,12 +171,9 @@ class ChipTable:
 
     def __post_init__(self) -> None:
         ids = tuple(self.chip_ids)
-        if len(set(ids)) != len(ids):
-            seen: set[str] = set()
-            for cid in ids:
-                if cid in seen:
-                    raise ValueError(f"duplicate chip_id: {cid!r}")
-                seen.add(cid)
+        dup = first_repeat(ids)
+        if dup is not None:
+            raise ValueError(f"duplicate chip_id: {ids[dup]!r}")
         object.__setattr__(self, "chip_ids", ids)
         n = len(ids)
         _set_column(self, "aois", (n,), dtype=object)
@@ -237,7 +247,8 @@ class Dataset:
 
 
 def _match(keys: Sequence[str], ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Which ``keys`` occur in ``ids`` (a mask), and at which ``ids`` position each does."""
+    """Which ``keys`` occur in ``ids`` (a mask), and at which ``ids`` position
+    each does: the package's one join by chip id."""
     if keys == ids:  # as the dataset loader lines rows up: no lookups needed
         return np.ones(len(keys), dtype=bool), np.arange(len(keys))
     index = {cid: i for i, cid in enumerate(ids)}
@@ -365,3 +376,42 @@ def infer_modality(fm_id: str) -> Modality | None:
         return Modality.S2
     return None
 
+
+#: Per field annotation: a test of the JSON values it takes (a bool is no
+#: number, and an integer is a float too), and names for one and for a list.
+_JSON_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", "integers"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+              "a number", "numbers"),
+    "str": (lambda v: isinstance(v, str), "a JSON string", "strings"),
+}
+
+
+def check_json_fields(cls, d, what: str, error: type[Exception] = ValueError) -> None:
+    """Refuse parsed JSON ``d`` that cannot build dataclass ``cls``, naming the key.
+
+    ``d`` must be an object with no unknown key and every key without a
+    default, each value of the JSON type its field's annotation names. A
+    tuple field takes a JSON list; its items are integers for ``int`` and
+    strings otherwise, as enum members are spelled.
+    """
+    if not isinstance(d, Mapping):
+        raise error(f"a {what} must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise error(f"unknown {what} keys: {unknown}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+    if missing:
+        raise error(f"missing {what} keys: {missing}")
+    for f in fields(cls):
+        if f.name not in d:
+            continue
+        value = d[f.name]
+        if f.type.startswith("tuple["):
+            ok, _, items = _JSON_TYPES["int" if f.type == "tuple[int, ...]" else "str"]
+            if not (isinstance(value, list) and all(map(ok, value))):
+                raise error(f"{f.name} must be a JSON list of {items}, got {value!r}")
+        else:
+            ok, one, _ = _JSON_TYPES[f.type]
+            if not ok(value):
+                raise error(f"{f.name} must be {one}, got {value!r}")

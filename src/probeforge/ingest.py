@@ -26,7 +26,7 @@ import os
 import struct
 import warnings
 from dataclasses import asdict, dataclass, field
-from itertools import compress, repeat
+from itertools import compress
 from pathlib import Path
 from typing import Collection, Mapping, Sequence
 
@@ -40,7 +40,10 @@ from .core import (
     ClassId,
     Dataset,
     EmbeddingSet,
+    _match,
     assemble_dataset,
+    check_json_fields,
+    first_repeat,
     fraction_out_of_range,
 )
 from .errors import AlignmentError, DataFormatError
@@ -219,13 +222,10 @@ def load_embeddings(
         dest = None
         kept = ids
         if chips is not None and list(chips) != ids:
-            row_of = {chip_id: i for i, chip_id in enumerate(ids)}
-            src = np.fromiter(map(row_of.get, chips, repeat(-1)), dtype=np.intp,
-                              count=len(chips))
-            found = src >= 0
+            found, src = _match(chips, ids)
             kept = list(compress(chips, found.tolist()))
             dest = np.full(count, -1, dtype=np.intp)
-            dest[src[found]] = np.arange(len(kept))
+            dest[src] = np.arange(len(kept))
         matrix = np.empty((len(kept), dim), dtype="<f4")
         step = max(1, _BLOCK_BYTES // max(4 * dim, 1))
         block = matrix if dest is None else np.empty((min(count, step), dim), dtype="<f4")
@@ -246,16 +246,13 @@ def load_embeddings(
                 matrix[to[mine]] = rows[mine]
     matrix.setflags(write=False)
 
-    # A zero width is reported before a repeated id, as EmbeddingSet checks it first.
-    if dim and len(set(ids)) != count:
-        # A repeated id is the index's fault: name its line, not the matrix file.
-        seen: set[str] = set()
-        for lineno, chip_id in enumerate(ids, start=1):
-            if chip_id in seen:
-                raise DataFormatError(
-                    f"{index_path}: line {lineno}: duplicate chip_id: {chip_id!r}"
-                )
-            seen.add(chip_id)
+    # A zero width is reported before a repeated id, as EmbeddingSet checks it
+    # first. A repeated id is the index's fault: name its line, not the matrix file.
+    dup = first_repeat(ids) if dim else None
+    if dup is not None:
+        raise DataFormatError(
+            f"{index_path}: line {dup + 1}: duplicate chip_id: {ids[dup]!r}"
+        )
     try:
         return EmbeddingSet(fm_id=fm_id, chip_ids=tuple(kept), matrix=matrix)
     except ValueError as exc:
@@ -367,10 +364,6 @@ class ImageStack:
     @property
     def width(self) -> int:
         return int(self.values.shape[3])
-
-    def valid_mask(self) -> np.ndarray:
-        """(dates, height, width) bool; a pixel-date is valid when no band is NaN."""
-        return ~np.isnan(self.values).any(axis=1)
 
 
 def meteorological_season(date: str) -> str:
@@ -487,8 +480,8 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if self.n_chips <= 0 or self.dim <= 0:
             raise ValueError("n_chips and dim must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if self.n_aois <= 0:
             raise ValueError("n_aois must be positive")
         if self.n_classes != N_CLASSES:
@@ -501,10 +494,8 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SynthSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ValueError(f"unknown synth spec keys: {unknown}")
+        """Build a spec from parsed JSON, naming the key of any malformed entry."""
+        check_json_fields(cls, d, "synth spec")
         return cls(**d)
 
 

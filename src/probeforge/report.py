@@ -8,8 +8,6 @@ style used when quoting correlation results.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -19,7 +17,7 @@ import numpy as np
 from .core import ClassId, Modality, infer_modality
 from .metrics import R_THRESHOLD, STD_THRESHOLD
 from .runner import (
-    CSV_COLUMNS, REGIME_EXTERNAL, AggregateRecord, fmt_float, record_to_row,
+    CSV_COLUMNS, REGIME_EXTERNAL, AggregateRecord, csv_text, fmt_float, record_to_row,
 )
 from .sampling import SamplerKind
 
@@ -30,14 +28,6 @@ NO_SELECTION = "no satisfactory configuration"
 LEAST_TOTAL_ELEMENTS = "least-total-elements"
 BEST_CORR_MEAN = "best-corr-mean"
 SELECTION_RULES = (LEAST_TOTAL_ELEMENTS, BEST_CORR_MEAN)
-
-
-def _csv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
 
 
 def _project(rec: AggregateRecord, columns: Sequence[str], **extra: str) -> list[str]:
@@ -81,12 +71,12 @@ class HeatmapMatrix:
 
     def to_csv(self) -> str:
         header = ["fm_id", "modality"] + [f"{a}->{b}" for a, b in self.pairs]
-        rows = []
+        rows = [header]
         for fm, cells in zip(self.fm_ids, self.cells.tolist()):
             mod = infer_modality(fm)
             rows.append([fm, mod.value if mod else ""]
                         + ["" if math.isnan(v) else fmt_float(v) for v in cells])
-        return _csv(header, rows)
+        return csv_text(rows)
 
 
 def heatmap_matrix(
@@ -155,7 +145,7 @@ def ablation_scatter(
 
 def scatter_csv(records: Sequence[AggregateRecord]) -> str:
     """One row per record; always emits the header."""
-    return _csv(SCATTER_COLUMNS, (_project(r, SCATTER_COLUMNS) for r in records))
+    return csv_text([SCATTER_COLUMNS, *(_project(r, SCATTER_COLUMNS) for r in records)])
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +220,7 @@ SELECTION_COLUMNS = (
 
 
 def selection_csv(rows: Sequence[SelectionRow]) -> str:
-    out = []
+    out = [SELECTION_COLUMNS]
     for row in rows:
         r = row.selected
         if r is None:
@@ -239,7 +229,7 @@ def selection_csv(rows: Sequence[SelectionRow]) -> str:
         else:
             out.append(_project(r, SELECTION_COLUMNS, status="selected",
                                 total_elements=str(r.total_elements)))
-    return _csv(SELECTION_COLUMNS, out)
+    return csv_text(out)
 
 
 def selection_text(rows: Sequence[SelectionRow]) -> str:

@@ -25,18 +25,19 @@ are deliberately absent from the canonical artifact.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import logging
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ClassId, Dataset
+from .core import ClassId, Dataset, check_json_fields
 from .errors import DataFormatError, DegenerateVarianceError, GridError
 from .metrics import RunMetrics, aggregate, pearson, rmse
 from .probe import factorize, fit, predict
@@ -151,52 +152,13 @@ class GridSpec:
     @classmethod
     def from_dict(cls, d: Mapping) -> "GridSpec":
         """Build a grid from parsed JSON, naming the key of any malformed entry."""
-        if not isinstance(d, Mapping):
-            raise GridError(f"a grid must be a JSON object, got {type(d).__name__}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise GridError(f"unknown grid keys: {unknown}")
-        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
-        if missing:
-            raise GridError(f"missing grid keys: {missing}")
-        for f in fields(cls):  # JSON types, read off the field annotations
-            if f.name not in d:
-                continue
-            value = d[f.name]
-            if f.type == "int":
-                if not _is_int(value):
-                    raise GridError(f"{f.name} must be an integer, got {value!r}")
-                continue
-            ints = f.type == "tuple[int, ...]"
-            if not isinstance(value, list) or not all(
-                    _is_int(v) if ints else isinstance(v, str) for v in value):
-                what = "integers" if ints else "strings"
-                raise GridError(f"axis {f.name} must be a JSON list of {what}, got {value!r}")
-        kwargs = dict(d)
+        check_json_fields(cls, d, "grid", GridError)
         try:
-            if "classes" in kwargs:
-                kwargs["classes"] = tuple(
-                    ClassId.from_label(c) for c in kwargs["classes"]
-                )
-            if "samplers" in kwargs:
-                kwargs["samplers"] = tuple(
-                    SamplerKind(s) for s in kwargs["samplers"]
-                )
+            classes = tuple(map(ClassId.from_label, d["classes"]))
+            samplers = tuple(map(SamplerKind, d["samplers"]))
         except ValueError as exc:
             raise GridError(str(exc)) from exc
-        return cls(**kwargs)
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-#: Nothing in an AggregateRecord beyond these fields enters the results file.
-CSV_COLUMNS = (
-    "fm_id", "class", "regime", "train_aoi", "target_aoi", "sampler",
-    "n_train", "n_test", "repetitions", "r_mean", "r_std", "rmse_mean",
-    "rmse_std", "degenerate_runs", "infeasible", "wall_ms", "base_seed",
-)
+        return cls(**{**d, "classes": classes, "samplers": samplers})
 
 
 @dataclass(frozen=True)
@@ -225,27 +187,43 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".6g")
 
 
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise DataFormatError(f"bad infeasible flag {text!r}")
+    return text == "true"
+
+
+#: The results file, column by column: (column, the ExperimentSpec or else
+#: AggregateRecord field it holds, field to text, text to field). Nothing in
+#: an AggregateRecord beyond these fields enters the results file.
+_RESULTS_SCHEMA = (
+    ("fm_id", "fm_id", str, str),
+    ("class", "class_id", lambda c: c.label, ClassId.from_label),
+    ("regime", "regime", str, str),
+    ("train_aoi", "train_aoi", lambda a: a or "", lambda t: t or None),
+    ("target_aoi", "target_aoi", str, str),
+    ("sampler", "sampler", lambda s: s.value, SamplerKind),
+    ("n_train", "n_train", str, int),
+    ("n_test", "n_test", str, int),
+    ("repetitions", "repetitions", str, int),
+    ("r_mean", "r_mean", fmt_float, float),
+    ("r_std", "r_std", fmt_float, float),
+    ("rmse_mean", "rmse_mean", fmt_float, float),
+    ("rmse_std", "rmse_std", fmt_float, float),
+    ("degenerate_runs", "degenerate_runs", str, int),
+    ("infeasible", "infeasible", lambda b: "true" if b else "false", _flag),
+    ("wall_ms", "wall_ms", fmt_float, float),
+    ("base_seed", "base_seed", str, int),
+)
+CSV_COLUMNS = tuple(column for column, *_ in _RESULTS_SCHEMA)
+_SPEC_FIELDS = tuple(f.name for f in fields(ExperimentSpec))
+
+
 def record_to_row(rec: AggregateRecord, zero_wall: bool = False) -> list[str]:
-    s = rec.spec
-    return [
-        s.fm_id,
-        s.class_id.label,
-        s.regime,
-        s.train_aoi or "",
-        s.target_aoi,
-        s.sampler.value,
-        str(s.n_train),
-        str(s.n_test),
-        str(s.repetitions),
-        fmt_float(rec.r_mean),
-        fmt_float(rec.r_std),
-        fmt_float(rec.rmse_mean),
-        fmt_float(rec.rmse_std),
-        str(rec.degenerate_runs),
-        "true" if rec.infeasible else "false",
-        fmt_float(0.0 if zero_wall else rec.wall_ms),
-        str(s.base_seed),
-    ]
+    values = {**vars(rec.spec), **vars(rec)}
+    if zero_wall:
+        values["wall_ms"] = 0.0
+    return [write(values[name]) for _, name, write, _ in _RESULTS_SCHEMA]
 
 
 def record_from_row(row: Sequence[str]) -> AggregateRecord:
@@ -253,43 +231,24 @@ def record_from_row(row: Sequence[str]) -> AggregateRecord:
         raise DataFormatError(
             f"results row has {len(row)} fields, expected {len(CSV_COLUMNS)}"
         )
-    (fm_id, class_label, regime, train_aoi, target_aoi, sampler, n_train,
-     n_test, repetitions, r_mean, r_std, rmse_mean, rmse_std,
-     degenerate_runs, infeasible, wall_ms, base_seed) = row
-    if infeasible not in ("true", "false"):
-        raise DataFormatError(f"bad infeasible flag {infeasible!r}")
-    spec = ExperimentSpec(
-        fm_id=fm_id,
-        class_id=ClassId.from_label(class_label),
-        regime=regime,
-        train_aoi=train_aoi or None,
-        target_aoi=target_aoi,
-        sampler=SamplerKind(sampler),
-        n_train=int(n_train),
-        n_test=int(n_test),
-        repetitions=int(repetitions),
-        base_seed=int(base_seed),
-    )
-    return AggregateRecord(
-        spec=spec,
-        r_mean=float(r_mean),
-        r_std=float(r_std),
-        rmse_mean=float(rmse_mean),
-        rmse_std=float(rmse_std),
-        degenerate_runs=int(degenerate_runs),
-        infeasible=infeasible == "true",
-        wall_ms=float(wall_ms),
-    )
+    values = {name: read(text) for (_, name, _, read), text in zip(_RESULTS_SCHEMA, row)}
+    spec = ExperimentSpec(**{name: values.pop(name) for name in _SPEC_FIELDS})
+    return AggregateRecord(spec=spec, **values)
+
+
+def csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """``rows`` as CSV text, each line ending in ``\\n``: every CSV the package writes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def write_results_file(path: str | Path, records: Sequence[AggregateRecord]) -> None:
     """Write the canonical results CSV (record order is the file order)."""
+    text = csv_text([CSV_COLUMNS, *(record_to_row(r, zero_wall=True) for r in records)])
     tmp = Path(path).with_name(Path(path).name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        for rec in records:
-            w.writerow(record_to_row(rec, zero_wall=True))
+        fh.write(text)
     os.replace(tmp, path)
 
 
@@ -577,9 +536,8 @@ def run_grid(
         )
 
     with open(out_path, "a" if append else "w", encoding="utf-8", newline="") as stream_fh:
-        writer = csv.writer(stream_fh, lineterminator="\n")
         if not append:
-            writer.writerow(CSV_COLUMNS)
+            stream_fh.write(csv_text([CSV_COLUMNS]))
             stream_fh.flush()
 
         progress = itertools.count(1)
@@ -587,7 +545,7 @@ def run_grid(
         def _collect(recs: list[AggregateRecord]) -> None:
             for rec in recs:
                 done[rec.spec.key()] = rec
-                writer.writerow(record_to_row(rec))
+                stream_fh.write(csv_text([record_to_row(rec)]))
                 stream_fh.flush()
                 logger.info(
                     "[%d/%d] %s r_mean=%s wall=%.1fms", next(progress), len(todo),

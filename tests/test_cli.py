@@ -1,7 +1,11 @@
 """End-to-end command line behavior, driven in-process through main()."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,3 +382,59 @@ def test_malformed_grid_exits_2(workdir, capsys, grid, key):
     err = capsys.readouterr().err
     assert key in err and "unexpected" not in err
     assert not (workdir / "results.csv").exists()
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"n_chips": 40, "dim": 4, "fm_ids": "abc"}, "fm_ids"),
+    ({"n_chips": 40, "dim": 4, "fm_ids": ["a-s1", 2]}, "fm_ids"),
+    ({"n_chips": "100", "dim": 4}, "n_chips"),
+    ({"n_chips": 100.5, "dim": 4}, "n_chips"),
+    ({"n_chips": 40, "dim": True}, "dim"),
+    ({"n_chips": 40, "dim": 4, "noise_sigma": "0.3"}, "noise_sigma"),
+    ({"n_chips": 40, "dim": 4, "noise_sigma": float("nan")}, "noise_sigma"),
+    ({"n_chips": 40, "dim": 4, "link": 1}, "link"),
+    ({"n_chips": 40}, "dim"),
+    ({"n_chips": 40, "dim": 4, "n_aoi": 2}, "n_aoi"),
+], ids=["string-fm-ids", "number-fm-id", "string-int", "fractional-int", "bool-int",
+        "string-float", "nan-float", "number-string", "missing-key", "unknown-key"])
+def test_malformed_synth_spec_exits_2(workdir, capsys, spec, key):
+    (workdir / "synth.json").write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(workdir / "synth.json"),
+                 "--out-dir", str(workdir / "data")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "unexpected" not in err
+    assert not (workdir / "data").exists()
+
+
+def test_synth_spec_takes_an_integer_for_a_float(workdir):
+    (workdir / "synth.json").write_text(json.dumps({**SYNTH_SPEC, "noise_sigma": 1}))
+    synth(workdir)
+    planted = json.loads((workdir / "data" / "planted.json").read_text())
+    assert planted["spec"]["noise_sigma"] == 1
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_module_entry_point_runs_the_cli():
+    proc = python("-m", "probeforge.cli", "run")
+    assert proc.returncode == 1
+    assert "--grid" in proc.stderr
+
+
+def test_package_import_loads_no_submodule_and_no_numpy():
+    proc = python("-c", "import json, sys, probeforge; print(json.dumps(sorted(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert [m for m in loaded if m == "numpy" or m.startswith(("numpy.", "probeforge."))] == []

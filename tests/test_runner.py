@@ -450,6 +450,26 @@ def test_parse_results_file_errors(tmp_path):
         parse_results_file(good)
 
 
+@pytest.mark.parametrize("column, bad", [
+    ("class", "swamp"), ("regime", "transfer"), ("sampler", "census"),
+    ("n_train", "1.5"), ("n_test", "two"), ("repetitions", ""),
+    ("r_mean", "x"), ("r_std", "1,5"), ("rmse_mean", ""), ("rmse_std", "high"),
+    ("degenerate_runs", "0.5"), ("infeasible", "yes"), ("wall_ms", "fast"),
+    ("base_seed", "1e3"),
+])
+def test_each_typed_results_column_refuses_a_bad_value(tmp_path, column, bad):
+    path = tmp_path / "r.csv"
+    write_results_file(path, [AggregateRecord(spec=make_spec(n_train=n), r_mean=0.5)
+                              for n in (10, 20, 30)])
+    lines = path.read_text().splitlines()
+    row = lines[2].split(",")  # file line 3
+    row[CSV_COLUMNS.index(column)] = bad
+    lines[2] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match="line 3: "):
+        parse_results_file(path)
+
+
 # ---------------------------------------------------------------------------
 # whole-grid runs
 
@@ -513,6 +533,16 @@ def test_run_grid_bytes_identical_across_workers(tmp_path, small_datasets):
     records = parse_results_file(p1)
     assert [r.spec.key() for r in records] == [s.key() for s in enumerate_grid(SMALL_GRID)]
     assert all(r.wall_ms == 0.0 for r in records)
+
+
+def test_run_grid_streams_each_row_with_its_wall_time(tmp_path, monkeypatch, small_datasets):
+    monkeypatch.setattr(runner_mod, "write_results_file", lambda path, records: None)
+    path = tmp_path / "r.csv"
+    records = run_grid(SMALL_GRID, small_datasets, path, threads=1)
+    streamed = parse_results_file(path)  # as a crash before the rewrite leaves it
+    assert sorted(r.spec.key() for r in streamed) == sorted(r.spec.key() for r in records)
+    assert all(r.wall_ms > 0.0 for r in streamed)
+    assert path.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
 def test_run_grid_resume_completes_partial_file(tmp_path, small_datasets):
