@@ -246,12 +246,21 @@ class Dataset:
         return len(self.chip_ids)
 
 
-def _match(keys: Sequence[str], ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+def id_positions(ids: Sequence[str]) -> dict[str, int]:
+    """Each id's position in ``ids``, the last one for a repeated id, so the
+    result is shorter than ``ids`` exactly when some id repeats."""
+    return dict(zip(ids, range(len(ids))))
+
+
+def _match(keys: Sequence[str], ids: Sequence[str],
+           index: Mapping[str, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Which ``keys`` occur in ``ids`` (a mask), and at which ``ids`` position
-    each does: the package's one join by chip id."""
+    each does: the package's one join by chip id. A caller that already
+    holds ``id_positions(ids)`` passes it as ``index``, so ``ids`` is hashed once."""
     if keys == ids:  # as the dataset loader lines rows up: no lookups needed
         return np.ones(len(keys), dtype=bool), np.arange(len(keys))
-    index = {cid: i for i, cid in enumerate(ids)}
+    if index is None:
+        index = id_positions(ids)
     pos = np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
     found = pos >= 0
     return found, pos[found]

@@ -4,7 +4,22 @@ On-disk formats (all little-endian, documented here and nowhere else):
 
 * Chip table: UTF-8 newline-delimited JSON, one object per line with keys
   ``chip_id``, ``aoi``, ``lon``, ``lat``, ``fractions`` (object keyed by the
-  seven class labels), ``elevation_m``. Unknown keys are ignored.
+  seven class labels), ``elevation_m``. Unknown keys are ignored. ``chip_id``
+  and ``aoi`` must be JSON strings; ``lon``, ``lat``, each fraction and
+  ``elevation_m`` must be JSON numbers (integers and the ``NaN``/``Infinity``
+  literals included), so a boolean or a string is refused, naming the key.
+* Chip-table column cache: ``<chip file>.cols``, written beside the chip
+  file by a load whose parse passed every check, fractions in [0, 1]
+  included. Header: magic ``PFCT`` |
+  version u32 | chip count u64 | sha256 of the chip file's bytes (32) |
+  sha256 of the payload (32). Payload: count*10 f8 values, row-major, per
+  chip lon, lat, the seven fractions in class-code order and the elevation;
+  then the chip ids and then the AOI labels, each column as count u32 byte
+  lengths followed by the concatenated UTF-8 bytes (lone surrogates, which
+  JSON strings may hold, are kept by ``surrogatepass``). A load serves the
+  table from the cache only when magic, version and both digests match;
+  otherwise it parses the chip file and rewrites the cache. The cache is
+  safe to delete, and a directory that cannot be written is no error.
 * Embeddings: magic ``EMB1`` | dim u32 | count u64 | count*dim f32 values,
   row-major. A sibling text index holds one chip_id per line; line i names
   row i.
@@ -21,7 +36,10 @@ so probe recovery is checkable against closed-form targets.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import logging
 import os
 import struct
 import warnings
@@ -45,11 +63,21 @@ from .core import (
     check_json_fields,
     first_repeat,
     fraction_out_of_range,
+    id_positions,
 )
 from .errors import AlignmentError, DataFormatError
 from .seeds import stream
 
+logger = logging.getLogger(__name__)
+
 _EMB_MAGIC = b"EMB1"
+
+_COLS_MAGIC = b"PFCT"
+_COLS_VERSION = 1
+#: magic, version, chip count, sha256 of the chip file, sha256 of the payload
+_COLS_HEAD = struct.Struct("<4sIQ32s32s")
+#: lon, lat, the seven fractions and the elevation of one chip
+_COLS_VALUES = 3 + N_CLASSES
 
 #: Bytes of ``.emb`` payload read per block: a few MiB, whatever the dim.
 _BLOCK_BYTES = 1 << 22
@@ -76,23 +104,45 @@ SEASONS = ("winter", "spring", "summer", "fall")
 
 
 def load_chip_table(path: str | Path) -> ChipTable:
-    """Parse a newline-delimited JSON chip file.
+    """Parse a newline-delimited JSON chip file, or serve it from its column cache.
 
     Every failure names the 1-based line number; duplicate chip ids name
     the id. Blank lines are permitted and skipped, so an empty file yields
     an empty table.
+
+    The file is read once. When ``<path>.cols`` holds the columns of exactly
+    these bytes (see the module docstring), the table comes from there and
+    no JSON is decoded; otherwise the bytes are parsed. A parse that passes
+    every check, the fraction range that ``load_dataset_dir`` refuses
+    included, rewrites the cache.
     """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    digest = hashlib.sha256(blob).digest()
+    cache = Path(f"{os.fspath(path)}.cols")
+    table = _read_columns(cache, digest)
+    if table is None:
+        table = _parse_chips(path, blob)
+        if not fraction_out_of_range(table.fractions).any():
+            _write_columns(cache, digest, table)
+    return table
+
+
+def _parse_chips(path: str | Path, blob: bytes) -> ChipTable:
+    """The chip table ``blob``, the bytes of ``path``, holds, decoded and split
+    into lines as ``open(path, encoding="utf-8")`` would."""
     ids: list[str] = []
     aois: list[str] = []
     values: list[float] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 chip_id, aoi, row = _parse_chip(line)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    OverflowError) as exc:
                 raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
             if chip_id in seen:
                 raise DataFormatError(
@@ -102,7 +152,12 @@ def load_chip_table(path: str | Path) -> ChipTable:
             ids.append(chip_id)
             aois.append(aoi)
             values += row
-    cols = np.array(values, dtype=np.float64).reshape(len(ids), 3 + N_CLASSES)
+    cols = np.array(values, dtype=np.float64).reshape(len(ids), _COLS_VALUES)
+    return _chip_table(ids, aois, cols)
+
+
+def _chip_table(ids: Sequence[str], aois: Sequence[str], cols: np.ndarray) -> ChipTable:
+    """The table of rows ``cols``: lon, lat, the seven fractions, the elevation."""
     cols.setflags(write=False)
     return ChipTable(
         chip_ids=tuple(ids),
@@ -114,7 +169,88 @@ def load_chip_table(path: str | Path) -> ChipTable:
     )
 
 
+def _read_columns(path: Path, digest: bytes) -> ChipTable | None:
+    """The table the column cache at ``path`` holds for the chip file of
+    sha256 ``digest``; None when the cache is missing, stale or damaged."""
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError:
+        return None
+    if len(blob) < _COLS_HEAD.size:
+        return None
+    magic, version, n, chips_sha, payload_sha = _COLS_HEAD.unpack_from(blob)
+    payload = memoryview(blob)[_COLS_HEAD.size:]
+    if ((magic, version, chips_sha) != (_COLS_MAGIC, _COLS_VERSION, digest)
+            or hashlib.sha256(payload).digest() != payload_sha):
+        return None
+    # Both digests match, so only a faulty writer could make what follows fail.
+    try:
+        at = 8 * _COLS_VALUES * n
+        # a copy, so the table does not keep the whole file alive
+        cols = np.frombuffer(payload[:at], dtype="<f8").reshape(n, _COLS_VALUES).copy()
+        ids, at = _unpack_strings(payload, at, n)
+        aois, at = _unpack_strings(payload, at, n)
+        if at != len(payload):  # a column longer or shorter than it says
+            return None
+        return _chip_table(ids, aois, cols)
+    except ValueError:  # a column past the payload, bad UTF-8, repeated ids
+        return None
+
+
+def _write_columns(path: Path, digest: bytes, table: ChipTable) -> None:
+    """Write ``table``'s column cache for the chip file of sha256 ``digest``.
+
+    A uniquely named file in the same directory is renamed over ``path``, so
+    a concurrent reader sees the old cache, the new one or none, never part
+    of one; a torn file left by a crash fails the payload digest. Failure to
+    write is logged at debug level and is no error: the cache only saves time.
+    """
+    values = np.column_stack([table.lon, table.lat, table.fractions, table.elevations])
+    payload = b"".join([
+        np.ascontiguousarray(values, dtype="<f8").tobytes(),
+        _pack_strings(table.chip_ids),
+        _pack_strings(table.aois.tolist()),
+    ])
+    head = _COLS_HEAD.pack(_COLS_MAGIC, _COLS_VERSION, len(table), digest,
+                           hashlib.sha256(payload).digest())
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        # os.open's mode passes through the umask, as open()'s does
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(head)
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        logger.debug("chip column cache %s not written: %s", path, exc)
+
+
+def _pack_strings(strs: Sequence[str]) -> bytes:
+    """Each string's UTF-8 byte length as u32, then the bytes, concatenated."""
+    raw = [s.encode("utf-8", "surrogatepass") for s in strs]
+    return np.array([len(b) for b in raw], dtype="<u4").tobytes() + b"".join(raw)
+
+
+def _unpack_strings(buf: memoryview, at: int, n: int) -> tuple[list[str], int]:
+    """The ``n`` strings :func:`_pack_strings` wrote at offset ``at`` of
+    ``buf``, and the offset past them."""
+    start = at + 4 * n
+    ends = (start + np.cumsum(np.frombuffer(buf, "<u4", n, at), dtype=np.int64)).tolist()
+    strs = [str(buf[a:b], "utf-8", "surrogatepass")
+            for a, b in zip([start, *ends[:-1]], ends)]
+    return strs, ends[-1] if ends else start
+
+
 _LABEL_SET = frozenset(CLASS_LABELS)
+#: What json.loads makes of a JSON number; a bool is no number here.
+_NUMBER_TYPES = frozenset((int, float))
+_ROW_KEYS = ("lon", "lat", *(f"fractions[{label!r}]" for label in CLASS_LABELS),
+             "elevation_m")
 
 
 def _parse_chip(line: str) -> tuple[str, str, list[float]]:
@@ -136,12 +272,12 @@ def _parse_chip(line: str) -> tuple[str, str, list[float]]:
     if not (isinstance(chip_id, str) and isinstance(aoi, str)):
         key = "aoi" if isinstance(chip_id, str) else "chip_id"
         raise ValueError(f"{key} must be a JSON string, got {rec[key]!r}")
-    return chip_id, aoi, [
-        float(rec["lon"]),
-        float(rec["lat"]),
-        *(float(raw_fr[label]) for label in CLASS_LABELS),
-        float(rec["elevation_m"]),
-    ]
+    row = [rec["lon"], rec["lat"], *map(raw_fr.__getitem__, CLASS_LABELS),
+           rec["elevation_m"]]
+    if not _NUMBER_TYPES.issuperset(map(type, row)):
+        i = next(i for i, v in enumerate(row) if type(v) not in _NUMBER_TYPES)
+        raise ValueError(f"{_ROW_KEYS[i]} must be a JSON number, got {row[i]!r}")
+    return chip_id, aoi, list(map(float, row))
 
 
 def save_chip_table(table: ChipTable, path: str | Path) -> None:
@@ -214,6 +350,9 @@ def load_embeddings(
             raise DataFormatError(
                 f"{index_path}: index/header mismatch: header rows {count}, index lines {len(ids)}"
             )
+        # The index is hashed once, for both the join and the repeat check.
+        index = id_positions(ids)
+        repeated = len(index) < count
 
         # dest[i] is the output row of file row i, or -1 for a row not kept.
         # Without it every row is kept in file order, so blocks are read
@@ -222,10 +361,11 @@ def load_embeddings(
         dest = None
         kept = ids
         if chips is not None and list(chips) != ids:
-            found, src = _match(chips, ids)
+            found, src = _match(chips, ids, index)
             kept = list(compress(chips, found.tolist()))
             dest = np.full(count, -1, dtype=np.intp)
             dest[src] = np.arange(len(kept))
+        del index  # a dict of every id: not held while the payload is read
         matrix = np.empty((len(kept), dim), dtype="<f4")
         step = max(1, _BLOCK_BYTES // max(4 * dim, 1))
         block = matrix if dest is None else np.empty((min(count, step), dim), dtype="<f4")
@@ -248,7 +388,7 @@ def load_embeddings(
 
     # A zero width is reported before a repeated id, as EmbeddingSet checks it
     # first. A repeated id is the index's fault: name its line, not the matrix file.
-    dup = first_repeat(ids) if dim else None
+    dup = first_repeat(ids) if dim and repeated else None
     if dup is not None:
         raise DataFormatError(
             f"{index_path}: line {dup + 1}: duplicate chip_id: {ids[dup]!r}"

@@ -203,6 +203,25 @@ def test_run_refuses_out_of_range_fractions(workdir, capsys, grid):
     assert not (workdir / "results.csv").exists()
 
 
+@pytest.mark.parametrize("key, value, name", [
+    ("lon", "0.5", "lon"), ("tree-cover", True, "fractions['tree-cover']"),
+    ("elevation_m", "NaN", "elevation_m"),
+], ids=["lon-str", "fraction-bool", "elev-str"])
+def test_run_refuses_a_non_number_in_the_chip_table(workdir, capsys, key, value, name):
+    synth(workdir)
+    chips_path = workdir / "data" / "chips.jsonl"
+    lines = chips_path.read_text().splitlines()
+    chip = json.loads(lines[2])
+    (chip["fractions"] if key == "tree-cover" else chip)[key] = value
+    lines[2] = json.dumps(chip)
+    chips_path.write_text("\n".join(lines) + "\n")
+    assert run(workdir) == 2
+    err = capsys.readouterr().err
+    assert f"chips.jsonl: line 3: {name} must be a JSON number, got {value!r}" in err
+    assert not (workdir / "results.csv").exists()
+    assert not (workdir / "data" / "chips.jsonl.cols").exists()
+
+
 def _poison_row(emb_path, row):
     """Overwrite the first value of ``row`` in an .emb file with NaN."""
     blob = bytearray(emb_path.read_bytes())

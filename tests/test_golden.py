@@ -152,6 +152,25 @@ def test_golden_bytes(outputs, name):
     assert outputs[name] == GOLDEN[name], f"{name}: new digest {outputs[name]}"
 
 
+def test_results_are_golden_with_and_without_the_chip_table_cache(tmp_path, monkeypatch):
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    (tmp_path / "synth.json").write_text(json.dumps(SYNTH_SPEC))
+    (tmp_path / "grid.json").write_text(json.dumps(GRID))
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", str(tmp_path / "synth.json"),
+                 "--out-dir", str(data)]) == 0
+    cache = data / "chips.jsonl.cols"
+    for present in (False, True, False):
+        if not present:
+            cache.unlink(missing_ok=True)
+        assert cache.exists() == present
+        out = tmp_path / f"results-{present}.csv"
+        assert main(["run", "--grid", str(tmp_path / "grid.json"),
+                     "--data-dir", str(data), "--out", str(out)]) == 0
+        assert _digest(out) == GOLDEN["run/results.csv"]
+        assert cache.exists()
+
+
 def test_data_the_grid_does_not_read_leaves_the_results_unchanged(tmp_path, monkeypatch):
     """An extra AOI, interleaved with the chips, and an extra model change no byte."""
     monkeypatch.delenv(SEED_ENV, raising=False)

@@ -1,7 +1,13 @@
 """File formats, raster fractions, composites, and the synthetic generator."""
 
 import json
+import os
+import re
+import stat
 import struct
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -141,6 +147,321 @@ def test_chip_table_round_trip(tmp_path, small_synth):
     assert again == small_synth.table
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lon", "8.5"), ("lat", True), ("elevation_m", "NaN"), ("elevation_m", False),
+    ("tree-cover", True), ("permanent-water", "0.02"), ("lon", None), ("lat", [4.6]),
+], ids=["lon-str", "lat-bool", "elev-nan-str", "elev-bool", "fraction-bool",
+        "fraction-str", "lon-null", "lat-list"])
+def test_chip_table_non_number_names_the_line_and_key(tmp_path, key, value):
+    # float() takes true and "8.5", so a typo'd export once loaded as 1.0 and 8.5
+    rec = json.loads(CHIP_LINE)
+    if key in rec:
+        rec[key] = value
+        name = key
+    else:
+        rec["fractions"][key] = value
+        name = f"fractions[{key!r}]"
+    p = tmp_path / "chips.jsonl"
+    p.write_text(CHIP_LINE.replace('"c1"', '"c0"') + "\n" + json.dumps(rec) + "\n")
+    with pytest.raises(DataFormatError) as info:
+        load_chip_table(p)
+    assert str(info.value) == f"{p}: line 2: {name} must be a JSON number, got {value!r}"
+    assert sorted(tmp_path.iterdir()) == [p]
+
+
+def test_chip_table_takes_integers_and_the_nan_and_infinity_literals(tmp_path):
+    line = CHIP_LINE.replace("-74.1", "-74").replace("2600.0", "NaN").replace(
+        "0.6", "Infinity").replace("0.05", "0").replace("4.6", "-Infinity")
+    p = tmp_path / "chips.jsonl"
+    p.write_text(line + "\n")
+    table = load_chip_table(p)
+    assert table.lon.tolist() == [-74.0] and table.lat.tolist() == [-np.inf]
+    assert np.isnan(table.elevations[0])
+    assert table.fractions[0, ClassId.TREE_COVER] == np.inf
+    assert table.fractions[0, ClassId.BUILTUP] == 0.0
+
+
+def test_chip_table_integer_too_large_for_a_float_names_the_line(tmp_path):
+    # float() raises OverflowError, which is no ValueError, for such an integer
+    p = tmp_path / "chips.jsonl"
+    p.write_text(CHIP_LINE.replace("2600.0", "1" + "0" * 400) + "\n")
+    with pytest.raises(DataFormatError, match="line 1: int too large"):
+        load_chip_table(p)
+
+
+# ---------------------------------------------------------------------------
+# the chip-table column cache
+
+
+def _cols(p):
+    return p.with_name(p.name + ".cols")
+
+
+def _no_parse(monkeypatch):
+    def refuse(path, blob):
+        raise AssertionError(f"{path} was parsed, not served from its cache")
+    monkeypatch.setattr(ingest_mod, "_parse_chips", refuse)
+
+
+def test_chip_table_cache_is_written_by_a_parse_and_serves_the_next_load(
+        tmp_path, small_synth, monkeypatch):
+    p = tmp_path / "chips.jsonl"
+    save_chip_table(small_synth.table, p)
+    first = load_chip_table(p)
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["chips.jsonl", "chips.jsonl.cols"]
+    with monkeypatch.context() as m:
+        _no_parse(m)
+        served = load_chip_table(p)
+    assert served == first == small_synth.table
+    for name in ("lon", "lat", "fractions", "elevations"):
+        assert getattr(served, name).tobytes() == getattr(first, name).tobytes()
+        assert not getattr(served, name).flags.writeable
+    assert served.aois.dtype == object and served.aois.tolist() == first.aois.tolist()
+
+
+def test_chip_table_cache_of_an_empty_file(tmp_path, monkeypatch):
+    p = tmp_path / "chips.jsonl"
+    p.write_text("\n\n")
+    assert len(load_chip_table(p)) == 0
+    _no_parse(monkeypatch)
+    assert len(load_chip_table(p)) == 0
+
+
+def test_chip_table_cache_keeps_every_string_and_float_exactly(tmp_path, monkeypatch):
+    fr = json.loads(CHIP_LINE)["fractions"]
+    recs = [
+        {"chip_id": "", "aoi": "", "lon": -0.0, "lat": 0.0, "elevation_m": float("nan")},
+        {"chip_id": "a\nb\u0000c", "aoi": "z\u00fcrich \u2028", "lon": 1e-310,
+         "lat": float("inf"), "elevation_m": -1},
+        {"chip_id": "\ud800\U0001f600", "aoi": "\r", "lon": 5e-324, "lat": -0.0,
+         "elevation_m": 1.7976931348623157e308},
+    ]
+    lines = [json.dumps({**r, "fractions": dict(reversed(fr.items()))}) for r in recs]
+    # raw UTF-8 on the line; U+2028 ends a line for str.splitlines, not for a file
+    lines[1] = lines[1].replace("\\u00fc", "\u00fc").replace("\\u2028", "\u2028")
+    p = tmp_path / "chips.jsonl"
+    p.write_bytes(("\r\n" + lines[0] + "\r\n  \n" + lines[1] + "\r" + lines[2]).encode())
+    parsed = load_chip_table(p)
+    assert parsed.chip_ids == ("", "a\nb\u0000c", "\ud800\U0001f600")
+    assert parsed.aois.tolist() == ["", "z\u00fcrich \u2028", "\r"]
+    _no_parse(monkeypatch)
+    served = load_chip_table(p)
+    assert served.chip_ids == parsed.chip_ids
+    assert served.aois.tolist() == parsed.aois.tolist()
+    for name in ("lon", "lat", "fractions", "elevations"):
+        assert getattr(served, name).tobytes() == getattr(parsed, name).tobytes()
+
+
+def test_chip_table_one_byte_edit_is_never_served_from_the_cache(tmp_path):
+    p = tmp_path / "chips.jsonl"
+    lines = [CHIP_LINE.replace('"c1"', f'"c{i}"') for i in range(3)]
+    p.write_text("\n".join(lines) + "\n")
+    blob = p.read_bytes()
+    load_chip_table(p)
+    for i, byte in enumerate(blob):
+        if not chr(byte).isdigit():
+            continue
+        edited = blob[:i] + str((int(chr(byte)) + 1) % 10).encode() + blob[i + 1:]
+        p.write_bytes(edited)
+        try:
+            want = ingest_mod._parse_chips(p, edited)
+        except DataFormatError:  # such as an id edited into its neighbour's
+            with pytest.raises(DataFormatError):
+                load_chip_table(p)
+        else:
+            assert load_chip_table(p) == want
+            assert load_chip_table(p) == want  # the cache now holds the edit
+        p.write_bytes(blob)
+    # the same length, so nothing but the digest tells the files apart
+    p.write_bytes(blob.replace(b'"c1"', b'"d1"'))
+    assert load_chip_table(p).chip_ids == ("c0", "d1", "c2")
+
+
+def _flip(blob, at):
+    return blob[:at] + bytes([blob[at] ^ 0x01]) + blob[at + 1:]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda b: b"",
+    lambda b: b[:40],
+    lambda b: b[:-1],
+    lambda b: b + b"\0",
+    lambda b: _flip(b, 2),                   # magic
+    lambda b: b[:4] + struct.pack("<I", 2) + b[8:],  # another version
+    lambda b: _flip(b, 9),                   # chip count
+    lambda b: _flip(b, 20),                  # chip-file digest
+    lambda b: _flip(b, 60),                  # payload digest
+    lambda b: _flip(b, 90),                  # a value
+    lambda b: _flip(b, len(b) - 3),          # an AOI label
+], ids=["empty", "torn-header", "torn-payload", "trailing-byte", "magic", "version",
+        "count", "chips-digest", "payload-digest", "value", "label"])
+def test_chip_table_damaged_cache_gives_the_same_table_and_is_rewritten(
+        tmp_path, small_synth, damage):
+    p = tmp_path / "chips.jsonl"
+    save_chip_table(small_synth.table, p)
+    load_chip_table(p)
+    good = _cols(p).read_bytes()
+    _cols(p).write_bytes(damage(good))
+    assert load_chip_table(p) == small_synth.table
+    assert _cols(p).read_bytes() == good
+
+
+def test_chip_table_cache_with_valid_digests_but_inconsistent_payload_is_refused(
+        tmp_path, small_synth):
+    # only a bug could write one, but the reader still checks what it slices
+    p = tmp_path / "chips.jsonl"
+    save_chip_table(small_synth.table, p)
+    load_chip_table(p)
+    good = _cols(p).read_bytes()
+    head = ingest_mod._COLS_HEAD
+    magic, version, n, chips_sha, _ = head.unpack_from(good)
+    for payload in (good[head.size:] + b"x", good[head.size:-1],
+                    good[head.size:head.size + 80 * n] + struct.pack("<I", 2**31)):
+        digest = ingest_mod.hashlib.sha256(payload).digest()
+        _cols(p).write_bytes(head.pack(magic, version, n, chips_sha, digest) + payload)
+        assert load_chip_table(p) == small_synth.table
+        assert _cols(p).read_bytes() == good
+
+
+_BAD_CHIPS = {
+    "malformed": CHIP_LINE + "\n{not json\n",
+    "duplicate": CHIP_LINE + "\n" + CHIP_LINE + "\n",
+    "missing-class": CHIP_LINE.replace('"builtup": 0.05, ', "") + "\n",
+    "unknown-class": CHIP_LINE.replace("builtup", "snow") + "\n",
+    "missing-key": CHIP_LINE.replace('"elevation_m"', '"elev"') + "\n",
+    "id-number": CHIP_LINE.replace('"c1"', "7") + "\n",
+    "fraction-bool": CHIP_LINE.replace("0.6", "true") + "\n",
+    "not-an-object": "[1, 2]\n",
+    "bad-utf8": b"\xff" + CHIP_LINE.encode(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CHIPS))
+def test_chip_table_refusal_leaves_no_cache_and_no_temporary_file(tmp_path, case):
+    content = _BAD_CHIPS[case]
+    p = tmp_path / "chips.jsonl"
+    if isinstance(content, bytes):
+        p.write_bytes(content)
+    else:
+        p.write_text(content)
+    with pytest.raises((DataFormatError, UnicodeDecodeError)) as info:
+        load_chip_table(p)
+    if case != "bad-utf8":
+        assert isinstance(info.value, DataFormatError) and f"{p}: line " in str(info.value)
+    assert sorted(tmp_path.iterdir()) == [p]
+
+
+def test_chip_table_refused_edit_of_a_cached_file_is_still_refused(tmp_path):
+    p = tmp_path / "chips.jsonl"
+    p.write_text(CHIP_LINE + "\n")
+    load_chip_table(p)
+    cached = _cols(p).read_bytes()
+    p.write_text(CHIP_LINE + "\n" + CHIP_LINE + "\n")
+    with pytest.raises(DataFormatError, match="line 2: duplicate chip_id"):
+        load_chip_table(p)
+    assert _cols(p).read_bytes() == cached
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["chips.jsonl", "chips.jsonl.cols"]
+
+
+@pytest.mark.parametrize("fails", ["open", "write", "replace"])
+def test_chip_table_loads_when_the_cache_cannot_be_written(
+        tmp_path, small_synth, monkeypatch, caplog, fails):
+    # as root, chmod does not stop a write, so the write itself is made to fail
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+    p = tmp_path / "chips.jsonl"
+    save_chip_table(small_synth.table, p)
+    with monkeypatch.context() as m, caplog.at_level("DEBUG", logger="probeforge.ingest"):
+        if fails == "write":
+            m.setattr(ingest_mod.os, "fdopen", lambda fd, mode: _Full(fd))
+        else:
+            m.setattr(ingest_mod.os, fails, refuse)
+        assert load_chip_table(p) == small_synth.table
+    assert "chip column cache" in caplog.text and "not written" in caplog.text
+    assert sorted(tmp_path.iterdir()) == [p]
+
+
+class _Full:
+    """A file whose every write fails as on a full disk."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        ingest_mod.os.close(self.fd)
+
+    def write(self, data):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_chip_table_cache_permissions_follow_the_umask(tmp_path, umask):
+    p = tmp_path / "chips.jsonl"
+    p.write_text(CHIP_LINE + "\n")
+    old = os.umask(umask)
+    try:
+        load_chip_table(p)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(_cols(p).stat().st_mode) == 0o666 & ~umask
+
+
+def test_chip_table_concurrent_loads_always_get_the_right_table(tmp_path, small_synth):
+    p = tmp_path / "chips.jsonl"
+    save_chip_table(small_synth.table, p)
+    errors, stop = [], threading.Event()
+
+    def loader():
+        try:
+            while not stop.is_set():
+                if load_chip_table(p) != small_synth.table:
+                    errors.append("wrong table")
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(repr(exc))
+
+    def dropper():
+        while not stop.is_set():
+            _cols(p).unlink(missing_ok=True)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=loader) for _ in range(4)]
+        workers.append(threading.Thread(target=dropper))
+        for w in workers:
+            w.start()
+        time.sleep(1.0)
+        stop.set()
+        for w in workers:
+            w.join(timeout=30)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(switch)
+    assert errors == []
+    assert {x.name for x in tmp_path.iterdir()} <= {"chips.jsonl", "chips.jsonl.cols"}
+
+
+def test_synth_writes_no_cache(tmp_path, small_synth):
+    write_dataset_dir(small_synth, tmp_path / "data")
+    assert not _cols(tmp_path / "data" / "chips.jsonl").exists()
+
+
+@pytest.mark.parametrize("value", ["-0.5", "1.5", "NaN"])
+def test_out_of_range_fractions_load_but_get_no_cache(tmp_path, small_synth, value):
+    # validate lists them, so the table loads; run refuses them, so no cache
+    write_dataset_dir(small_synth, tmp_path / "data")
+    p = tmp_path / "data" / "chips.jsonl"
+    p.write_text(re.sub(r'"tree-cover": [^,]+', f'"tree-cover": {value}', p.read_text(), 1))
+    assert len(load_chip_table(p)) == len(small_synth.table)
+    for _ in range(2):
+        with pytest.raises(DataFormatError, match="'chip-000000': fraction out of range"):
+            load_dataset_dir(tmp_path / "data")
+    assert not _cols(p).exists()
+
+
 # ---------------------------------------------------------------------------
 # embeddings
 
@@ -211,6 +532,13 @@ def test_embeddings_duplicate_id_names_the_index_line(tmp_path, rng):
 def test_embeddings_zero_dim_names_the_matrix_file(tmp_path):
     (tmp_path / "m.emb").write_bytes(b"EMB1" + struct.pack("<IQ", 0, 2))
     (tmp_path / "m.idx").write_text("c0\nc1\n")
+    with pytest.raises(DataFormatError, match=r"m\.emb: embedding matrix has no columns"):
+        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2")
+
+
+def test_embeddings_zero_dim_is_reported_before_a_repeated_id(tmp_path):
+    (tmp_path / "m.emb").write_bytes(b"EMB1" + struct.pack("<IQ", 0, 2))
+    (tmp_path / "m.idx").write_text("c0\nc0\n")
     with pytest.raises(DataFormatError, match=r"m\.emb: embedding matrix has no columns"):
         load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2")
 

@@ -1,6 +1,7 @@
 """Property-based checks: samplers, target splits, the probe, the metrics, result rows,
-chip tables, the chip-to-embedding join and the dataset loader."""
+chip tables and their column cache, the chip-to-embedding join and the dataset loader."""
 
+import json
 import math
 import struct
 
@@ -13,7 +14,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from probeforge import ingest  # noqa: E402
 from probeforge.core import ChipTable, ClassId, EmbeddingSet, assemble_dataset  # noqa: E402
-from probeforge.errors import AlignmentError, DegenerateVarianceError  # noqa: E402
+from probeforge.errors import (  # noqa: E402
+    AlignmentError,
+    DataFormatError,
+    DegenerateVarianceError,
+)
 from probeforge.ingest import load_chip_table, save_chip_table, save_embeddings  # noqa: E402
 from probeforge.metrics import DEGENERATE_STD, pearson, rmse  # noqa: E402
 from probeforge.probe import DEFAULT_RCOND, factorize, fit, predict  # noqa: E402
@@ -225,6 +230,91 @@ def test_chip_table_round_trips_through_jsonl(tmp_path_factory, n, data):
     path = tmp_path_factory.mktemp("chips") / "chips.jsonl"
     save_chip_table(table, path)
     assert load_chip_table(path) == table
+
+
+# ids and labels with what a length-prefixed column must keep: the empty
+# string, non-ASCII, line breaks, NUL and a lone surrogate (JSON can escape one)
+_texts = st.text(st.one_of(st.characters(), st.sampled_from("\n\r\x00\u2028\ud800\u00e9")),
+                 max_size=6)
+
+
+@st.composite
+def _chip_tables(draw):
+    if draw(st.booleans()):
+        spec = ingest.SynthSpec(n_chips=draw(st.integers(1, 30)), dim=2,
+                                n_aois=draw(st.integers(1, 5)),
+                                weight_seed=draw(st.integers(0, 2**32 - 1)),
+                                data_seed=draw(st.integers(0, 2**32 - 1)))
+        return ingest.synthesize_dataset(spec).table
+    n = draw(st.integers(0, 12))
+    column = st.lists(st.one_of(_values, st.sampled_from([0.0, -0.0, math.nan])),
+                      min_size=n, max_size=n)
+    # fractions in [0, 1]: a table that run would refuse gets no cache
+    fraction = st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 1.0])),
+                        min_size=n, max_size=n)
+    return ChipTable(
+        chip_ids=tuple(draw(st.lists(_texts, min_size=n, max_size=n, unique=True))),
+        aois=np.array(draw(st.lists(_texts, min_size=n, max_size=n)), dtype=object),
+        lon=draw(column), lat=draw(column),
+        fractions=np.array(draw(st.lists(fraction, min_size=7, max_size=7))).T.reshape(n, 7),
+        elevations=draw(column),
+    )
+
+
+def _outcome_of_load(path):
+    try:
+        return load_chip_table(path)
+    except (DataFormatError, UnicodeDecodeError) as exc:
+        return type(exc), str(exc)
+
+
+def _floats(table):
+    return [getattr(table, f).tobytes() for f in ("lon", "lat", "fractions", "elevations")]
+
+
+@PROPERTY
+@given(table=_chip_tables(), data=st.data())
+def test_chip_table_served_from_its_cache_equals_the_parse(tmp_path_factory, table, data):
+    lines = []
+    for i, cid in enumerate(table.chip_ids):
+        order = data.draw(st.permutations(range(7)), label="order")  # of the keys
+        rec = {"chip_id": cid, "aoi": table.aois[i], "lon": float(table.lon[i]),
+               "lat": float(table.lat[i]),
+               "fractions": {ClassId(c).label: float(table.fractions[i, c]) for c in order},
+               "elevation_m": float(table.elevations[i])}
+        blank = data.draw(st.sampled_from(["", "", " ", "\t"]), label="blank")
+        lines += [json.dumps(rec)] + ([blank] if blank else [])
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                              min_size=len(lines), max_size=len(lines)), label="ends")
+    blob = "".join(map(str.__add__, lines, ends)).encode("utf-8")
+    path = tmp_path_factory.mktemp("cols") / "chips.jsonl"
+    path.write_bytes(blob)
+
+    parsed = load_chip_table(path)
+    assert parsed == table
+    assert path.with_name("chips.jsonl.cols").exists()
+    parse, ingest._parse_chips = ingest._parse_chips, None  # a parse now fails
+    try:
+        served = load_chip_table(path)
+    finally:
+        ingest._parse_chips = parse
+    assert served == parsed and _floats(served) == _floats(parsed)
+    assert served.aois.tolist() == parsed.aois.tolist()
+
+    # any one-byte edit is parsed afresh: the same table, or the same refusal
+    if blob:
+        at = data.draw(st.integers(0, len(blob) - 1), label="at")
+        byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[at]), label="byte")
+        edited = blob[:at] + bytes([byte]) + blob[at + 1:]
+        path.write_bytes(edited)
+        fresh = path.with_name("fresh.jsonl")
+        fresh.write_bytes(edited)
+        want = _outcome_of_load(fresh)
+        got = _outcome_of_load(path)
+        if isinstance(want, ChipTable):
+            assert got == want and _floats(got) == _floats(want)
+        else:
+            assert got == (want[0], want[1].replace(str(fresh), str(path)))
 
 
 _CHIPS = [f"c{i}" for i in range(10)]
