@@ -1,4 +1,4 @@
-"""File formats, label-raster processing, compositing, and synthetic data.
+r"""File formats, label-raster processing, compositing, and synthetic data.
 
 On-disk formats (all little-endian, documented here and nowhere else):
 
@@ -14,15 +14,18 @@ On-disk formats (all little-endian, documented here and nowhere else):
   version u32 | chip count u64 | sha256 of the chip file's bytes (32) |
   sha256 of the payload (32). Payload: count*10 f8 values, row-major, per
   chip lon, lat, the seven fractions in class-code order and the elevation;
-  then the chip ids and then the AOI labels, each column as count u32 byte
-  lengths followed by the concatenated UTF-8 bytes (lone surrogates, which
-  JSON strings may hold, are kept by ``surrogatepass``). A load serves the
-  table from the cache only when magic, version and both digests match;
-  otherwise it parses the chip file and rewrites the cache. The cache is
-  safe to delete, and a directory that cannot be written is no error.
+  then ``[chip_ids, aois]`` as one ASCII JSON array of two string arrays,
+  whose escapes keep every string exactly (NUL, line ends and lone
+  surrogates included). A load serves the table from the cache only when
+  magic, version and both digests match; otherwise it parses the chip file
+  and rewrites the cache. The cache is safe to delete, and a directory that
+  cannot be written is no error.
 * Embeddings: magic ``EMB1`` | dim u32 | count u64 | count*dim f32 values,
   row-major. A sibling text index holds one chip_id per line; line i names
   row i.
+* Text files (the chip table, each index) are UTF-8, refused at a bad byte
+  with the file and 1-based line. Lines end only at ``\n``, ``\r\n`` or
+  ``\r``, so an index id may hold any other character, U+2028 included.
 * Label grids and image stacks share a fixture header of four u32 fields
   (height, width, bands, dates). A label grid (bands = dates = 1) stores
   height*width i32 class codes. A stack stores ``dates`` u32 stamps encoded
@@ -37,7 +40,6 @@ so probe recovery is checkable against closed-form targets.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import logging
 import os
@@ -46,7 +48,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import compress
 from pathlib import Path
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -73,7 +75,7 @@ logger = logging.getLogger(__name__)
 _EMB_MAGIC = b"EMB1"
 
 _COLS_MAGIC = b"PFCT"
-_COLS_VERSION = 1
+_COLS_VERSION = 2
 #: magic, version, chip count, sha256 of the chip file, sha256 of the payload
 _COLS_HEAD = struct.Struct("<4sIQ32s32s")
 #: lon, lat, the seven fractions and the elevation of one chip
@@ -81,6 +83,8 @@ _COLS_VALUES = 3 + N_CLASSES
 
 #: Bytes of ``.emb`` payload read per block: a few MiB, whatever the dim.
 _BLOCK_BYTES = 1 << 22
+#: Bytes of a text file decoded at a time, up to the next "\n": open()'s chunk size.
+_TEXT_BLOCK = 1 << 13
 
 #: Class codes of the upstream land-cover product (eleven classes) and the
 #: no-data sentinel. Only seven of the eleven are regression targets.
@@ -112,8 +116,8 @@ def load_chip_table(path: str | Path) -> ChipTable:
 
     The file is read once. When ``<path>.cols`` holds the columns of exactly
     these bytes (see the module docstring), the table comes from there and
-    no JSON is decoded; otherwise the bytes are parsed. A parse that passes
-    every check, the fraction range that ``load_dataset_dir`` refuses
+    no chip record is decoded; otherwise the bytes are parsed. A parse that
+    passes every check, the fraction range that ``load_dataset_dir`` refuses
     included, rewrites the cache.
     """
     with open(path, "rb") as fh:
@@ -129,29 +133,27 @@ def load_chip_table(path: str | Path) -> ChipTable:
 
 
 def _parse_chips(path: str | Path, blob: bytes) -> ChipTable:
-    """The chip table ``blob``, the bytes of ``path``, holds, decoded and split
-    into lines as ``open(path, encoding="utf-8")`` would."""
+    """The chip table ``blob``, the bytes of ``path``, holds."""
     ids: list[str] = []
     aois: list[str] = []
     values: list[float] = []
     seen: set[str] = set()
-    with io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                chip_id, aoi, row = _parse_chip(line)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                    OverflowError) as exc:
-                raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
-            if chip_id in seen:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: duplicate chip_id: {chip_id!r}"
-                )
-            seen.add(chip_id)
-            ids.append(chip_id)
-            aois.append(aoi)
-            values += row
+    for lineno, line in enumerate(_text_lines(path, blob), start=1):
+        if not line.strip():
+            continue
+        try:
+            chip_id, aoi, row = _parse_chip(line)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                OverflowError) as exc:
+            raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
+        if chip_id in seen:
+            raise DataFormatError(
+                f"{path}: line {lineno}: duplicate chip_id: {chip_id!r}"
+            )
+        seen.add(chip_id)
+        ids.append(chip_id)
+        aois.append(aoi)
+        values += row
     cols = np.array(values, dtype=np.float64).reshape(len(ids), _COLS_VALUES)
     return _chip_table(ids, aois, cols)
 
@@ -189,12 +191,9 @@ def _read_columns(path: Path, digest: bytes) -> ChipTable | None:
         at = 8 * _COLS_VALUES * n
         # a copy, so the table does not keep the whole file alive
         cols = np.frombuffer(payload[:at], dtype="<f8").reshape(n, _COLS_VALUES).copy()
-        ids, at = _unpack_strings(payload, at, n)
-        aois, at = _unpack_strings(payload, at, n)
-        if at != len(payload):  # a column longer or shorter than it says
-            return None
+        ids, aois = json.loads(str(payload[at:], "ascii"))
         return _chip_table(ids, aois, cols)
-    except ValueError:  # a column past the payload, bad UTF-8, repeated ids
+    except (ValueError, TypeError):  # short values, bad JSON, columns of other lengths
         return None
 
 
@@ -209,8 +208,7 @@ def _write_columns(path: Path, digest: bytes, table: ChipTable) -> None:
     values = np.column_stack([table.lon, table.lat, table.fractions, table.elevations])
     payload = b"".join([
         np.ascontiguousarray(values, dtype="<f8").tobytes(),
-        _pack_strings(table.chip_ids),
-        _pack_strings(table.aois.tolist()),
+        json.dumps([table.chip_ids, table.aois.tolist()]).encode("ascii"),
     ])
     head = _COLS_HEAD.pack(_COLS_MAGIC, _COLS_VERSION, len(table), digest,
                            hashlib.sha256(payload).digest())
@@ -230,20 +228,27 @@ def _write_columns(path: Path, digest: bytes, table: ChipTable) -> None:
         logger.debug("chip column cache %s not written: %s", path, exc)
 
 
-def _pack_strings(strs: Sequence[str]) -> bytes:
-    """Each string's UTF-8 byte length as u32, then the bytes, concatenated."""
-    raw = [s.encode("utf-8", "surrogatepass") for s in strs]
-    return np.array([len(b) for b in raw], dtype="<u4").tobytes() + b"".join(raw)
+def _text_lines(path: str | Path, blob: bytes) -> Iterator[str]:
+    r"""The lines of ``blob``, the bytes of text file ``path``, without their ends.
 
-
-def _unpack_strings(buf: memoryview, at: int, n: int) -> tuple[list[str], int]:
-    """The ``n`` strings :func:`_pack_strings` wrote at offset ``at`` of
-    ``buf``, and the offset past them."""
-    start = at + 4 * n
-    ends = (start + np.cumsum(np.frombuffer(buf, "<u4", n, at), dtype=np.int64)).tolist()
-    strs = [str(buf[a:b], "utf-8", "surrogatepass")
-            for a, b in zip([start, *ends[:-1]], ends)]
-    return strs, ends[-1] if ends else start
+    Lines end only at ``\n``, ``\r\n`` and ``\r``, not at U+2028 and the like.
+    Bad UTF-8 raises ``DataFormatError`` naming ``path`` and the 1-based line.
+    """
+    start = 0
+    while start < len(blob):
+        # a block ends just past a "\n", so no "\r\n" spans two blocks
+        end = blob.find(b"\n", start + _TEXT_BLOCK) + 1 or len(blob)
+        try:
+            text = str(blob[start:end], "utf-8")
+        except UnicodeDecodeError as exc:
+            at = start + exc.start  # its line: the last of the bytes before it and one more
+            lineno = sum(1 for _ in _text_lines(path, blob[:at] + b"."))
+            raise DataFormatError(f"{path}: line {lineno}: not valid UTF-8"
+                                  f" (byte 0x{blob[at]:02x}: {exc.reason})") from None
+        if "\r" in text:  # a search is far cheaper than a replace that finds nothing
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        yield from text.removesuffix("\n").split("\n")
+        start = end
 
 
 _LABEL_SET = frozenset(CLASS_LABELS)
@@ -344,8 +349,7 @@ def load_embeddings(
                 f"{data_path}: payload is {size} bytes, header implies {expected}"
             )
 
-        with open(index_path, encoding="utf-8") as ih:
-            ids = ih.read().splitlines()
+        ids = list(_text_lines(index_path, Path(index_path).read_bytes()))
         if len(ids) != count:
             raise DataFormatError(
                 f"{index_path}: index/header mismatch: header rows {count}, index lines {len(ids)}"
@@ -813,9 +817,8 @@ def load_dataset_dir(
             datasets[fm_id] = assemble_dataset(reads, emb)
             continue
         # Nothing kept: the whole index tells a join with no chip from an empty one.
-        with open(index_path, encoding="utf-8") as fh:
-            if set(table.chip_ids).isdisjoint(fh.read().splitlines()):
-                raise AlignmentError("no aligned chips")
+        if set(table.chip_ids).isdisjoint(_text_lines(index_path, index_path.read_bytes())):
+            raise AlignmentError("no aligned chips")
         if read:
             datasets[fm_id] = Dataset(
                 fm_id=fm_id, chip_ids=(), aois=reads.aois[:0], matrix=emb.matrix,

@@ -400,12 +400,6 @@ def _run_draw_group(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[S
     return shares
 
 
-def _record(spec: ExperimentSpec, share: SpecRuns) -> AggregateRecord:
-    metrics = asdict(aggregate(share.runs)) if len(share.runs) >= 2 else {}
-    return AggregateRecord(spec=spec, degenerate_runs=share.degenerate,
-                           infeasible=share.infeasible, wall_ms=share.wall_ms, **metrics)
-
-
 def run_experiment(spec: ExperimentSpec, dataset: Dataset,
                    share: SpecRuns | None = None) -> AggregateRecord:
     """One spec's results row: repeated resample, fit, predict, aggregate.
@@ -417,7 +411,9 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset,
     """
     if share is None:
         share = _run_draw_group([spec], dataset)[0]
-    return _record(spec, share)
+    metrics = asdict(aggregate(share.runs)) if len(share.runs) >= 2 else {}
+    return AggregateRecord(spec=spec, degenerate_runs=share.degenerate,
+                           infeasible=share.infeasible, wall_ms=share.wall_ms, **metrics)
 
 
 def _run_group(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[AggregateRecord]:
@@ -442,7 +438,7 @@ def _run_one(specs: list[ExperimentSpec]) -> list[AggregateRecord]:
 def _check_resumed_row(path: Path, line: int, kept: AggregateRecord,
                        dataset: Dataset) -> None:
     """Re-run a kept row's spec; a row these inputs do not reproduce stops the resume."""
-    again = _record(kept.spec, _run_draw_group([kept.spec], dataset)[0])
+    again = run_experiment(kept.spec, dataset)
     if record_to_row(again, zero_wall=True) != record_to_row(kept, zero_wall=True):
         raise DataFormatError(
             f"{path}: line {line}: kept row is not reproduced by re-running its spec"

@@ -222,6 +222,39 @@ def test_run_refuses_a_non_number_in_the_chip_table(workdir, capsys, key, value,
     assert not (workdir / "data" / "chips.jsonl.cols").exists()
 
 
+def test_run_reads_chip_ids_holding_a_unicode_line_separator(workdir):
+    synth(workdir)
+    data = workdir / "data"
+    for name in ("chips.jsonl", "embeddings/tiny-s1.idx"):
+        text = (data / name).read_text(encoding="utf-8")
+        (data / name).write_text(text.replace("chip-", "chip\u2028-"), encoding="utf-8")
+    assert run(workdir) == 0
+    assert len(parse_results_file(workdir / "results.csv")) == 1
+
+
+def _validate(workdir):
+    return main(["validate",
+                 "--chips", str(workdir / "data" / "chips.jsonl"),
+                 "--emb", str(workdir / "data" / "embeddings" / "tiny-s1.emb"),
+                 "--index", str(workdir / "data" / "embeddings" / "tiny-s1.idx"),
+                 "--fm-dim", "8"])
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("name, line", [("chips.jsonl", 150), ("embeddings/tiny-s1.idx", 170)],
+                         ids=["chips", "index"])
+def test_bad_utf8_exits_2_naming_the_file_and_line(workdir, capsys, command, name, line):
+    synth(workdir)
+    path = workdir / "data" / name
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:3] + b"\xff" + lines[line - 1][3:]
+    path.write_bytes(b"\n".join(lines))
+    assert (run(workdir) if command == "run" else _validate(workdir)) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: line {line}: not valid UTF-8 (byte 0xff: invalid start byte)" in err
+    assert not (workdir / "results.csv").exists()
+
+
 def _poison_row(emb_path, row):
     """Overwrite the first value of ``row`` in an .emb file with NaN."""
     blob = bytearray(emb_path.read_bytes())

@@ -1,0 +1,28 @@
+"""The package's runtime dependencies: the standard library and numpy, nothing else."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "probeforge"
+ALLOWED = sys.stdlib_module_names | {"numpy", "probeforge"}
+
+
+def _imported_top_levels(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_package_imports_only_the_stdlib_and_numpy():
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) > 5
+    foreign = {
+        f"{path.name}: {name}"
+        for path in sources
+        for name in _imported_top_levels(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in ALLOWED
+    }
+    assert not foreign, sorted(foreign)

@@ -169,6 +169,31 @@ def test_results_are_golden_with_and_without_the_chip_table_cache(tmp_path, monk
                      "--data-dir", str(data), "--out", str(out)]) == 0
         assert _digest(out) == GOLDEN["run/results.csv"]
         assert cache.exists()
+    # a cache of the first format, valid for this chip file, is parsed over and rewritten
+    current = cache.read_bytes()
+    assert struct.unpack_from("<I", current, 4) == (2,)
+    cache.write_bytes(_v1_cache(data / "chips.jsonl"))
+    out = tmp_path / "results-v1.csv"
+    assert main(["run", "--grid", str(tmp_path / "grid.json"),
+                 "--data-dir", str(data), "--out", str(out)]) == 0
+    assert _digest(out) == GOLDEN["run/results.csv"]
+    assert cache.read_bytes() == current
+
+
+def _v1_cache(chips_path):
+    """The version 1 column cache of ``chips_path``: each string column as u32
+    byte lengths followed by the UTF-8 bytes."""
+    blob = chips_path.read_bytes()
+    recs = [json.loads(line) for line in blob.decode().split("\n") if line.strip()]
+    values = [v for r in recs for v in (r["lon"], r["lat"],
+                                        *(r["fractions"][label] for label in LABELS),
+                                        r["elevation_m"])]
+    payload = struct.pack(f"<{len(values)}d", *values)
+    for key in ("chip_id", "aoi"):
+        raw = [r[key].encode() for r in recs]
+        payload += struct.pack(f"<{len(raw)}I", *map(len, raw)) + b"".join(raw)
+    sha = [hashlib.sha256(b).digest() for b in (blob, payload)]
+    return struct.pack("<4sIQ32s32s", b"PFCT", 1, len(recs), *sha) + payload
 
 
 def test_data_the_grid_does_not_read_leaves_the_results_unchanged(tmp_path, monkeypatch):

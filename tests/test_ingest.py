@@ -1,5 +1,7 @@
 """File formats, raster fractions, composites, and the synthetic generator."""
 
+import io
+import itertools
 import json
 import os
 import re
@@ -287,7 +289,7 @@ def _flip(blob, at):
     lambda b: b[:-1],
     lambda b: b + b"\0",
     lambda b: _flip(b, 2),                   # magic
-    lambda b: b[:4] + struct.pack("<I", 2) + b[8:],  # another version
+    lambda b: b[:4] + struct.pack("<I", ingest_mod._COLS_VERSION + 1) + b[8:],
     lambda b: _flip(b, 9),                   # chip count
     lambda b: _flip(b, 20),                  # chip-file digest
     lambda b: _flip(b, 60),                  # payload digest
@@ -315,8 +317,16 @@ def test_chip_table_cache_with_valid_digests_but_inconsistent_payload_is_refused
     good = _cols(p).read_bytes()
     head = ingest_mod._COLS_HEAD
     magic, version, n, chips_sha, _ = head.unpack_from(good)
+    values = good[head.size:head.size + 80 * n]
+    ids, aois = list(small_synth.table.chip_ids), small_synth.table.aois.tolist()
     for payload in (good[head.size:] + b"x", good[head.size:-1],
-                    good[head.size:head.size + 80 * n] + struct.pack("<I", 2**31)):
+                    values + json.dumps([ids[:-1], aois]).encode(),   # an id short
+                    values + json.dumps([ids, aois[1:]]).encode(),    # an AOI short
+                    values + json.dumps([ids]).encode(),              # one list
+                    values + json.dumps([ids, aois, aois]).encode(),  # three lists
+                    values + json.dumps({"ids": ids, "aois": aois}).encode(),
+                    values + json.dumps(7).encode(),
+                    values + b"\xff\xfe not JSON"):
         digest = ingest_mod.hashlib.sha256(payload).digest()
         _cols(p).write_bytes(head.pack(magic, version, n, chips_sha, digest) + payload)
         assert load_chip_table(p) == small_synth.table
@@ -344,11 +354,79 @@ def test_chip_table_refusal_leaves_no_cache_and_no_temporary_file(tmp_path, case
         p.write_bytes(content)
     else:
         p.write_text(content)
-    with pytest.raises((DataFormatError, UnicodeDecodeError)) as info:
+    with pytest.raises(DataFormatError, match=re.escape(f"{p}: line ")):
         load_chip_table(p)
-    if case != "bad-utf8":
-        assert isinstance(info.value, DataFormatError) and f"{p}: line " in str(info.value)
     assert sorted(tmp_path.iterdir()) == [p]
+
+
+#: bytes no UTF-8 text holds: a bad start, a bad continuation, an encoded surrogate
+_NOT_UTF8 = [b"\xff", b"\xe2\x82(", b"\xed\xa0\x80"]
+
+
+@pytest.mark.parametrize("bad", _NOT_UTF8, ids=["start", "continuation", "surrogate"])
+def test_chip_table_bad_utf8_names_its_line(tmp_path, bad):
+    # well past the decoder's first chunk, with every line end and blank lines counted
+    ends = ["\n", "\r\n", "\r", "\n\n", " \r\n"]
+    lines = [CHIP_LINE.replace('"c1"', f'"c{i}"') + ends[i % 5] for i in range(60)]
+    text = "".join(lines)
+    lineno = 1 + sum(end.count("\n") + end.count("\r") - end.count("\r\n")
+                     for end in ends * 8)
+    at = len("".join(lines[:40])) + 10  # inside the 41st record
+    p = tmp_path / "chips.jsonl"
+    p.write_bytes(text[:at].encode() + bad + text[at:].encode())
+    with pytest.raises(DataFormatError) as info:
+        load_chip_table(p)
+    assert str(info.value).startswith(f"{p}: line {lineno}: not valid UTF-8 (byte 0x")
+    assert sorted(tmp_path.iterdir()) == [p]
+
+
+def test_chip_table_fault_a_block_ahead_of_bad_utf8_is_reported_first(tmp_path):
+    lines = [CHIP_LINE.replace('"c1"', f'"c{i}"') for i in range(100)]
+    lines[1] = "{not json"
+    blob = "\n".join(lines).encode()
+    at = len("\n".join(lines[:90])) + 5  # line 91, well past the first decoded block
+    p = tmp_path / "chips.jsonl"
+    p.write_bytes(blob[:at] + b"\xff" + blob[at:])
+    with pytest.raises(DataFormatError, match=r"chips\.jsonl: line 2: Expecting"):
+        load_chip_table(p)
+
+
+def _file_lines(blob, errors="strict"):
+    """The reference: a text file's lines, read one at a time, ends dropped."""
+    text = io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8", errors=errors)
+    return [line.rstrip("\n") for line in text]
+
+
+@pytest.mark.parametrize("block", [0, 1, 3, ingest_mod._TEXT_BLOCK])
+def test_text_lines_split_as_a_text_file_does(monkeypatch, block):
+    monkeypatch.setattr(ingest_mod, "_TEXT_BLOCK", block)
+    for n in range(6):
+        for pieces in itertools.product(["a", "\u00e9", "\r", "\n", "\u2028"], repeat=n):
+            blob = "".join(pieces).encode()
+            assert list(ingest_mod._text_lines("f", blob)) == _file_lines(blob), blob
+
+
+@pytest.mark.parametrize("block", [0, 1, 3, ingest_mod._TEXT_BLOCK])
+def test_text_lines_name_the_line_of_a_bad_byte(monkeypatch, block):
+    monkeypatch.setattr(ingest_mod, "_TEXT_BLOCK", block)
+    for n in range(5):
+        for pieces in itertools.product(["a", "\u00e9", "\r", "\n"], repeat=n):
+            for cut in range(n + 1):
+                blob = "".join(pieces[:cut]).encode() + b"\xff" + "".join(pieces[cut:]).encode()
+                lines = _file_lines(blob, errors="surrogateescape")
+                want = next(i for i, line in enumerate(lines, 1) if "\udcff" in line)
+                with pytest.raises(DataFormatError) as info:
+                    list(ingest_mod._text_lines("f", blob))
+                assert str(info.value) == (
+                    f"f: line {want}: not valid UTF-8 (byte 0xff: invalid start byte)")
+
+
+def test_chip_table_truncated_utf8_at_the_end_names_the_last_line(tmp_path):
+    p = tmp_path / "chips.jsonl"
+    p.write_bytes((CHIP_LINE + "\r\n\r\n" + CHIP_LINE[:-1]).encode() + b"\xe2\x82")
+    with pytest.raises(DataFormatError, match=r"line 3: not valid UTF-8 \(byte 0xe2: "
+                                              r"unexpected end of data\)"):
+        load_chip_table(p)
 
 
 def test_chip_table_refused_edit_of_a_cached_file_is_still_refused(tmp_path):
@@ -489,6 +567,39 @@ def test_embeddings_index_count_mismatch(tmp_path, rng):
     (tmp_path / "m.idx").write_text("c0\nc1\n")
     with pytest.raises(DataFormatError, match="index/header mismatch"):
         load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", emb.fm_id)
+
+
+#: characters that str.splitlines ends a line at and a text file does not
+_LINE_SEPARATORS = ["\u2028", "\u2029", "\x85", "\v", "\f", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("sep", _LINE_SEPARATORS,
+                         ids=[f"U+{ord(c):04X}" for c in _LINE_SEPARATORS])
+def test_embeddings_index_ids_may_hold_unicode_line_separators(tmp_path, rng, sep):
+    from probeforge.core import EmbeddingSet
+
+    ids = ("a", f"b{sep}c", f"{sep}", f"d{sep}")
+    emb = EmbeddingSet(fm_id="m-s2", chip_ids=ids,
+                       matrix=rng.standard_normal((4, 3)).astype(np.float32))
+    save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
+    again = load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2")
+    assert again.chip_ids == ids
+    assert again.matrix.tobytes() == emb.matrix.tobytes()
+    kept = load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2", (ids[2], "b"))
+    assert kept.chip_ids == (ids[2],)
+
+
+@pytest.mark.parametrize("bad", _NOT_UTF8, ids=["start", "continuation", "surrogate"])
+def test_embeddings_bad_utf8_index_names_its_line(tmp_path, rng, bad):
+    emb = make_emb(rng, n=3000)
+    save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
+    idx = (tmp_path / "m.idx").read_bytes()
+    at = idx.index(b"c2500\n") + 2  # past the decoder's first chunk
+    (tmp_path / "m.idx").write_bytes(idx[:at] + bad + idx[at:])
+    with pytest.raises(DataFormatError) as info:
+        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2")
+    assert str(info.value).startswith(
+        f"{tmp_path / 'm.idx'}: line 2501: not valid UTF-8 (byte 0x")
 
 
 def test_embeddings_bad_magic(tmp_path, rng):
@@ -906,3 +1017,13 @@ def test_dataset_dir_index_sharing_no_chip_is_refused(tmp_path, small_synth, fms
     idx.write_text("".join(f"x{line}\n" for line in idx.read_text().splitlines()))
     with pytest.raises(AlignmentError, match="no aligned chips"):
         load_dataset_dir(tmp_path / "data", fms, {"aoi-00"})
+
+
+def test_dataset_dir_unread_index_is_split_only_at_file_line_ends(tmp_path, small_synth):
+    # "x\u2028chip-..." is one id, which the table lacks; str.splitlines
+    # would make it "x" and a chip of the table
+    write_dataset_dir(small_synth, tmp_path / "data")
+    idx = tmp_path / "data" / "embeddings" / "beta-s2.idx"
+    idx.write_text("".join(f"x\u2028{line}\n" for line in idx.read_text().splitlines()))
+    with pytest.raises(AlignmentError, match="no aligned chips"):
+        load_dataset_dir(tmp_path / "data", {"alpha-s1"}, {"aoi-00"})

@@ -575,7 +575,9 @@ def test_run_grid_resume_appends_after_torn_row_on_fresh_line(
     real = runner_mod.run_experiment
     ran = []
 
-    def crash_on_second(spec, dataset, share):
+    def crash_on_second(spec, dataset, share=None):
+        if share is None:  # the resume check re-running the first kept row
+            return real(spec, dataset)
         if ran:
             raise RuntimeError("simulated crash")
         ran.append(spec)
