@@ -7,6 +7,10 @@ diagnostics go to stderr; report data goes to ``--out`` or stdout.
 
 The environment variable ``PROBEFORGE_SEED`` (decimal, 64-bit) overrides
 the grid's base seed for ``run``.
+
+Importing this module loads only the standard library and the stdlib-only
+``schema`` and ``report``: the report commands never load numpy. The other
+handlers import the numpy-backed modules they run.
 """
 
 from __future__ import annotations
@@ -19,25 +23,12 @@ import os
 import sys
 from pathlib import Path
 
-from .core import (
-    CLASS_LABELS,
-    ClassId,
-    assemble_dataset,
-    validate_dataset,
-)
 from .errors import DataFormatError, ProbeforgeError
-from .ingest import (
-    SynthSpec,
-    load_chip_table,
-    load_dataset_dir,
-    load_embeddings,
-    synthesize_dataset,
-    write_dataset_dir,
-)
-from .metrics import R_THRESHOLD, STD_THRESHOLD
 from .report import (
     LEAST_TOTAL_ELEMENTS,
+    R_THRESHOLD,
     SELECTION_RULES,
+    STD_THRESHOLD,
     SelectionCriterion,
     ablation_scatter,
     heatmap_matrix,
@@ -46,15 +37,7 @@ from .report import (
     selection_table,
     selection_text,
 )
-from .runner import (
-    GridSpec,
-    REGIMES,
-    enumerate_grid,
-    grid_reads,
-    parse_results_file,
-    run_grid,
-)
-from .sampling import SamplerKind
+from .schema import CLASS_LABELS, REGIMES, ClassId, SamplerKind, parse_results_file
 
 logger = logging.getLogger(__name__)
 
@@ -134,6 +117,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The CLI's seams. ``_cmd_run`` calls these two through this module's
+# globals, so a caller may rebind them (a benchmark times them that way).
+# Reading them must not load numpy, so each imports its module when called.
+def load_dataset_dir(data_dir, fms=None, aois=None):
+    """``ingest.load_dataset_dir``."""
+    from .ingest import load_dataset_dir
+
+    return load_dataset_dir(data_dir, fms, aois)
+
+
+def run_grid(grid, datasets, out_path, threads=1, resume=False):
+    """``runner.run_grid``."""
+    from .runner import run_grid
+
+    return run_grid(grid, datasets, out_path, threads=threads, resume=resume)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -142,6 +142,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .core import assemble_dataset, validate_dataset
+    from .ingest import load_chip_table, load_embeddings
+
     table = load_chip_table(args.chips)
     emb = load_embeddings(args.emb, args.index, args.fm_id or Path(args.emb).stem)
     if emb.matrix.shape[1] != args.fm_dim:
@@ -155,6 +158,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .ingest import SynthSpec, synthesize_dataset, write_dataset_dir
+
     with open(args.spec, encoding="utf-8") as fh:
         spec = SynthSpec.from_dict(json.load(fh))
     result = synthesize_dataset(spec)
@@ -169,6 +174,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
+    # Both seams' modules load here, before either seam runs, so that a
+    # caller timing a seam times no import.
+    from . import ingest  # noqa: F401
+    from .runner import GridSpec, enumerate_grid, grid_reads
+
     with open(args.grid, encoding="utf-8") as fh:
         grid = GridSpec.from_dict(json.load(fh))
     env_seed = os.environ.get(SEED_ENV)

@@ -1,5 +1,6 @@
-"""Domain types shared by all modules, plus dataset assembly and validation,
-and the JSON field check that grid and synth specs share.
+"""Chip tables, embedding sets and joined datasets, their assembly and
+validation, and the JSON field check that grid and synth specs share. The
+class, modality and sampler names they use live in ``schema``.
 
 A *chip* is one fixed-size image tile; each chip carries per-class cover
 fractions and a mean elevation. A chip table holds them as columns, one row
@@ -17,15 +18,15 @@ reported by ``validate_dataset`` instead of raised.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import MISSING, InitVar, dataclass, field, fields
-from enum import Enum, IntEnum
 from itertools import compress, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import AlignmentError
+# ClassId orders the fraction columns below; library code imports it from here too.
+from .schema import CLASS_LABELS, N_CLASSES, ClassId  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -33,51 +34,6 @@ logger = logging.getLogger(__name__)
 #: from integer pixel counts over the chip grid, so the exact sum never
 #: exceeds 1; the slack only absorbs float round-trips.
 FRACTION_SUM_TOL = 1e-9
-
-
-class ClassId(IntEnum):
-    """The seven land-cover regression targets, with stable integer codes."""
-
-    TREE_COVER = 0
-    SHRUBLAND = 1
-    GRASSLAND = 2
-    CROPLAND = 3
-    BUILTUP = 4
-    BARE_SPARSE_VEGETATION = 5
-    PERMANENT_WATER = 6
-
-    @property
-    def label(self) -> str:
-        return _CLASS_LABELS[self.value]
-
-    @classmethod
-    def from_label(cls, label: str) -> "ClassId":
-        try:
-            return _LABEL_TO_CLASS[label]
-        except KeyError:
-            raise ValueError(f"unknown class label: {label!r}") from None
-
-
-_CLASS_LABELS = (
-    "tree-cover",
-    "shrubland",
-    "grassland",
-    "cropland",
-    "builtup",
-    "bare-sparse-vegetation",
-    "permanent-water",
-)
-_LABEL_TO_CLASS = {lbl: ClassId(i) for i, lbl in enumerate(_CLASS_LABELS)}
-
-CLASS_LABELS: tuple[str, ...] = _CLASS_LABELS
-N_CLASSES = len(CLASS_LABELS)
-
-
-class Modality(str, Enum):
-    """Input sensor family an embedding model consumes."""
-
-    S1 = "S1"
-    S2 = "S2"
 
 
 def _readonly(a, dtype=None) -> np.ndarray:
@@ -371,19 +327,6 @@ def validate_dataset(ds: Dataset) -> ValidationReport:
         if bad_emb[i]:
             violations.append(Violation(chip_id, RULE_EMBEDDING))
     return ValidationReport(violations=tuple(violations), n_chips=len(ds))
-
-
-def infer_modality(fm_id: str) -> Modality | None:
-    """Guess the sensor family from an fm id like ``s1-foo`` or ``x-s2-bar``.
-
-    Returns None when neither an ``s1`` nor an ``s2`` token appears.
-    """
-    tokens = re.findall(r"[^\W_]+", fm_id.lower())
-    if "s1" in tokens:
-        return Modality.S1
-    if "s2" in tokens:
-        return Modality.S2
-    return None
 
 
 #: Per field annotation: a test of the JSON values it takes (a bool is no

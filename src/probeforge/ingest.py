@@ -25,7 +25,8 @@ On-disk formats (all little-endian, documented here and nowhere else):
   row i.
 * Text files (the chip table, each index) are UTF-8, refused at a bad byte
   with the file and 1-based line. Lines end only at ``\n``, ``\r\n`` or
-  ``\r``, so an index id may hold any other character, U+2028 included.
+  ``\r``, so an index id may hold any other character, U+2028 included;
+  ``save_embeddings`` refuses an id with a line end or a lone surrogate.
 * Label grids and image stacks share a fixture header of four u32 fields
   (height, width, bands, dates). A label grid (bands = dates = 1) stores
   height*width i32 class codes. A stack stores ``dates`` u32 stamps encoded
@@ -53,11 +54,8 @@ from typing import Collection, Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    CLASS_LABELS,
-    N_CLASSES,
     RULE_FRACTION_RANGE,
     ChipTable,
-    ClassId,
     Dataset,
     EmbeddingSet,
     _match,
@@ -68,7 +66,8 @@ from .core import (
     id_positions,
 )
 from .errors import AlignmentError, DataFormatError
-from .seeds import stream
+from .schema import CLASS_LABELS, N_CLASSES, ClassId
+from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -232,7 +231,8 @@ def _text_lines(path: str | Path, blob: bytes) -> Iterator[str]:
     r"""The lines of ``blob``, the bytes of text file ``path``, without their ends.
 
     Lines end only at ``\n``, ``\r\n`` and ``\r``, not at U+2028 and the like.
-    Bad UTF-8 raises ``DataFormatError`` naming ``path`` and the 1-based line.
+    Bad UTF-8 raises ``DataFormatError`` naming ``path`` and the 1-based line,
+    once every line ahead of that one has been yielded.
     """
     start = 0
     while start < len(blob):
@@ -241,14 +241,22 @@ def _text_lines(path: str | Path, blob: bytes) -> Iterator[str]:
         try:
             text = str(blob[start:end], "utf-8")
         except UnicodeDecodeError as exc:
-            at = start + exc.start  # its line: the last of the bytes before it and one more
-            lineno = sum(1 for _ in _text_lines(path, blob[:at] + b"."))
-            raise DataFormatError(f"{path}: line {lineno}: not valid UTF-8"
-                                  f" (byte 0x{blob[at]:02x}: {exc.reason})") from None
+            at, reason = start + exc.start, exc.reason
+            break
         if "\r" in text:  # a search is far cheaper than a replace that finds nothing
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         yield from text.removesuffix("\n").split("\n")
         start = end
+    else:
+        return
+    # The block's complete lines ahead of the bad byte come first, so that a
+    # fault the caller finds on one of them is reported ahead of the bad byte.
+    ahead = max(blob.rfind(b"\n", start, at), blob.rfind(b"\r", start, at)) + 1
+    yield from _text_lines(path, blob[start:ahead])
+    # its line: the last of the bytes before it and one more
+    lineno = sum(1 for _ in _text_lines(path, blob[:at] + b"."))
+    raise DataFormatError(f"{path}: line {lineno}: not valid UTF-8"
+                          f" (byte 0x{blob[at]:02x}: {reason})")
 
 
 _LABEL_SET = frozenset(CLASS_LABELS)
@@ -307,15 +315,30 @@ def save_chip_table(table: ChipTable, path: str | Path) -> None:
 
 
 def save_embeddings(emb: EmbeddingSet, data_path: str | Path, index_path: str | Path) -> None:
-    """Write the binary matrix and its text index (see module docstring)."""
+    """Write the binary matrix and its text index (see module docstring).
+
+    An id the index cannot hold, one with a line end or one that is not
+    encodable as UTF-8 (a lone surrogate), is refused before either file is
+    opened.
+    """
+    index = []
+    for cid in emb.chip_ids:
+        try:
+            line = cid.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DataFormatError(
+                f"{index_path}: chip id {cid!r} is not encodable as UTF-8 ({exc.reason})"
+            ) from None
+        if b"\n" in line or b"\r" in line:
+            raise DataFormatError(f"{index_path}: chip id {cid!r} holds a line end")
+        index.append(line + b"\n")
     m = np.ascontiguousarray(emb.matrix, dtype="<f4")
     with open(data_path, "wb") as fh:
         fh.write(_EMB_MAGIC)
         fh.write(struct.pack("<IQ", m.shape[1], len(emb)))
         fh.write(m.tobytes())
-    with open(index_path, "w", encoding="utf-8") as fh:
-        for cid in emb.chip_ids:
-            fh.write(cid + "\n")
+    with open(index_path, "wb") as fh:
+        fh.write(b"".join(index))
 
 
 def load_embeddings(
@@ -669,6 +692,11 @@ def noise_sigma_for_correlation(rho: float) -> float:
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"rho must be in (0, 1], got {rho}")
     return float(np.sqrt(1.0 / rho**2 - 1.0))
+
+
+def stream(base: int, *parts: int | str) -> np.random.Generator:
+    """A private PCG64 generator for the given seed derivation."""
+    return np.random.default_rng(derive_seed(base, *parts))
 
 
 def synthesize_dataset(spec: SynthSpec) -> SynthResult:

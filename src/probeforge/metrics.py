@@ -3,7 +3,8 @@
 The headline metric is the Pearson correlation between probe predictions
 and targets; a configuration is considered practically useful when the
 correlation mean over repeated resampling exceeds 0.7 and its standard
-deviation stays below 0.05 (applied by ``report.SelectionCriterion``).
+deviation stays below 0.05 (``report.R_THRESHOLD`` and
+``report.STD_THRESHOLD``, applied by ``report.SelectionCriterion``).
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ from .errors import DegenerateVarianceError
 #: A vector whose standard deviation is at or below this carries no
 #: correlation information; such runs are excluded (and counted) upstream.
 DEGENERATE_STD = 1e-12
-
-#: Default thresholds on the correlation mean and standard deviation.
-R_THRESHOLD = 0.7
-STD_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)

@@ -4,22 +4,38 @@ Everything here is a pure transformation from parsed result records to
 plot-ready CSV (rendering itself stays outside the package). The selection
 table additionally renders as aligned plain text in the ``mean ±std``
 style used when quoting correlation results.
+
+This module imports only the standard library and ``schema`` at import
+time, and no report command loads numpy; keep it that way. Only reading
+``HeatmapMatrix.cells``, the heatmap as an array, imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-import numpy as np
-
-from .core import ClassId, Modality, infer_modality
-from .metrics import R_THRESHOLD, STD_THRESHOLD
-from .runner import (
-    CSV_COLUMNS, REGIME_EXTERNAL, AggregateRecord, csv_text, fmt_float, record_to_row,
+from .schema import (
+    CSV_COLUMNS,
+    REGIME_EXTERNAL,
+    AggregateRecord,
+    ClassId,
+    Modality,
+    SamplerKind,
+    csv_text,
+    fmt_float,
+    infer_modality,
+    record_to_row,
 )
-from .sampling import SamplerKind
+
+if TYPE_CHECKING:
+    import numpy as np
+
+#: Default thresholds on the correlation mean and standard deviation.
+R_THRESHOLD = 0.7
+STD_THRESHOLD = 0.05
 
 #: Marker emitted for a (target_aoi, class) group where no configuration
 #: clears both thresholds.
@@ -62,17 +78,26 @@ class HeatmapMatrix:
 
     Rows hold S1 models before S2 models (unrecognized modalities last),
     alphabetical within each block; columns are (train_aoi, target_aoi)
-    pairs in lexicographic order.
+    pairs in lexicographic order. ``rows`` holds one tuple of cells per
+    model, and ``cells`` the same values as a read-only 2-D array.
     """
 
     fm_ids: tuple[str, ...]
     pairs: tuple[tuple[str, str], ...]
-    cells: np.ndarray
+    rows: tuple[tuple[float, ...], ...]
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        import numpy as np  # here only, so that rendering the CSV needs no numpy
+
+        cells = np.array(self.rows, dtype=np.float64)
+        cells.setflags(write=False)
+        return cells
 
     def to_csv(self) -> str:
         header = ["fm_id", "modality"] + [f"{a}->{b}" for a, b in self.pairs]
         rows = [header]
-        for fm, cells in zip(self.fm_ids, self.cells.tolist()):
+        for fm, cells in zip(self.fm_ids, self.rows):
             mod = infer_modality(fm)
             rows.append([fm, mod.value if mod else ""]
                         + ["" if math.isnan(v) else fmt_float(v) for v in cells])
@@ -102,7 +127,7 @@ def heatmap_matrix(
     fm_ids = tuple(sorted({r.spec.fm_id for r in pool},
                           key=lambda f: (_modality_rank(f), f)))
     pairs = tuple(sorted({(r.spec.train_aoi, r.spec.target_aoi) for r in pool}))
-    cells = np.full((len(fm_ids), len(pairs)), np.nan)
+    cells = [[math.nan] * len(pairs) for _ in fm_ids]
     fm_pos = {f: i for i, f in enumerate(fm_ids)}
     pair_pos = {p: j for j, p in enumerate(pairs)}
     filled: set[tuple[int, int]] = set()
@@ -115,9 +140,8 @@ def heatmap_matrix(
                 f"{r.spec.train_aoi}->{r.spec.target_aoi}); add filters"
             )
         filled.add((i, j))
-        cells[i, j] = r.r_mean
-    cells.setflags(write=False)
-    return HeatmapMatrix(fm_ids=fm_ids, pairs=pairs, cells=cells)
+        cells[i][j] = r.r_mean
+    return HeatmapMatrix(fm_ids=fm_ids, pairs=pairs, rows=tuple(map(tuple, cells)))
 
 
 # ---------------------------------------------------------------------------

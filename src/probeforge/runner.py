@@ -19,88 +19,44 @@ at most the final row, which a resume drops) and then rewrites the file in
 canonical enumeration order with wall times zeroed, making completed result
 files byte-comparable across parallelism levels.
 Wall-clock measurements still reach the log and the streaming rows; they
-are deliberately absent from the canonical artifact.
+are deliberately absent from the canonical artifact. The spec, its record
+and the results file itself are defined in ``schema``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import logging
-import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ClassId, Dataset, check_json_fields
+from .core import Dataset, check_json_fields
 from .errors import DataFormatError, DegenerateVarianceError, GridError
 from .metrics import RunMetrics, aggregate, pearson, rmse
 from .probe import factorize, fit, predict
-from .sampling import SampleRequest, SamplerKind, draw, split_target
+from .sampling import SampleRequest, draw, split_target
+from .schema import (
+    CSV_COLUMNS,
+    REGIME_EXTERNAL,
+    REGIME_TARGET_SPLIT,
+    REGIMES,
+    AggregateRecord,
+    ClassId,
+    ExperimentSpec,
+    SamplerKind,
+    csv_text,
+    fmt_float,
+    parse_results_file,
+    record_to_row,
+    write_results_file,
+)
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
-
-REGIME_EXTERNAL = "external"
-REGIME_TARGET_SPLIT = "target-split"
-REGIMES = (REGIME_EXTERNAL, REGIME_TARGET_SPLIT)
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One fully determined experiment (sans data)."""
-
-    fm_id: str
-    class_id: ClassId
-    regime: str
-    target_aoi: str
-    sampler: SamplerKind
-    n_train: int
-    n_test: int
-    repetitions: int
-    base_seed: int
-    train_aoi: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if self.regime == REGIME_EXTERNAL:
-            if self.train_aoi is None:
-                raise ValueError("external regime requires a train_aoi")
-            if self.train_aoi == self.target_aoi:
-                raise ValueError(
-                    f"external regime forbids train_aoi == target_aoi ({self.target_aoi!r})"
-                )
-        elif self.train_aoi is not None:
-            raise ValueError("target-split regime takes no train_aoi")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValueError("n_train and n_test must be positive")
-        if self.repetitions < 2:
-            raise ValueError("repetitions must be at least 2")
-
-    def _key(self, class_field: str) -> str:
-        return (
-            f"regime={self.regime};fm={self.fm_id};{class_field}"
-            f"train={self.train_aoi or '-'};target={self.target_aoi};"
-            f"sampler={self.sampler.value};n_train={self.n_train};"
-            f"n_test={self.n_test};reps={self.repetitions}"
-        )
-
-    def key(self) -> str:
-        """Canonical encoding; the resume identity."""
-        return self._key(f"class={self.class_id.label};")
-
-    def draw_key(self) -> str:
-        """The key without the class, and the seed tag: no draw reads the class."""
-        return self._key("")
-
-    def seed(self) -> int:
-        return derive_seed(self.base_seed, self.draw_key())
 
 
 @dataclass(frozen=True)
@@ -159,115 +115,6 @@ class GridSpec:
         except ValueError as exc:
             raise GridError(str(exc)) from exc
         return cls(**{**d, "classes": classes, "samplers": samplers})
-
-
-@dataclass(frozen=True)
-class AggregateRecord:
-    """One results row: the spec echoed plus aggregated metrics.
-
-    ``wall_ms`` is measurement noise, not a result, so it is excluded from
-    equality and zeroed in canonical files.
-    """
-
-    spec: ExperimentSpec
-    r_mean: float = float("nan")
-    r_std: float = float("nan")
-    rmse_mean: float = float("nan")
-    rmse_std: float = float("nan")
-    degenerate_runs: int = 0
-    infeasible: bool = False
-    wall_ms: float = field(default=0.0, compare=False)
-
-    @property
-    def total_elements(self) -> int:
-        return self.spec.n_train + self.spec.n_test
-
-
-def fmt_float(x: float) -> str:
-    return format(float(x), ".6g")
-
-
-def _flag(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise DataFormatError(f"bad infeasible flag {text!r}")
-    return text == "true"
-
-
-#: The results file, column by column: (column, the ExperimentSpec or else
-#: AggregateRecord field it holds, field to text, text to field). Nothing in
-#: an AggregateRecord beyond these fields enters the results file.
-_RESULTS_SCHEMA = (
-    ("fm_id", "fm_id", str, str),
-    ("class", "class_id", lambda c: c.label, ClassId.from_label),
-    ("regime", "regime", str, str),
-    ("train_aoi", "train_aoi", lambda a: a or "", lambda t: t or None),
-    ("target_aoi", "target_aoi", str, str),
-    ("sampler", "sampler", lambda s: s.value, SamplerKind),
-    ("n_train", "n_train", str, int),
-    ("n_test", "n_test", str, int),
-    ("repetitions", "repetitions", str, int),
-    ("r_mean", "r_mean", fmt_float, float),
-    ("r_std", "r_std", fmt_float, float),
-    ("rmse_mean", "rmse_mean", fmt_float, float),
-    ("rmse_std", "rmse_std", fmt_float, float),
-    ("degenerate_runs", "degenerate_runs", str, int),
-    ("infeasible", "infeasible", lambda b: "true" if b else "false", _flag),
-    ("wall_ms", "wall_ms", fmt_float, float),
-    ("base_seed", "base_seed", str, int),
-)
-CSV_COLUMNS = tuple(column for column, *_ in _RESULTS_SCHEMA)
-_SPEC_FIELDS = tuple(f.name for f in fields(ExperimentSpec))
-
-
-def record_to_row(rec: AggregateRecord, zero_wall: bool = False) -> list[str]:
-    values = {**vars(rec.spec), **vars(rec)}
-    if zero_wall:
-        values["wall_ms"] = 0.0
-    return [write(values[name]) for _, name, write, _ in _RESULTS_SCHEMA]
-
-
-def record_from_row(row: Sequence[str]) -> AggregateRecord:
-    if len(row) != len(CSV_COLUMNS):
-        raise DataFormatError(
-            f"results row has {len(row)} fields, expected {len(CSV_COLUMNS)}"
-        )
-    values = {name: read(text) for (_, name, _, read), text in zip(_RESULTS_SCHEMA, row)}
-    spec = ExperimentSpec(**{name: values.pop(name) for name in _SPEC_FIELDS})
-    return AggregateRecord(spec=spec, **values)
-
-
-def csv_text(rows: Iterable[Sequence[str]]) -> str:
-    """``rows`` as CSV text, each line ending in ``\\n``: every CSV the package writes."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
-def write_results_file(path: str | Path, records: Sequence[AggregateRecord]) -> None:
-    """Write the canonical results CSV (record order is the file order)."""
-    text = csv_text([CSV_COLUMNS, *(record_to_row(r, zero_wall=True) for r in records)])
-    tmp = Path(path).with_name(Path(path).name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def parse_results_file(path: str | Path) -> list[AggregateRecord]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty results file") from None
-        if tuple(header) != CSV_COLUMNS:
-            raise DataFormatError(f"{path}: unexpected results header {header}")
-        out = []
-        for i, row in enumerate(reader, start=2):
-            try:
-                out.append(record_from_row(row))
-            except (DataFormatError, ValueError) as exc:
-                raise DataFormatError(f"{path}: line {i}: {exc}") from exc
-    return out
 
 
 #: Per regime, the (ExperimentSpec field, GridSpec axis) pairs whose product
@@ -553,6 +400,7 @@ def run_grid(
                 _collect(_run_group(group, datasets[group[0].fm_id]))
         else:
             import multiprocessing
+            from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
             try:
                 ctx = multiprocessing.get_context("fork")

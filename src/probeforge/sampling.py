@@ -23,19 +23,11 @@ candidate position, keeping results platform-deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .core import N_CLASSES
+from .schema import N_CLASSES, SamplerKind
 from .seeds import derive_seed
-
-
-class SamplerKind(str, Enum):
-    RANDOM = "random"
-    ESAWC = "esawc"
-    FPS = "fps"
-    SRTM = "srtm"
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,15 @@ from a base seed plus a sequence of purpose tags (strings) and indices
 parts, so streams for different purposes never collide by accident and the
 result is identical on every platform: strings are folded through blake2b
 instead of the process-randomized built-in ``hash``.
+
+This module imports only the standard library, so that ``schema`` can
+derive a spec's seed without numpy; keep it that way. The numpy generator
+built on a derived seed is ``ingest.stream``.
 """
 
 from __future__ import annotations
 
 import hashlib
-
-import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -43,7 +45,3 @@ def derive_seed(base: int, *parts: int | str) -> int:
         state = splitmix64(state ^ _fold(part))
     return state
 
-
-def stream(base: int, *parts: int | str) -> np.random.Generator:
-    """A private PCG64 generator for the given seed derivation."""
-    return np.random.default_rng(derive_seed(base, *parts))

@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import make_record
 from probeforge.cli import SEED_ENV, main
 from probeforge.runner import parse_results_file
+from probeforge.schema import write_results_file
 
 SYNTH_SPEC = {
     "n_chips": 200, "dim": 8, "noise_sigma": 0.3,
@@ -490,3 +492,73 @@ def test_package_import_loads_no_submodule_and_no_numpy():
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert [m for m in loaded if m == "numpy" or m.startswith(("numpy.", "probeforge."))] == []
+
+
+# Runs cli.main as perfbench's measured.py does: both seams are read and
+# rebound first. Each seam records the modules loaded when it is called. The
+# last stdout line is the exit code, every loaded module and those records.
+MEASURED = """
+import json, sys
+from probeforge import cli
+
+seen = {}
+
+
+def seam(name):
+    real = getattr(cli, name)
+
+    def called(*args, **kwargs):
+        seen[name] = sorted(sys.modules)
+        return real(*args, **kwargs)
+    return called
+
+
+cli.load_dataset_dir = seam("load_dataset_dir")
+cli.run_grid = seam("run_grid")
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules), "seams": seen}))
+"""
+
+
+def fresh_main(*argv):
+    proc = python("-c", MEASURED, *argv)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["code"] == 0, proc.stderr
+    return out
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("report-select", ["--format", "text"]),
+    ("report-scatter", []),
+    ("report-heatmap", ["--class", "tree-cover"]),
+])
+def test_report_commands_load_no_numpy(tmp_path, command, extra):
+    results = tmp_path / "results.csv"
+    write_results_file(results, [
+        make_record(),
+        make_record(regime="external", train_aoi="aoi-01", r_mean=0.75),
+    ])
+    out = fresh_main(command, "--results", str(results), "--out", str(tmp_path / "out"), *extra)
+    assert [m for m in out["modules"] if m == "numpy" or m.startswith("numpy.")] == []
+    assert (tmp_path / "out").read_text().count("\n") >= 2
+
+
+def test_serial_run_loads_no_process_pool(workdir):
+    synth(workdir)
+    out = fresh_main("run", "--grid", str(workdir / "grid.json"), "--data-dir",
+                   str(workdir / "data"), "--out", str(workdir / "results.csv"),
+                   "--threads", "1")
+    assert "concurrent.futures" not in out["modules"]
+    assert len(parse_results_file(workdir / "results.csv")) == 1
+
+
+def test_run_calls_both_seams_through_the_cli_module_after_loading_their_modules(workdir):
+    # A module first loaded inside a seam would be timed as part of it.
+    synth(workdir)
+    out = fresh_main("run", "--grid", str(workdir / "grid.json"), "--data-dir",
+                   str(workdir / "data"), "--out", str(workdir / "results.csv"))
+    assert sorted(out["seams"]) == ["load_dataset_dir", "run_grid"]
+    for loaded in out["seams"].values():
+        assert {"numpy", "probeforge.ingest", "probeforge.runner"} <= set(loaded)
+

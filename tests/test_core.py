@@ -15,13 +15,12 @@ from probeforge.core import (
     RULE_EMBEDDING,
     RULE_FRACTION_RANGE,
     RULE_FRACTION_SUM,
-    Modality,
     assemble_dataset,
-    infer_modality,
     validate_dataset,
 )
 from probeforge.errors import AlignmentError
 from probeforge.ingest import load_chip_table
+from probeforge.schema import Modality, infer_modality
 
 
 def make_table(ids, fractions=None, elevations=None, aois=None):

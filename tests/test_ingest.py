@@ -391,6 +391,18 @@ def test_chip_table_fault_a_block_ahead_of_bad_utf8_is_reported_first(tmp_path):
         load_chip_table(p)
 
 
+def test_chip_table_fault_in_the_block_of_bad_utf8_is_reported_first(tmp_path):
+    lines = [CHIP_LINE.replace('"c1"', f'"c{i}"') for i in range(30)]
+    lines[1] = "{not json"
+    blob = "\n".join(lines).encode()
+    at = len("\n".join(lines[:19])) + 5  # line 20, in the same decoded block as line 2
+    assert at < ingest_mod._TEXT_BLOCK
+    p = tmp_path / "chips.jsonl"
+    p.write_bytes(blob[:at] + b"\xff" + blob[at:])
+    with pytest.raises(DataFormatError, match=r"chips\.jsonl: line 2: Expecting"):
+        load_chip_table(p)
+
+
 def _file_lines(blob, errors="strict"):
     """The reference: a text file's lines, read one at a time, ends dropped."""
     text = io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8", errors=errors)
@@ -419,6 +431,21 @@ def test_text_lines_name_the_line_of_a_bad_byte(monkeypatch, block):
                     list(ingest_mod._text_lines("f", blob))
                 assert str(info.value) == (
                     f"f: line {want}: not valid UTF-8 (byte 0xff: invalid start byte)")
+
+
+@pytest.mark.parametrize("block", [0, 1, 3, ingest_mod._TEXT_BLOCK])
+def test_text_lines_yield_every_line_ahead_of_a_bad_byte(monkeypatch, block):
+    monkeypatch.setattr(ingest_mod, "_TEXT_BLOCK", block)
+    for n in range(5):
+        for pieces in itertools.product(["a", "\u00e9", "\r", "\n"], repeat=n):
+            for cut in range(n + 1):
+                blob = "".join(pieces[:cut]).encode() + b"\xff" + "".join(pieces[cut:]).encode()
+                lines = _file_lines(blob, errors="surrogateescape")
+                want = next(i for i, line in enumerate(lines, 1) if "\udcff" in line)
+                got = []
+                with pytest.raises(DataFormatError):
+                    got.extend(ingest_mod._text_lines("f", blob))
+                assert got == lines[:want - 1], blob
 
 
 def test_chip_table_truncated_utf8_at_the_end_names_the_last_line(tmp_path):
@@ -587,6 +614,17 @@ def test_embeddings_index_ids_may_hold_unicode_line_separators(tmp_path, rng, se
     assert again.matrix.tobytes() == emb.matrix.tobytes()
     kept = load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2", (ids[2], "b"))
     assert kept.chip_ids == (ids[2],)
+
+
+@pytest.mark.parametrize("bad", ["a\rb", "a\nb", "\ud800"], ids=["cr", "lf", "lone-surrogate"])
+def test_embeddings_id_the_index_cannot_hold_is_refused_before_any_write(tmp_path, rng, bad):
+    from probeforge.core import EmbeddingSet
+
+    emb = EmbeddingSet(fm_id="m-s2", chip_ids=("x", bad),
+                       matrix=rng.standard_normal((2, 3)).astype(np.float32))
+    with pytest.raises(DataFormatError, match=re.escape(repr(bad))):
+        save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("bad", _NOT_UTF8, ids=["start", "continuation", "surrogate"])

@@ -22,7 +22,7 @@ from probeforge.errors import (  # noqa: E402
 from probeforge.ingest import load_chip_table, save_chip_table, save_embeddings  # noqa: E402
 from probeforge.metrics import DEGENERATE_STD, pearson, rmse  # noqa: E402
 from probeforge.probe import DEFAULT_RCOND, factorize, fit, predict  # noqa: E402
-from probeforge.runner import (  # noqa: E402
+from probeforge.schema import (  # noqa: E402
     REGIME_EXTERNAL,
     REGIME_TARGET_SPLIT,
     AggregateRecord,

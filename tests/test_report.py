@@ -46,6 +46,7 @@ def test_heatmap_dense_two_by_two():
     assert hm.fm_ids == ("alpha-s1", "beta-s2")
     assert hm.pairs == (("p", "q"), ("q", "p"))
     assert hm.cells.tolist() == [[0.6, 0.4], [0.9, 0.7]]
+    assert hm.cells.dtype == np.float64 and not hm.cells.flags.writeable
 
 
 def test_heatmap_lookup_matches_linear_scan(rng):

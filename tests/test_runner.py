@@ -1,5 +1,6 @@
 """Grid enumeration, single-spec execution, and results-file determinism."""
 
+import concurrent.futures
 import dataclasses
 import gc
 import itertools
@@ -29,13 +30,13 @@ from probeforge.runner import (
     enumerate_grid,
     grid_reads,
     parse_results_file,
-    record_from_row,
     record_to_row,
     run_experiment,
     run_grid,
     write_results_file,
 )
 from probeforge.sampling import SamplerKind
+from probeforge.schema import record_from_row
 
 
 def make_spec(**kw):
@@ -657,7 +658,8 @@ def test_run_grid_starts_no_more_workers_than_draw_groups(tmp_path, monkeypatch,
             fut.set_result(fn(*args))
             return fut
 
-    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", InProcessPool)
+    # run_grid imports the executor from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(runner_mod, "_POOL_DATA", {})
     groups = len({s.draw_key() for s in enumerate_grid(SMALL_GRID)})
     assert groups == 4

@@ -4,7 +4,8 @@ import hashlib
 
 import numpy as np
 
-from probeforge.seeds import derive_seed, splitmix64, stream
+from probeforge.ingest import stream
+from probeforge.seeds import derive_seed, splitmix64
 
 MASK = (1 << 64) - 1
 
