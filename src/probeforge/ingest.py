@@ -234,29 +234,31 @@ def _text_lines(path: str | Path, blob: bytes) -> Iterator[str]:
     Bad UTF-8 raises ``DataFormatError`` naming ``path`` and the 1-based line,
     once every line ahead of that one has been yielded.
     """
-    start = 0
+    start = done = 0  # done: the lines yielded so far
     while start < len(blob):
         # a block ends just past a "\n", so no "\r\n" spans two blocks
         end = blob.find(b"\n", start + _TEXT_BLOCK) + 1 or len(blob)
         try:
-            text = str(blob[start:end], "utf-8")
+            text, reason = str(blob[start:end], "utf-8"), None
         except UnicodeDecodeError as exc:
-            at, reason = start + exc.start, exc.reason
-            break
+            # keep the valid text ahead of the bad byte, which now sits at end
+            end = start + exc.start
+            text, reason = str(blob[start:end], "utf-8"), exc.reason
         if "\r" in text:  # a search is far cheaper than a replace that finds nothing
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        yield from text.removesuffix("\n").split("\n")
+        lines = text.split("\n")
+        if reason is not None:
+            # The complete lines ahead of the bad byte come first, so that a
+            # fault the caller finds on one of them is reported ahead of it;
+            # the last, cut short by the bad byte, is the bad byte's line.
+            yield from lines[:-1]
+            raise DataFormatError(f"{path}: line {done + len(lines)}: not valid UTF-8"
+                                  f" (byte 0x{blob[end]:02x}: {reason})")
+        if not lines[-1]:  # the block ends with a line end, not a line
+            lines.pop()
+        yield from lines
+        done += len(lines)
         start = end
-    else:
-        return
-    # The block's complete lines ahead of the bad byte come first, so that a
-    # fault the caller finds on one of them is reported ahead of the bad byte.
-    ahead = max(blob.rfind(b"\n", start, at), blob.rfind(b"\r", start, at)) + 1
-    yield from _text_lines(path, blob[start:ahead])
-    # its line: the last of the bytes before it and one more
-    lineno = sum(1 for _ in _text_lines(path, blob[:at] + b"."))
-    raise DataFormatError(f"{path}: line {lineno}: not valid UTF-8"
-                          f" (byte 0x{blob[at]:02x}: {reason})")
 
 
 _LABEL_SET = frozenset(CLASS_LABELS)

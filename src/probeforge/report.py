@@ -5,17 +5,15 @@ plot-ready CSV (rendering itself stays outside the package). The selection
 table additionally renders as aligned plain text in the ``mean ±std``
 style used when quoting correlation results.
 
-This module imports only the standard library and ``schema`` at import
-time, and no report command loads numpy; keep it that way. Only reading
-``HeatmapMatrix.cells``, the heatmap as an array, imports numpy.
+This module imports only the standard library and ``schema``, so no
+report command loads numpy; keep it that way.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .schema import (
     CSV_COLUMNS,
@@ -29,9 +27,6 @@ from .schema import (
     infer_modality,
     record_to_row,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Default thresholds on the correlation mean and standard deviation.
 R_THRESHOLD = 0.7
@@ -79,20 +74,12 @@ class HeatmapMatrix:
     Rows hold S1 models before S2 models (unrecognized modalities last),
     alphabetical within each block; columns are (train_aoi, target_aoi)
     pairs in lexicographic order. ``rows`` holds one tuple of cells per
-    model, and ``cells`` the same values as a read-only 2-D array.
+    model.
     """
 
     fm_ids: tuple[str, ...]
     pairs: tuple[tuple[str, str], ...]
     rows: tuple[tuple[float, ...], ...]
-
-    @cached_property
-    def cells(self) -> np.ndarray:
-        import numpy as np  # here only, so that rendering the CSV needs no numpy
-
-        cells = np.array(self.rows, dtype=np.float64)
-        cells.setflags(write=False)
-        return cells
 
     def to_csv(self) -> str:
         header = ["fm_id", "modality"] + [f"{a}->{b}" for a, b in self.pairs]

@@ -4,16 +4,18 @@ One *spec* is a fully determined experiment: model, class, training regime,
 sampler, sizes, repetition count. Two regimes exist:
 
 * ``external`` trains on one AOI and tests on a different one (self-pairs
-  are never enumerated); the test set is always a uniform random draw.
+  are never enumerated).
 * ``target-split`` carves disjoint test and train sets out of a single
   AOI, test drawn first.
 
-Each spec derives its seed from the grid's base seed and the spec's *draw
-key*, its canonical key without the class, and each repetition derives from
-that seed, so results are independent of execution order and of how many
-workers run. Specs that differ only in class therefore draw the same train
-and test chips in every repetition; the runner runs them as one draw group,
-which factorizes each training matrix once and solves it per class. The
+In both, the test set is a uniform random draw from the target AOI. Each
+spec derives its seed from the grid's base seed and the spec's *draw key*,
+its canonical key without the class, and each repetition derives its test
+and train seeds from that one (``ExperimentSpec.draw_seeds``), so results
+are independent of execution order and of how many workers run. Specs that
+differ only in class therefore draw the same train and test chips in every
+repetition; the runner runs them as one draw group, which factorizes each
+training matrix once and solves it per class. The
 runner streams one CSV row per finished spec (appendable; a crash can tear
 at most the final row, which a resume drops) and then rewrites the file in
 canonical enumeration order with wall times zeroed, making completed result
@@ -54,7 +56,6 @@ from .schema import (
     record_to_row,
     write_results_file,
 )
-from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
 
@@ -206,28 +207,23 @@ def _run_draw_group(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[S
             spec.n_train <= train_pos_all.size and spec.n_test <= target_pos.size
         )
     else:
-        train_pos_all = target_pos  # split_target carves both sets from it
+        train_pos_all = target_pos  # split_target draws the train set from it
         feasible = spec.n_train + spec.n_test <= target_pos.size
 
     shares = [SpecRuns(infeasible=not feasible) for _ in specs]
     if feasible:
         targets = [dataset.fractions[:, s.class_id.value] for s in specs]
         aux = _aux_for(spec.sampler, dataset, train_pos_all)
-        spec_seed = spec.seed()
         for r in range(spec.repetitions):
-            rep_seed = derive_seed(spec_seed, "rep", r)
+            test_seed, train_seed = spec.draw_seeds(r)
+            test = draw(SampleRequest(target_pos, spec.n_test, test_seed, SamplerKind.RANDOM))
             if spec.regime == REGIME_EXTERNAL:
                 train = draw(SampleRequest(
-                    train_pos_all, spec.n_train, derive_seed(rep_seed, "train"),
-                    spec.sampler, **aux,
-                ))
-                test = draw(SampleRequest(
-                    target_pos, spec.n_test, derive_seed(rep_seed, "test"),
-                    SamplerKind.RANDOM,
+                    train_pos_all, spec.n_train, train_seed, spec.sampler, **aux,
                 ))
             else:
-                test, train = split_target(
-                    target_pos, spec.n_test, spec.n_train, spec.sampler, rep_seed, **aux,
+                train = split_target(
+                    target_pos, test, spec.n_train, spec.sampler, train_seed, **aux,
                 )
             train_svd = factorize(dataset.matrix[train])
             test_matrix = dataset.matrix[test].astype(np.float64)

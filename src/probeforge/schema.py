@@ -147,6 +147,11 @@ class ExperimentSpec:
     def seed(self) -> int:
         return derive_seed(self.base_seed, self.draw_key())
 
+    def draw_seeds(self, rep: int) -> tuple[int, int]:
+        """Repetition ``rep``'s (test, train) draw seeds; no other code derives them."""
+        rep_seed = derive_seed(self.seed(), "rep", rep)
+        return derive_seed(rep_seed, "test"), derive_seed(rep_seed, "train")
+
 
 @dataclass(frozen=True)
 class AggregateRecord:

@@ -562,3 +562,11 @@ def test_run_calls_both_seams_through_the_cli_module_after_loading_their_modules
     for loaded in out["seams"].values():
         assert {"numpy", "probeforge.ingest", "probeforge.runner"} <= set(loaded)
 
+
+def test_run_loads_numpy_random_before_the_grid_runs(workdir):
+    # numpy imports its random module lazily; loaded by the first draw, it
+    # would be timed as part of the grid
+    synth(workdir)
+    out = fresh_main("run", "--grid", str(workdir / "grid.json"), "--data-dir",
+                     str(workdir / "data"), "--out", str(workdir / "results.csv"))
+    assert "numpy.random" in out["seams"]["run_grid"]

@@ -1,4 +1,4 @@
-"""The package's runtime dependencies: the standard library and numpy, nothing else."""
+"""The package's runtime dependencies, the stdlib and numpy, and who may derive seeds."""
 
 import ast
 import sys
@@ -26,3 +26,21 @@ def test_package_imports_only_the_stdlib_and_numpy():
         if name not in ALLOWED
     }
     assert not foreign, sorted(foreign)
+
+
+def _calls_of(tree, name):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name]
+
+
+def test_only_the_seed_tree_and_the_stream_derive_seeds():
+    # One derivation: ExperimentSpec in schema owns every draw's seeds and
+    # ingest.stream seeds synthesis.
+    callers = {
+        path.name
+        for path in SRC.glob("*.py")
+        if _calls_of(ast.parse(path.read_text(encoding="utf-8")), "derive_seed")
+    }
+    assert "schema.py" in callers
+    assert callers <= {"seeds.py", "schema.py", "ingest.py"}, sorted(callers)

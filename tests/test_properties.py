@@ -72,10 +72,13 @@ def test_split_target_is_disjoint(n, data, data_seed, seed, kind):
     n_test = data.draw(st.integers(1, n - 1), label="n_test")
     n_train = data.draw(st.integers(1, n - n_test), label="n_train")
     candidates, aux = _pool(n, data_seed)
-    test, train = split_target(candidates, n_test, n_train, kind, seed, **aux)
+    test = draw(SampleRequest(candidates, n_test, seed, SamplerKind.RANDOM))
+    train = split_target(candidates, test, n_train, kind, seed, **aux)
     assert (test.size, train.size) == (n_test, n_train)
     assert not set(test.tolist()) & set(train.tolist())
     assert set(test.tolist()) | set(train.tolist()) <= set(candidates.tolist())
+    with pytest.raises(ValueError, match="candidate count"):
+        split_target(candidates, test, n - n_test + 1, kind, seed, **aux)
 
 
 def _srtm_loop_oracle(candidates, elev, k, seed):

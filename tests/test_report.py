@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from probeforge.core import ClassId
@@ -45,8 +44,7 @@ def test_heatmap_dense_two_by_two():
     hm = heatmap_matrix(records, ClassId.TREE_COVER)
     assert hm.fm_ids == ("alpha-s1", "beta-s2")
     assert hm.pairs == (("p", "q"), ("q", "p"))
-    assert hm.cells.tolist() == [[0.6, 0.4], [0.9, 0.7]]
-    assert hm.cells.dtype == np.float64 and not hm.cells.flags.writeable
+    assert hm.rows == ((0.6, 0.4), (0.9, 0.7))
 
 
 def test_heatmap_lookup_matches_linear_scan(rng):
@@ -64,7 +62,7 @@ def test_heatmap_lookup_matches_linear_scan(rng):
     for r in records:
         i = hm.fm_ids.index(r.spec.fm_id)
         j = hm.pairs.index((r.spec.train_aoi, r.spec.target_aoi))
-        assert hm.cells[i, j] == r.r_mean
+        assert hm.rows[i][j] == r.r_mean
 
 
 def test_heatmap_orders_s1_rows_before_s2():
@@ -83,8 +81,8 @@ def test_heatmap_missing_and_nan_cells_render_empty():
         ext("q", "r", fm="beta-s2", r_mean=float("nan")),
     ]
     hm = heatmap_matrix(records, ClassId.TREE_COVER)
-    assert np.isnan(hm.cells[0, 1])  # alpha-s1 never ran the (q, r) pair
-    assert np.isnan(hm.cells[1, 1])  # beta-s2 ran it but aggregated to NaN
+    assert math.isnan(hm.rows[0][1])  # alpha-s1 never ran the (q, r) pair
+    assert math.isnan(hm.rows[1][1])  # beta-s2 ran it but aggregated to NaN
     lines = hm.to_csv().splitlines()
     assert lines[0] == "fm_id,modality,p->q,q->r"
     assert lines[1] == "alpha-s1,S1,0.5,"
@@ -106,7 +104,7 @@ def test_heatmap_ambiguous_cell_asks_for_filters():
     with pytest.raises(ValueError, match="add filters"):
         heatmap_matrix(records, ClassId.TREE_COVER)
     hm = heatmap_matrix(records, ClassId.TREE_COVER, n_train=20)
-    assert hm.cells.shape == (1, 1)
+    assert hm.rows == ((0.5,),)
 
 
 def test_heatmap_ignores_target_split_records():
@@ -204,7 +202,7 @@ def test_every_report_filter_matches_brute_force(rng, view, field, value, keep):
     assert 0 < len(want) < len(pool)
     hm = heatmap_matrix(records, ClassId.TREE_COVER, **{field: value})
     got = {(fm, pair): v
-           for fm, row in zip(hm.fm_ids, hm.cells.tolist())
+           for fm, row in zip(hm.fm_ids, hm.rows)
            for pair, v in zip(hm.pairs, row) if not math.isnan(v)}
     assert got == {(r.spec.fm_id, (r.spec.train_aoi, r.spec.target_aoi)): r.r_mean
                    for r in want}

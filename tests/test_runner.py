@@ -37,6 +37,7 @@ from probeforge.runner import (
 )
 from probeforge.sampling import SamplerKind
 from probeforge.schema import record_from_row
+from probeforge.seeds import derive_seed
 
 
 def make_spec(**kw):
@@ -122,6 +123,17 @@ def test_spec_seeds_distinct_within_grid():
     assert len(seeds) == len(draw_keys)  # distinct across draw keys
     for s in specs:  # equal within one: the classes share their draws
         assert s.seed() == dataclasses.replace(s, class_id=ClassId.CROPLAND).seed()
+
+
+@pytest.mark.parametrize("spec", [
+    make_spec(regime=REGIME_EXTERNAL, train_aoi="aoi-01"),
+    make_spec(sampler=SamplerKind.SRTM),
+], ids=["external", "target-split"])
+def test_draw_seeds_follow_the_seed_tree(spec):
+    # base seed -> draw key -> rep -> test/train; a change here moves every row
+    for r in range(spec.repetitions):
+        rep = derive_seed(derive_seed(spec.base_seed, spec.draw_key()), "rep", r)
+        assert spec.draw_seeds(r) == (derive_seed(rep, "test"), derive_seed(rep, "train"))
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +334,17 @@ def test_run_experiment_splits_stay_disjoint(monkeypatch, small_datasets):
     captured = []
     orig = runner_mod.split_target
 
-    def spy(*args, **kwargs):
-        test, train = orig(*args, **kwargs)
+    def spy(candidates, test, *args, **kwargs):
+        train = orig(candidates, test, *args, **kwargs)
         captured.append((test.copy(), train.copy()))
-        return test, train
+        return train
 
     monkeypatch.setattr(runner_mod, "split_target", spy)
-    run_experiment(make_spec(repetitions=3), ds)
+    spec = make_spec(repetitions=3)
+    run_experiment(spec, ds)
     assert len(captured) == 3
     for test, train in captured:
+        assert (test.size, train.size) == (spec.n_test, spec.n_train)
         assert not np.intersect1d(test, train).size
         assert set(test.tolist()) <= target_pos
         assert set(train.tolist()) <= target_pos

@@ -225,30 +225,29 @@ def test_split_target_disjoint_and_sized(rng):
     cand = np.arange(200, 300)
     elev = rng.uniform(0, 4000, 100)
     for seed in range(50):
-        test, train = split_target(cand, 10, 30, SamplerKind.SRTM, seed,
-                                   elevations=elev)
+        test = draw(SampleRequest(cand, 10, seed, SamplerKind.RANDOM))
+        train = split_target(cand, test, 30, SamplerKind.SRTM, seed, elevations=elev)
         assert len(test) == 10 and len(train) == 30
         assert not set(test.tolist()) & set(train.tolist())
         assert set(test.tolist()) | set(train.tolist()) <= set(cand.tolist())
 
 
 def test_split_target_test_side_ignores_train_kind(rng):
-    # the test set is drawn first, so the train sampler cannot affect it
+    # the test set is drawn before the split, so the train sampler cannot affect it
     cand = np.arange(80)
     X = rng.standard_normal((80, 4))
     fr = rng.dirichlet(np.ones(7), 80) * 0.9
-    t1, _ = split_target(cand, 15, 20, SamplerKind.RANDOM, 5, embeddings=X,
-                         fractions=fr)
-    t2, _ = split_target(cand, 15, 20, SamplerKind.FPS, 5, embeddings=X,
-                         fractions=fr)
-    t3, _ = split_target(cand, 15, 20, SamplerKind.ESAWC, 5, embeddings=X,
-                         fractions=fr)
-    assert np.array_equal(t1, t2)
-    assert np.array_equal(t1, t3)
+    test = draw(SampleRequest(cand, 15, 5, SamplerKind.RANDOM))
+    kept = test.copy()
+    for kind in (SamplerKind.RANDOM, SamplerKind.FPS, SamplerKind.ESAWC):
+        train = split_target(cand, test, 20, kind, 5, embeddings=X, fractions=fr)
+        assert np.array_equal(test, kept)
+        assert not np.intersect1d(test, train).size
 
 
 def test_split_target_rejects_oversize():
+    test = np.arange(5)
+    with pytest.raises(ValueError, match="candidate count"):
+        split_target(np.arange(10), test, 6, SamplerKind.RANDOM, 0)
     with pytest.raises(ValueError):
-        split_target(np.arange(10), 5, 6, SamplerKind.RANDOM, 0)
-    with pytest.raises(ValueError):
-        split_target(np.arange(10), 0, 5, SamplerKind.RANDOM, 0)
+        split_target(np.arange(10), test, 0, SamplerKind.RANDOM, 0)
