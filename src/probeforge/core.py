@@ -18,7 +18,7 @@ reported by ``validate_dataset`` instead of raised.
 from __future__ import annotations
 
 import logging
-from dataclasses import MISSING, InitVar, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from itertools import compress, repeat
 from typing import Mapping, Sequence
 
@@ -145,8 +145,9 @@ class ChipTable:
         table itself when ``rows`` lists every chip in order."""
         if np.array_equal(rows, np.arange(len(self))):
             return self
+        ids = self.chip_ids
         return ChipTable(
-            chip_ids=tuple(self.chip_ids[i] for i in rows.tolist()),
+            chip_ids=tuple([ids[i] for i in rows.tolist()]),
             **{name: _take(getattr(self, name), rows)
                for name in ("aois", "lon", "lat", "fractions", "elevations")},
         )
@@ -168,38 +169,46 @@ class Dataset:
 
     Row ``i`` of ``matrix``, ``fractions`` and ``elevations`` all describe
     ``chip_ids[i]``. ``fractions`` has one column per :class:`ClassId` in
-    code order. The per-row AOI labels passed as ``aois`` are grouped once
-    into ``aoi_positions``: each AOI's row positions in ascending order.
-    Everything is immutable; samplers and the runner address rows by
-    position.
+    code order. ``aoi_positions`` maps each AOI, in label order, to its row
+    positions in ascending order, every row in exactly one AOI; ``group_rows``
+    makes it from per-row labels. Everything is immutable, so datasets of
+    several models over the same chips can share every array but ``matrix``;
+    samplers and the runner address rows by position.
     """
 
     fm_id: str
     chip_ids: tuple[str, ...]
-    aois: InitVar[np.ndarray]
     matrix: np.ndarray
     fractions: np.ndarray
     elevations: np.ndarray
-    aoi_positions: Mapping[str, np.ndarray] = field(init=False)
+    aoi_positions: Mapping[str, np.ndarray]
 
-    def __post_init__(self, aois: np.ndarray) -> None:
+    def __post_init__(self) -> None:
         n = len(self.chip_ids)
         _set_column(self, "matrix", (n, np.shape(self.matrix)[-1]), dtype=None)
         _set_column(self, "fractions", (n, N_CLASSES))
         _set_column(self, "elevations", (n,))
-        aois = np.asarray(aois)
-        if aois.shape != (n,):
-            raise ValueError(f"aois shape {aois.shape} does not match ({n},)")
-        labels = aois.tolist()
-        codes = {label: i for i, label in enumerate(sorted(set(labels)))}
-        inverse = np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=n)
-        order = np.argsort(inverse, kind="stable")
-        order.setflags(write=False)
-        groups = np.split(order, np.cumsum(np.bincount(inverse))[:-1])
-        object.__setattr__(self, "aoi_positions", dict(zip(codes, groups)))
+        groups = {aoi: _readonly(pos, np.intp) for aoi, pos in self.aoi_positions.items()}
+        rows = np.concatenate([np.empty(0, np.intp), *groups.values()])
+        if not (np.array_equal(np.sort(rows), np.arange(n))
+                and all((pos[1:] > pos[:-1]).all() for pos in groups.values())):
+            raise ValueError(f"aoi_positions must hold each of the {n} rows once,"
+                             " ascending within each AOI")
+        object.__setattr__(self, "aoi_positions", groups)
 
     def __len__(self) -> int:
         return len(self.chip_ids)
+
+
+def group_rows(labels: np.ndarray) -> dict[str, np.ndarray]:
+    """Each label's row positions in ``labels``, ascending and read-only, the
+    labels in sorted order: a ``Dataset``'s ``aoi_positions``."""
+    labels = labels.tolist()
+    codes = {label: i for i, label in enumerate(sorted(set(labels)))}
+    inverse = np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels))
+    order = np.argsort(inverse, kind="stable")
+    order.setflags(write=False)
+    return dict(zip(codes, np.split(order, np.cumsum(np.bincount(inverse))[:-1])))
 
 
 def id_positions(ids: Sequence[str]) -> dict[str, int]:
@@ -237,24 +246,26 @@ def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
         raise AlignmentError("no aligned chips")
     rows = np.flatnonzero(kept)
 
-    dropped_table = len(table) - rows.size
-    dropped_emb = len(emb) - rows.size
-    if dropped_table or dropped_emb:
-        logger.info(
-            "join for fm %s dropped %d table-only and %d embedding-only records",
-            emb.fm_id,
-            dropped_table,
-            dropped_emb,
-        )
-
+    log_join(emb.fm_id, len(table) - rows.size, len(emb) - rows.size)
     return Dataset(
         fm_id=emb.fm_id,
         chip_ids=tuple(compress(table.chip_ids, kept.tolist())),
-        aois=table.aois[rows],
         matrix=_take(emb.matrix, emb_rows),
         fractions=_take(table.fractions, rows),
         elevations=_take(table.elevations, rows),
+        aoi_positions=group_rows(table.aois[rows]),
     )
+
+
+def log_join(fm_id: str, dropped_table: int, dropped_emb: int) -> None:
+    """Log what a join of model ``fm_id`` dropped from each side, if anything."""
+    if dropped_table or dropped_emb:
+        logger.info(
+            "join for fm %s dropped %d table-only and %d embedding-only records",
+            fm_id,
+            dropped_table,
+            dropped_emb,
+        )
 
 
 @dataclass(frozen=True)

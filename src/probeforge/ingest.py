@@ -46,7 +46,7 @@ import logging
 import os
 import struct
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import compress
 from pathlib import Path
 from typing import Collection, Iterator, Mapping, Sequence
@@ -64,6 +64,7 @@ from .core import (
     first_repeat,
     fraction_out_of_range,
     id_positions,
+    log_join,
 )
 from .errors import AlignmentError, DataFormatError
 from .schema import CLASS_LABELS, N_CLASSES, ClassId
@@ -343,11 +344,52 @@ def save_embeddings(emb: EmbeddingSet, data_path: str | Path, index_path: str | 
         fh.write(b"".join(index))
 
 
+@dataclass(frozen=True, eq=False)
+class _IndexJoin:
+    """An embedding index's bytes, joined to the chips a load keeps.
+
+    It holds what a load of any ``.emb`` file with this index needs: the line
+    count, the kept chip ids, which output row each file row goes to and
+    whether some id repeats. Models whose ``.idx`` files hold the same bytes
+    share one join. It keeps the bytes, not the decoded ids, which are decoded
+    again only to name a chip or a line in an error, or to tell an index that
+    shares no chip with the table from one whose chips were not asked for.
+    """
+
+    blob: bytes
+    count: int
+    kept: tuple[str, ...]
+    #: dest[i] is the output row of file row i, or -1 for a row not kept;
+    #: None when every row is kept in file order.
+    dest: np.ndarray | None
+    repeated: bool
+
+    def ids(self, index_path: str | Path) -> list[str]:
+        """The index's chip ids, line by line, decoded from its bytes again."""
+        return list(_text_lines(index_path, self.blob))
+
+
+def _join_index(index_path: str | Path, blob: bytes,
+                chips: Sequence[str] | None) -> _IndexJoin:
+    """Join ``blob``, the bytes of ``index_path``, to ``chips`` (see ``load_embeddings``)."""
+    ids = list(_text_lines(index_path, blob))
+    # The index is hashed once, for both the join and the repeat check.
+    index = id_positions(ids)
+    kept, dest = ids, None
+    if chips is not None and list(chips) != ids:
+        found, src = _match(chips, ids, index)
+        kept = list(compress(chips, found.tolist()))
+        dest = np.full(len(ids), -1, dtype=np.intp)
+        dest[src] = np.arange(len(kept))
+    return _IndexJoin(blob, len(ids), tuple(kept), dest, len(index) < len(ids))
+
+
 def load_embeddings(
     data_path: str | Path,
     index_path: str | Path,
     fm_id: str,
     chips: Sequence[str] | None = None,
+    join: _IndexJoin | None = None,
 ) -> EmbeddingSet:
     """Read a binary embedding matrix plus its text index as model ``fm_id``.
 
@@ -361,6 +403,11 @@ def load_embeddings(
     is checked whatever ``chips`` keeps. Without ``chips`` the set holds
     every row in file order; with a sequence of distinct chip ids it holds
     the rows of those the index lists, in ``chips`` order, and nothing else.
+
+    ``join`` is the index joined to ``chips``, when the caller has already
+    read and joined it: ``load_dataset_dir`` joins each distinct index once
+    and passes that join with every model whose index holds the same bytes.
+    Otherwise the index is read and joined here.
     """
     with open(data_path, "rb") as fh:
         head = fh.read(16)
@@ -374,40 +421,31 @@ def load_embeddings(
                 f"{data_path}: payload is {size} bytes, header implies {expected}"
             )
 
-        ids = list(_text_lines(index_path, Path(index_path).read_bytes()))
-        if len(ids) != count:
+        if join is None:
+            join = _join_index(index_path, Path(index_path).read_bytes(), chips)
+        if join.count != count:
             raise DataFormatError(
-                f"{index_path}: index/header mismatch: header rows {count}, index lines {len(ids)}"
+                f"{index_path}: index/header mismatch: header rows {count},"
+                f" index lines {join.count}"
             )
-        # The index is hashed once, for both the join and the repeat check.
-        index = id_positions(ids)
-        repeated = len(index) < count
 
-        # dest[i] is the output row of file row i, or -1 for a row not kept.
-        # Without it every row is kept in file order, so blocks are read
-        # straight into the matrix; with it, into a buffer whose kept rows
-        # are then copied.
-        dest = None
-        kept = ids
-        if chips is not None and list(chips) != ids:
-            found, src = _match(chips, ids, index)
-            kept = list(compress(chips, found.tolist()))
-            dest = np.full(count, -1, dtype=np.intp)
-            dest[src] = np.arange(len(kept))
-        del index  # a dict of every id: not held while the payload is read
-        matrix = np.empty((len(kept), dim), dtype="<f4")
+        # Without a row map every row is kept in file order, so blocks are
+        # read straight into the matrix; with one, into a buffer whose kept
+        # rows are then copied.
+        dest = join.dest
+        matrix = np.empty((len(join.kept), dim), dtype="<f4")
         step = max(1, _BLOCK_BYTES // max(4 * dim, 1))
         block = matrix if dest is None else np.empty((min(count, step), dim), dtype="<f4")
         for start in range(0, count, step):
             rows = block[start:start + step] if dest is None else block[: count - start]
             if fh.readinto(rows) != rows.nbytes:
                 raise DataFormatError(f"{data_path}: payload shrank while being read")
-            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-            if bad.size:
-                row = start + int(bad[0])
+            # one flat test per block; the bad row is looked for only on failure
+            if not np.isfinite(rows).all():
+                row = start + int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
                 raise DataFormatError(
                     f"{data_path}: non-finite values, first offending row {row}"
-                    f" (chip {ids[row]!r})"
+                    f" (chip {join.ids(index_path)[row]!r})"
                 )
             if dest is not None:
                 to = dest[start:start + len(rows)]
@@ -417,13 +455,14 @@ def load_embeddings(
 
     # A zero width is reported before a repeated id, as EmbeddingSet checks it
     # first. A repeated id is the index's fault: name its line, not the matrix file.
-    dup = first_repeat(ids) if dim and repeated else None
-    if dup is not None:
+    if dim and join.repeated:
+        ids = join.ids(index_path)
+        dup = first_repeat(ids)
         raise DataFormatError(
             f"{index_path}: line {dup + 1}: duplicate chip_id: {ids[dup]!r}"
         )
     try:
-        return EmbeddingSet(fm_id=fm_id, chip_ids=tuple(kept), matrix=matrix)
+        return EmbeddingSet(fm_id=fm_id, chip_ids=join.kept, matrix=matrix)
     except ValueError as exc:
         raise DataFormatError(f"{data_path}: {exc}") from exc
 
@@ -815,6 +854,10 @@ def load_dataset_dir(
     the table, but only models in ``fms`` get a Dataset, and it holds only
     the chips of ``aois``. A model with none of those chips gets an empty
     Dataset, on which every spec is infeasible.
+
+    Models usually index the same chips. The models whose ``.idx`` files hold
+    the same bytes share one parse, hash and join of it, and their Datasets
+    share every array but the matrix.
     """
     root = Path(data_dir)
     chips_path = root / "chips.jsonl"
@@ -828,13 +871,17 @@ def load_dataset_dir(
             f"{chips_path}: chip {table.chip_ids[i]!r}: {RULE_FRACTION_RANGE}"
             f" ({CLASS_LABELS[c]}={float(table.fractions[i, c])!r})"
         )
-    reads = table if aois is None else table.take(
-        np.flatnonzero([a in aois for a in table.aois.tolist()]))
+    reads = table
+    if aois is not None:
+        wanted = map(frozenset(aois).__contains__, table.aois.tolist())
+        reads = table.take(np.flatnonzero(np.fromiter(wanted, dtype=bool, count=len(table))))
 
     emb_dir = root / "embeddings"
     paths = sorted(emb_dir.glob("*.emb")) if emb_dir.is_dir() else []
     if not paths:
         raise DataFormatError(f"{root}: no embeddings/*.emb files")
+    joins: dict[tuple[bytes, bool], _IndexJoin] = {}  # by index bytes and ``read``
+    joined: dict[_IndexJoin, Dataset] = {}  # the first Dataset made with each join
     datasets: dict[str, Dataset] = {}
     for data_path in paths:
         fm_id = data_path.stem
@@ -842,16 +889,26 @@ def load_dataset_dir(
         if not index_path.exists():
             raise DataFormatError(f"{data_path}: missing index file {index_path.name}")
         read = fms is None or fm_id in fms
-        emb = load_embeddings(data_path, index_path, fm_id, reads.chip_ids if read else ())
+        chips = reads.chip_ids if read else ()
+        key = (index_path.read_bytes(), read)
+        join = joins.get(key)
+        if join is None:
+            join = joins[key] = _join_index(index_path, key[0], chips)
+        emb = load_embeddings(data_path, index_path, fm_id, chips, join)
         if len(emb):
-            datasets[fm_id] = assemble_dataset(reads, emb)
+            like = joined.get(join)
+            if like is None:
+                datasets[fm_id] = joined[join] = assemble_dataset(reads, emb)
+            else:  # the same join keeps the same chips: only the model differs
+                log_join(fm_id, len(reads) - len(emb), 0)
+                datasets[fm_id] = replace(like, fm_id=fm_id, matrix=emb.matrix)
             continue
         # Nothing kept: the whole index tells a join with no chip from an empty one.
-        if set(table.chip_ids).isdisjoint(_text_lines(index_path, index_path.read_bytes())):
+        if set(table.chip_ids).isdisjoint(join.ids(index_path)):
             raise AlignmentError("no aligned chips")
         if read:
             datasets[fm_id] = Dataset(
-                fm_id=fm_id, chip_ids=(), aois=reads.aois[:0], matrix=emb.matrix,
-                fractions=reads.fractions[:0], elevations=reads.elevations[:0],
+                fm_id=fm_id, chip_ids=(), matrix=emb.matrix, fractions=reads.fractions[:0],
+                elevations=reads.elevations[:0], aoi_positions={},
             )
     return datasets

@@ -161,9 +161,9 @@ def srtm_sample(req: SampleRequest) -> np.ndarray:
     position; any remaining picks are drawn uniformly from the unchosen
     chips.
 
-    One argsort ranks the pool and one sort of ``bin * n + position`` keys
-    groups it by bin, so a draw costs O(n log n) plus one RNG call per
-    non-empty bin, O(n log n + k) in all.
+    One argsort and one linear pass rank the pool, and one sort of
+    ``bin * n + position`` keys groups it by bin, so a draw costs O(n log n)
+    plus one RNG call per non-empty bin, O(n log n + k) in all.
     """
     elev = _require(req, "elevations")
     if elev.ndim != 1:
@@ -171,10 +171,9 @@ def srtm_sample(req: SampleRequest) -> np.ndarray:
     rng = default_rng(req.seed)
 
     order = np.argsort(elev)
-    ranked = elev[order]
     # Bin of each candidate, listed in elevation order; the rank comes from
     # the values alone, so it does not depend on how the sort broke ties.
-    bins = np.searchsorted(ranked, ranked, side="left") * req.k // req.n
+    bins = _tie_ranks(elev[order]) * req.k // req.n
     members = np.sort(bins * req.n + order) % req.n
     sizes = np.bincount(bins, minlength=req.k)
     chosen = [
@@ -189,6 +188,19 @@ def srtm_sample(req: SampleRequest) -> np.ndarray:
         extra = rng.choice(free.size, size=req.k - len(chosen), replace=False)
         chosen.extend(int(free[i]) for i in extra)
     return req.candidates[np.array(chosen, dtype=np.intp)]
+
+
+def _tie_ranks(ranked: np.ndarray) -> np.ndarray:
+    """The rank of each value of sorted ``ranked``: the position of the first
+    value equal to it, NaNs (which sort last) all equal to each other.
+
+    This is ``np.searchsorted(ranked, ranked, side="left")`` in one linear
+    pass: each run of equal values takes the position where the run starts.
+    """
+    nan = np.isnan(ranked)
+    starts = np.ones(ranked.size, dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]) & ~(nan[1:] & nan[:-1])
+    return np.maximum.accumulate(np.where(starts, np.arange(ranked.size), 0))
 
 
 _SAMPLERS = {

@@ -10,12 +10,14 @@ from probeforge.core import (
     CLASS_LABELS,
     ChipTable,
     ClassId,
+    Dataset,
     EmbeddingSet,
     RULE_ELEVATION,
     RULE_EMBEDDING,
     RULE_FRACTION_RANGE,
     RULE_FRACTION_SUM,
     assemble_dataset,
+    group_rows,
     validate_dataset,
 )
 from probeforge.errors import AlignmentError
@@ -211,6 +213,37 @@ def test_dataset_aoi_positions_ascending_and_complete(small_synth):
         assert np.all(np.diff(pos) > 0)
         assert np.all(table.aois[pos] == aoi)
         assert not pos.flags.writeable
+
+
+def test_dataset_takes_aoi_positions_as_read_only_arrays():
+    groups = {"A": [0, 2], "B": [1]}
+    ds = Dataset(fm_id="m-s2", chip_ids=("a", "b", "c"), matrix=np.zeros((3, 2)),
+                 fractions=np.zeros((3, 7)), elevations=np.zeros(3),
+                 aoi_positions={k: np.array(v) for k, v in groups.items()})
+    assert {k: p.tolist() for k, p in ds.aoi_positions.items()} == groups
+    assert all(not p.flags.writeable and p.dtype == np.intp
+               for p in ds.aoi_positions.values())
+
+
+@pytest.mark.parametrize("groups", [
+    {"A": [0, 2]},
+    {"A": [0, 2], "B": [1, 2]},
+    {"A": [0, 3], "B": [1]},
+    {"A": [0, -1], "B": [1]},
+    {"A": [2, 0], "B": [1]},
+], ids=["missing", "repeated", "out-of-range", "negative", "descending"])
+def test_dataset_refuses_aoi_positions_that_are_no_partition(groups):
+    with pytest.raises(ValueError, match="each of the 3 rows once"):
+        Dataset(fm_id="m-s2", chip_ids=("a", "b", "c"), matrix=np.zeros((3, 2)),
+                fractions=np.zeros((3, 7)), elevations=np.zeros(3),
+                aoi_positions={k: np.array(v) for k, v in groups.items()})
+
+
+def test_group_rows_lists_each_label_in_order():
+    got = group_rows(np.array(["q", "p", "q", "r", "p"], dtype=object))
+    assert list(got) == ["p", "q", "r"]
+    assert {k: p.tolist() for k, p in got.items()} == {"p": [1, 4], "q": [0, 2], "r": [3]}
+    assert group_rows(np.array([], dtype=object)) == {}
 
 
 def test_infer_modality_tokenizes():

@@ -720,6 +720,24 @@ def test_embeddings_check_every_row_in_every_block(tmp_path, rng, monkeypatch,
         load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2", chips)
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("row, chips", [(7, None), (7, ("c0", "c7")), (4, ("c0", "c1"))],
+                         ids=["last-block", "last-block-kept", "not-kept"])
+def test_embeddings_non_finite_value_names_its_row_and_chip(tmp_path, rng, monkeypatch,
+                                                            value, row, chips):
+    # blocks of 3 rows over 8: rows 6 and 7 make the last, partial block
+    emb = make_emb(rng, n=8, d=3)
+    m = emb.matrix.copy()
+    m[row, 2] = value
+    save_embeddings(type(emb)(fm_id=emb.fm_id, chip_ids=emb.chip_ids, matrix=m),
+                    tmp_path / "m.emb", tmp_path / "m.idx")
+    monkeypatch.setattr(ingest_mod, "_BLOCK_BYTES", 4 * 3 * 3)
+    with pytest.raises(DataFormatError) as info:
+        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2", chips)
+    assert str(info.value) == (f"{tmp_path / 'm.emb'}: non-finite values,"
+                               f" first offending row {row} (chip 'c{row}')")
+
+
 def test_embeddings_repeated_id_outside_the_kept_chips_is_refused(tmp_path, rng):
     emb = make_emb(rng, n=4)
     save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
@@ -1065,3 +1083,126 @@ def test_dataset_dir_unread_index_is_split_only_at_file_line_ends(tmp_path, smal
     idx.write_text("".join(f"x\u2028{line}\n" for line in idx.read_text().splitlines()))
     with pytest.raises(AlignmentError, match="no aligned chips"):
         load_dataset_dir(tmp_path / "data", {"alpha-s1"}, {"aoi-00"})
+
+
+def _add_model(root, fm_id, chip_ids, rng):
+    """Write model ``fm_id`` over ``chip_ids`` into dataset directory ``root``."""
+    from probeforge.core import EmbeddingSet
+
+    m = rng.standard_normal((len(chip_ids), 16)).astype(np.float32)
+    save_embeddings(EmbeddingSet(fm_id=fm_id, chip_ids=tuple(chip_ids), matrix=m),
+                    root / "embeddings" / f"{fm_id}.emb", root / "embeddings" / f"{fm_id}.idx")
+
+
+@pytest.mark.parametrize("fms", [None, {"alpha-s1", "beta-s2"}, {"beta-s2", "gamma-s2"}],
+                         ids=["all", "shared-pair", "one-shared"])
+@pytest.mark.parametrize("aois", [None, {"aoi-01", "aoi-03"}], ids=["all-aois", "two-aois"])
+def test_dataset_dir_shared_index_matches_each_model_loaded_alone(
+        tmp_path, small_synth, rng, fms, aois):
+    from probeforge.core import assemble_dataset
+
+    root = tmp_path / "data"
+    write_dataset_dir(small_synth, root)
+    emb_dir = root / "embeddings"
+    # alpha and beta list the same chips in the same bytes; gamma lists them
+    # reversed, with one the table lacks
+    assert (emb_dir / "alpha-s1.idx").read_bytes() == (emb_dir / "beta-s2.idx").read_bytes()
+    _add_model(root, "gamma-s2", ("no-such-chip", *small_synth.table.chip_ids[::-1]), rng)
+    datasets = load_dataset_dir(root, fms, aois)
+
+    table = small_synth.table
+    reads = table if aois is None else table.take(
+        np.flatnonzero([a in aois for a in table.aois.tolist()]))
+    assert sorted(datasets) == sorted(fms or ["alpha-s1", "beta-s2", "gamma-s2"])
+    for fm_id, ds in datasets.items():
+        alone = assemble_dataset(reads, load_embeddings(
+            emb_dir / f"{fm_id}.emb", emb_dir / f"{fm_id}.idx", fm_id, reads.chip_ids))
+        assert ds.fm_id == fm_id and ds.chip_ids == alone.chip_ids
+        assert list(ds.aoi_positions) == list(alone.aoi_positions)
+        for aoi, pos in ds.aoi_positions.items():
+            assert np.array_equal(pos, alone.aoi_positions[aoi]) and not pos.flags.writeable
+        for name in ("matrix", "fractions", "elevations"):
+            got = getattr(ds, name)
+            assert got.dtype == getattr(alone, name).dtype and not got.flags.writeable
+            assert got.tobytes() == getattr(alone, name).tobytes()
+    if fms is None or fms == {"alpha-s1", "beta-s2"}:
+        # the two models of one join share their chip side, not their matrix
+        a, b = datasets["alpha-s1"], datasets["beta-s2"]
+        assert a.chip_ids is b.chip_ids and a.fractions is b.fractions
+        assert a.elevations is b.elevations and a.matrix is not b.matrix
+        assert all(a.aoi_positions[k] is b.aoi_positions[k] for k in a.aoi_positions)
+
+
+def test_dataset_dir_logs_each_models_dropped_chips(tmp_path, small_synth, rng, caplog):
+    root = tmp_path / "data"
+    write_dataset_dir(small_synth, root)
+    for fm_id in ("alpha-s1", "beta-s2"):  # one index, lacking the table's first 5 chips
+        _add_model(root, fm_id, small_synth.table.chip_ids[5:], rng)
+    with caplog.at_level("INFO", logger="probeforge.core"):
+        load_dataset_dir(root)
+    assert caplog.messages == [
+        f"join for fm {fm} dropped 5 table-only and 0 embedding-only records"
+        for fm in ("alpha-s1", "beta-s2")
+    ]
+
+
+def test_dataset_dir_non_finite_row_of_a_shared_index_names_its_own_file(
+        tmp_path, small_synth):
+    from probeforge.core import EmbeddingSet
+
+    root = tmp_path / "data"
+    write_dataset_dir(small_synth, root)
+    beta = small_synth.embeddings["beta-s2"]
+    m = beta.matrix.copy()
+    m[123, 4] = np.nan
+    save_embeddings(EmbeddingSet(fm_id="beta-s2", chip_ids=beta.chip_ids, matrix=m),
+                    root / "embeddings" / "beta-s2.emb", root / "embeddings" / "beta-s2.idx")
+    with pytest.raises(DataFormatError) as info:
+        load_dataset_dir(root, None, {"aoi-00"})
+    assert str(info.value) == (f"{root / 'embeddings' / 'beta-s2.emb'}: non-finite values,"
+                               f" first offending row 123 (chip {beta.chip_ids[123]!r})")
+
+
+def test_dataset_dir_header_disagreeing_with_a_shared_index_names_its_own_index(
+        tmp_path, small_synth):
+    root = tmp_path / "data"
+    write_dataset_dir(small_synth, root)
+    emb = root / "embeddings" / "beta-s2.emb"
+    blob = emb.read_bytes()
+    dim, count = struct.unpack("<IQ", blob[4:16])
+    # one row fewer in both header and payload, so only the index disagrees
+    emb.write_bytes(b"EMB1" + struct.pack("<IQ", dim, count - 1) + blob[16:-4 * dim])
+    with pytest.raises(DataFormatError) as info:
+        load_dataset_dir(root)
+    assert str(info.value) == (f"{root / 'embeddings' / 'beta-s2.idx'}: index/header mismatch:"
+                               f" header rows {count - 1}, index lines {count}")
+
+
+@pytest.mark.parametrize("fms, decodes, hashes", [
+    (None, ["alpha-s1"], 1),
+    # an unread model keeps no chip, so its ids are decoded again to check
+    # that the index shares one with the table
+    ({"alpha-s1"}, ["alpha-s1", "beta-s2", "beta-s2", "gamma-s2"], 2),
+], ids=["all-read", "two-unread"])
+def test_dataset_dir_reads_each_index_once_and_joins_identical_ones_once(
+        tmp_path, small_synth, rng, monkeypatch, fms, decodes, hashes):
+    import pathlib
+
+    root = tmp_path / "data"
+    write_dataset_dir(small_synth, root)
+    _add_model(root, "gamma-s2", small_synth.table.chip_ids, rng)
+    load_chip_table(root / "chips.jsonl")  # writes the column cache
+    read, decoded, hashed = [], [], []
+    read_bytes = pathlib.Path.read_bytes
+    text_lines, id_positions = ingest_mod._text_lines, ingest_mod.id_positions
+    monkeypatch.setattr(pathlib.Path, "read_bytes",
+                        lambda path: read.append(path.stem) or read_bytes(path))
+    monkeypatch.setattr(ingest_mod, "_text_lines",
+                        lambda path, blob: decoded.append(path.stem) or text_lines(path, blob))
+    monkeypatch.setattr(ingest_mod, "id_positions",
+                        lambda ids: hashed.append(len(ids)) or id_positions(ids))
+    datasets = load_dataset_dir(root, fms, {"aoi-02"})
+    assert sorted(datasets) == sorted(fms or ["alpha-s1", "beta-s2", "gamma-s2"])
+    assert read == ["alpha-s1", "beta-s2", "gamma-s2"]
+    assert decoded == decodes
+    assert hashed == [len(small_synth.table)] * hashes

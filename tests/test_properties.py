@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from probeforge import ingest  # noqa: E402
+from probeforge import ingest, sampling  # noqa: E402
 from probeforge.core import ChipTable, ClassId, EmbeddingSet, assemble_dataset  # noqa: E402
 from probeforge.errors import (  # noqa: E402
     AlignmentError,
@@ -120,6 +120,19 @@ def test_srtm_matches_a_loop_oracle(n, data, seed):
     candidates = np.arange(n)[::-1] * 3
     got = draw(SampleRequest(candidates, k, seed, SamplerKind.SRTM, elevations=elev))
     assert np.array_equal(got, _srtm_loop_oracle(candidates, elev, k, seed))
+
+
+@PROPERTY
+@given(elev=st.lists(elevation_values, min_size=1, max_size=300)
+       | st.lists(st.just(math.nan), min_size=1, max_size=5)
+       | st.builds(lambda v: [v], elevation_values))
+def test_srtm_tie_ranks_match_a_self_searchsorted(elev):
+    # srtm's rank rule as first written: each value's first position among
+    # the sorted values, which counts a run of NaNs as one run
+    ranked = np.sort(np.array(elev))
+    got = sampling._tie_ranks(ranked)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.searchsorted(ranked, ranked, side="left"))
 
 
 @PROPERTY
