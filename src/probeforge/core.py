@@ -140,18 +140,6 @@ class ChipTable:
     def __len__(self) -> int:
         return len(self.chip_ids)
 
-    def take(self, rows: np.ndarray) -> "ChipTable":
-        """The table of the chips at positions ``rows``, in that order: the
-        table itself when ``rows`` lists every chip in order."""
-        if np.array_equal(rows, np.arange(len(self))):
-            return self
-        ids = self.chip_ids
-        return ChipTable(
-            chip_ids=tuple([ids[i] for i in rows.tolist()]),
-            **{name: _take(getattr(self, name), rows)
-               for name in ("aois", "lon", "lat", "fractions", "elevations")},
-        )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChipTable):
             return NotImplemented
@@ -237,9 +225,9 @@ def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
     The result covers the intersection in table order; records present on
     only one side are counted and logged, never fatal. An empty intersection
     raises :class:`AlignmentError`. Each joined array is the source array
-    itself when the join keeps all of its rows in order, as it does for the
-    rows ``ingest.load_dataset_dir`` reads, which come in chip-table order;
-    otherwise it is a copy of the kept rows.
+    itself when the join keeps all of its rows in order, and otherwise a copy
+    of the kept rows. ``ingest.load_dataset_dir`` makes the same join once per
+    distinct index file, for every model that shares it.
     """
     kept, emb_rows = _match(table.chip_ids, emb.chip_ids)
     if not kept.any():

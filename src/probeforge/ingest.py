@@ -59,15 +59,17 @@ from .core import (
     Dataset,
     EmbeddingSet,
     _match,
+    _take,
     assemble_dataset,
     check_json_fields,
     first_repeat,
     fraction_out_of_range,
+    group_rows,
     id_positions,
     log_join,
 )
 from .errors import AlignmentError, DataFormatError
-from .schema import CLASS_LABELS, N_CLASSES, ClassId
+from .schema import CLASS_LABELS, N_CLASSES, ClassId, write_atomic
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -198,12 +200,10 @@ def _read_columns(path: Path, digest: bytes) -> ChipTable | None:
 
 
 def _write_columns(path: Path, digest: bytes, table: ChipTable) -> None:
-    """Write ``table``'s column cache for the chip file of sha256 ``digest``.
-
-    A uniquely named file in the same directory is renamed over ``path``, so
-    a concurrent reader sees the old cache, the new one or none, never part
-    of one; a torn file left by a crash fails the payload digest. Failure to
-    write is logged at debug level and is no error: the cache only saves time.
+    """Write ``table``'s column cache for the chip file of sha256 ``digest``,
+    through ``write_atomic``; a torn file left by a crash fails the payload
+    digest. Failure to write is logged at debug level and is no error: the
+    cache only saves time.
     """
     values = np.column_stack([table.lon, table.lat, table.fractions, table.elevations])
     payload = b"".join([
@@ -212,18 +212,8 @@ def _write_columns(path: Path, digest: bytes, table: ChipTable) -> None:
     ])
     head = _COLS_HEAD.pack(_COLS_MAGIC, _COLS_VERSION, len(table), digest,
                            hashlib.sha256(payload).digest())
-    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     try:
-        # os.open's mode passes through the umask, as open()'s does
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(head)
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        write_atomic(path, head, payload)
     except OSError as exc:
         logger.debug("chip column cache %s not written: %s", path, exc)
 
@@ -346,42 +336,50 @@ def save_embeddings(emb: EmbeddingSet, data_path: str | Path, index_path: str | 
 
 @dataclass(frozen=True, eq=False)
 class _IndexJoin:
-    """An embedding index's bytes, joined to the chips a load keeps.
-
-    It holds what a load of any ``.emb`` file with this index needs: the line
-    count, the kept chip ids, which output row each file row goes to and
-    whether some id repeats. Models whose ``.idx`` files hold the same bytes
+    """An embedding index's bytes, joined to a list of chips: all that a load
+    of any ``.emb`` file with this index needs, and whether the index lists
+    any chip of the list. Models whose ``.idx`` files hold the same bytes
     share one join. It keeps the bytes, not the decoded ids, which are decoded
-    again only to name a chip or a line in an error, or to tell an index that
-    shares no chip with the table from one whose chips were not asked for.
+    again only to name a chip or a line in an error.
     """
 
     blob: bytes
     count: int
+    repeated: bool
+    aligned: bool
+    #: the list positions of the kept chips, ascending
+    rows: np.ndarray
     kept: tuple[str, ...]
     #: dest[i] is the output row of file row i, or -1 for a row not kept;
     #: None when every row is kept in file order.
     dest: np.ndarray | None
-    repeated: bool
 
     def ids(self, index_path: str | Path) -> list[str]:
         """The index's chip ids, line by line, decoded from its bytes again."""
         return list(_text_lines(index_path, self.blob))
 
 
-def _join_index(index_path: str | Path, blob: bytes,
-                chips: Sequence[str] | None) -> _IndexJoin:
-    """Join ``blob``, the bytes of ``index_path``, to ``chips`` (see ``load_embeddings``)."""
-    ids = list(_text_lines(index_path, blob))
+def _join_index(index_path: str | Path, blob: bytes, chips: Sequence[str] | None,
+                wanted: np.ndarray | None = None) -> _IndexJoin:
+    """Join ``blob``, the bytes of ``index_path``, to ``chips`` (see
+    ``load_embeddings``), keeping only the chips that mask ``wanted`` marks, if given."""
+    ids = tuple(_text_lines(index_path, blob))
     # The index is hashed once, for both the join and the repeat check.
     index = id_positions(ids)
-    kept, dest = ids, None
-    if chips is not None and list(chips) != ids:
-        found, src = _match(chips, ids, index)
-        kept = list(compress(chips, found.tolist()))
+    if chips is None:
+        chips = ids
+    found, src = _match(chips, ids, index)
+    aligned = bool(found.any())
+    if wanted is not None:
+        src = src[wanted[found]]
+        found &= wanted
+    rows = np.flatnonzero(found)
+    kept = tuple(chips if rows.size == len(chips) else compress(chips, found.tolist()))
+    dest = None
+    if not np.array_equal(src, np.arange(len(ids))):
         dest = np.full(len(ids), -1, dtype=np.intp)
-        dest[src] = np.arange(len(kept))
-    return _IndexJoin(blob, len(ids), tuple(kept), dest, len(index) < len(ids))
+        dest[src] = np.arange(rows.size)
+    return _IndexJoin(blob, len(ids), len(index) < len(ids), aligned, rows, kept, dest)
 
 
 def load_embeddings(
@@ -404,10 +402,10 @@ def load_embeddings(
     every row in file order; with a sequence of distinct chip ids it holds
     the rows of those the index lists, in ``chips`` order, and nothing else.
 
-    ``join`` is the index joined to ``chips``, when the caller has already
-    read and joined it: ``load_dataset_dir`` joins each distinct index once
-    and passes that join with every model whose index holds the same bytes.
-    Otherwise the index is read and joined here.
+    ``join`` is the index already read and joined by the caller, which then
+    passes its kept ids as ``chips``: ``load_dataset_dir`` joins each distinct
+    index once and passes that join with every model whose index holds the
+    same bytes. Otherwise the index is read and joined here.
     """
     with open(data_path, "rb") as fh:
         head = fh.read(16)
@@ -855,9 +853,9 @@ def load_dataset_dir(
     the chips of ``aois``. A model with none of those chips gets an empty
     Dataset, on which every spec is infeasible.
 
-    Models usually index the same chips. The models whose ``.idx`` files hold
-    the same bytes share one parse, hash and join of it, and their Datasets
-    share every array but the matrix.
+    Models usually index the same chips. Each distinct ``.idx`` content is
+    decoded, hashed and joined to the table once, whatever the grid reads,
+    and the Datasets of models that share it share every array but the matrix.
     """
     root = Path(data_dir)
     chips_path = root / "chips.jsonl"
@@ -871,44 +869,39 @@ def load_dataset_dir(
             f"{chips_path}: chip {table.chip_ids[i]!r}: {RULE_FRACTION_RANGE}"
             f" ({CLASS_LABELS[c]}={float(table.fractions[i, c])!r})"
         )
-    reads = table
+    wanted = None
     if aois is not None:
-        wanted = map(frozenset(aois).__contains__, table.aois.tolist())
-        reads = table.take(np.flatnonzero(np.fromiter(wanted, dtype=bool, count=len(table))))
+        wanted = np.fromiter(map(frozenset(aois).__contains__, table.aois.tolist()),
+                             dtype=bool, count=len(table))
+    n_reads = len(table) if wanted is None else int(np.count_nonzero(wanted))
 
     emb_dir = root / "embeddings"
     paths = sorted(emb_dir.glob("*.emb")) if emb_dir.is_dir() else []
     if not paths:
         raise DataFormatError(f"{root}: no embeddings/*.emb files")
-    joins: dict[tuple[bytes, bool], _IndexJoin] = {}  # by index bytes and ``read``
-    joined: dict[_IndexJoin, Dataset] = {}  # the first Dataset made with each join
+    joins: dict[bytes, tuple[_IndexJoin, dict]] = {}  # each with its Dataset chip side
     datasets: dict[str, Dataset] = {}
     for data_path in paths:
         fm_id = data_path.stem
         index_path = data_path.with_suffix(".idx")
         if not index_path.exists():
             raise DataFormatError(f"{data_path}: missing index file {index_path.name}")
+        blob = index_path.read_bytes()
+        if blob not in joins:
+            join = _join_index(index_path, blob, table.chip_ids, wanted)
+            joins[blob] = join, dict(
+                chip_ids=join.kept, fractions=_take(table.fractions, join.rows),
+                elevations=_take(table.elevations, join.rows),
+                aoi_positions=group_rows(table.aois[join.rows]))
+        join, chip_side = joins[blob]
         read = fms is None or fm_id in fms
-        chips = reads.chip_ids if read else ()
-        key = (index_path.read_bytes(), read)
-        join = joins.get(key)
-        if join is None:
-            join = joins[key] = _join_index(index_path, key[0], chips)
-        emb = load_embeddings(data_path, index_path, fm_id, chips, join)
-        if len(emb):
-            like = joined.get(join)
-            if like is None:
-                datasets[fm_id] = joined[join] = assemble_dataset(reads, emb)
-            else:  # the same join keeps the same chips: only the model differs
-                log_join(fm_id, len(reads) - len(emb), 0)
-                datasets[fm_id] = replace(like, fm_id=fm_id, matrix=emb.matrix)
-            continue
-        # Nothing kept: the whole index tells a join with no chip from an empty one.
-        if set(table.chip_ids).isdisjoint(join.ids(index_path)):
+        if not read:  # the file is only checked
+            join = replace(join, rows=join.rows[:0], kept=(),
+                           dest=np.full(join.count, -1, dtype=np.intp))
+        emb = load_embeddings(data_path, index_path, fm_id, join.kept, join)
+        if not join.aligned:
             raise AlignmentError("no aligned chips")
         if read:
-            datasets[fm_id] = Dataset(
-                fm_id=fm_id, chip_ids=(), matrix=emb.matrix, fractions=reads.fractions[:0],
-                elevations=reads.elevations[:0], aoi_positions={},
-            )
+            log_join(fm_id, n_reads - len(emb), 0)
+            datasets[fm_id] = Dataset(fm_id=fm_id, matrix=emb.matrix, **chip_side)
     return datasets

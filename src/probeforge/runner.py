@@ -397,25 +397,29 @@ def run_grid(
         else:
             import multiprocessing
             from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+            from concurrent.futures.process import BrokenProcessPool
 
             try:
                 ctx = multiprocessing.get_context("fork")
             except ValueError:
                 ctx = multiprocessing.get_context()
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=ctx,
-                initializer=_init_pool, initargs=(datasets,),
-            ) as pool:
-                # One group per worker in flight: the executor starts queued
-                # tasks early, and a started task cannot be cancelled.
-                queued = iter(groups.values())
-                running = {pool.submit(_run_one, g) for g in itertools.islice(queued, workers)}
-                while running:
-                    finished, running = wait(running, return_when=FIRST_COMPLETED)
-                    for fut in finished:
-                        _collect(fut.result())
-                        running.update(pool.submit(_run_one, g)
-                                       for g in itertools.islice(queued, 1))
+            try:
+                with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
+                                         initializer=_init_pool, initargs=(datasets,)) as pool:
+                    # One group per worker in flight: the executor starts queued
+                    # tasks early, and a started task cannot be cancelled.
+                    queued = iter(groups.values())
+                    running = {pool.submit(_run_one, g) for g in itertools.islice(queued, workers)}
+                    while running:
+                        finished, running = wait(running, return_when=FIRST_COMPLETED)
+                        for fut in finished:
+                            _collect(fut.result())
+                            running.update(pool.submit(_run_one, g)
+                                           for g in itertools.islice(queued, 1))
+            except BrokenProcessPool as exc:
+                kept = sum(s.key() in done for s in specs)
+                raise BrokenProcessPool(f"a worker process died; {kept} finished rows are kept"
+                                        f" in {out_path}; rerun with --resume") from exc
 
     records = [done[s.key()] for s in specs]
     write_results_file(out_path, records)

@@ -238,10 +238,24 @@ def csv_text(rows: Iterable[Sequence[str]]) -> str:
 def write_results_file(path: str | Path, records: Sequence[AggregateRecord]) -> None:
     """Write the canonical results CSV (record order is the file order)."""
     text = csv_text([CSV_COLUMNS, *(record_to_row(r, zero_wall=True) for r in records)])
-    tmp = Path(path).with_name(Path(path).name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    write_atomic(path, text.encode("utf-8"))
+
+
+def write_atomic(path: str | Path, *chunks: bytes) -> None:
+    """Write ``chunks`` to a uniquely named file beside ``path`` and rename it
+    over ``path``: a reader sees the old file or the new one, never part of
+    one, and a failed write leaves neither a change nor a temporary file. The
+    mode passes through the umask, as open()'s does."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def parse_results_file(path: str | Path) -> list[AggregateRecord]:

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, driven in-process through main()."""
 
 import json
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -479,6 +480,53 @@ def python(*args):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+# Runs cli.main with runner.run_experiment rebound so that a pool worker
+# kills itself with SIGKILL on the draw groups of target AOI argv[1]; forked
+# workers inherit the rebinding.
+KILLER = """
+import os, signal, sys
+from probeforge import cli, runner
+
+parent, real = os.getpid(), runner.run_experiment
+
+
+def run_experiment(spec, dataset, share=None):
+    if os.getpid() != parent and spec.target_aoi == sys.argv[1]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(spec, dataset, share)
+
+
+runner.run_experiment = run_experiment
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="workers inherit the rebound run_experiment only under fork")
+def test_a_dead_pool_worker_is_named_and_resume_finishes_the_run(workdir, capsys):
+    grid = dict(GRID, target_aois=["aoi-00", "aoi-01"], n_train_target=[20, 30, 40])
+    (workdir / "grid.json").write_text(json.dumps(grid))
+    synth(workdir)
+    assert run(workdir) == 0
+    serial = (workdir / "results.csv").read_bytes()
+
+    out = workdir / "pooled.csv"
+    proc = python("-c", KILLER, "aoi-01", "run", "--grid", str(workdir / "grid.json"),
+                  "--data-dir", str(workdir / "data"), "--out", str(out), "--threads", "2")
+    assert proc.returncode == 3, proc.stderr
+    kept = len(parse_results_file(out))
+    # the first aoi-01 group starts once two of aoi-00's three have finished
+    assert 2 <= kept <= 3
+    assert proc.stderr.splitlines()[-1] == (
+        "probeforge: unexpected failure: BrokenProcessPool('a worker process died;"
+        f" {kept} finished rows are kept in {out}; rerun with --resume')")
+
+    capsys.readouterr()
+    assert main(["run", "--grid", str(workdir / "grid.json"), "--data-dir",
+                 str(workdir / "data"), "--out", str(out), "--resume"]) == 0
+    assert out.read_bytes() == serial
 
 
 def test_module_entry_point_runs_the_cli():

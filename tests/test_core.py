@@ -89,19 +89,6 @@ def test_chip_table_duplicate_id_named():
         make_table(["c0", "c1", "c0"])
 
 
-def test_chip_table_take_keeps_the_rows_in_the_order_given():
-    table = make_table(["c0", "c1", "c2", "c3"], aois=["A", "B", "A", "B"],
-                       elevations=np.arange(4.0),
-                       fractions=np.arange(28.0).reshape(4, 7) / 100)
-    rows = np.array([3, 0])
-    sub = table.take(rows)
-    assert sub.chip_ids == ("c3", "c0") and sub.aois.tolist() == ["B", "A"]
-    assert np.array_equal(sub.fractions, table.fractions[rows])
-    assert np.array_equal(sub.elevations, [3.0, 0.0])
-    assert not sub.fractions.flags.writeable
-    assert table.take(np.arange(4)) == table and len(table.take(rows[:0])) == 0
-
-
 def test_assemble_covers_intersection_in_table_order(caplog):
     fractions = np.arange(21, dtype=float).reshape(3, 7) / 100
     table = make_table(["a", "b", "c"], fractions=fractions,

@@ -1099,7 +1099,7 @@ def _add_model(root, fm_id, chip_ids, rng):
 @pytest.mark.parametrize("aois", [None, {"aoi-01", "aoi-03"}], ids=["all-aois", "two-aois"])
 def test_dataset_dir_shared_index_matches_each_model_loaded_alone(
         tmp_path, small_synth, rng, fms, aois):
-    from probeforge.core import assemble_dataset
+    from probeforge.core import ChipTable, assemble_dataset
 
     root = tmp_path / "data"
     write_dataset_dir(small_synth, root)
@@ -1111,8 +1111,12 @@ def test_dataset_dir_shared_index_matches_each_model_loaded_alone(
     datasets = load_dataset_dir(root, fms, aois)
 
     table = small_synth.table
-    reads = table if aois is None else table.take(
-        np.flatnonzero([a in aois for a in table.aois.tolist()]))
+    reads = table
+    if aois is not None:
+        rows = np.flatnonzero([a in aois for a in table.aois.tolist()])
+        reads = ChipTable(chip_ids=tuple(table.chip_ids[i] for i in rows),
+                          **{name: getattr(table, name)[rows]
+                             for name in ("aois", "lon", "lat", "fractions", "elevations")})
     assert sorted(datasets) == sorted(fms or ["alpha-s1", "beta-s2", "gamma-s2"])
     for fm_id, ds in datasets.items():
         alone = assemble_dataset(reads, load_embeddings(
@@ -1178,19 +1182,19 @@ def test_dataset_dir_header_disagreeing_with_a_shared_index_names_its_own_index(
                                f" header rows {count - 1}, index lines {count}")
 
 
-@pytest.mark.parametrize("fms, decodes, hashes", [
-    (None, ["alpha-s1"], 1),
-    # an unread model keeps no chip, so its ids are decoded again to check
-    # that the index shares one with the table
-    ({"alpha-s1"}, ["alpha-s1", "beta-s2", "beta-s2", "gamma-s2"], 2),
-], ids=["all-read", "two-unread"])
+@pytest.mark.parametrize("fms, gamma, decodes", [
+    (None, "same", ["alpha-s1"]),
+    ({"alpha-s1"}, "same", ["alpha-s1"]),
+    ({"alpha-s1"}, "reversed", ["alpha-s1", "gamma-s2"]),
+], ids=["all-read", "two-unread", "unread-differs"])
 def test_dataset_dir_reads_each_index_once_and_joins_identical_ones_once(
-        tmp_path, small_synth, rng, monkeypatch, fms, decodes, hashes):
+        tmp_path, small_synth, rng, monkeypatch, fms, gamma, decodes):
     import pathlib
 
     root = tmp_path / "data"
     write_dataset_dir(small_synth, root)
-    _add_model(root, "gamma-s2", small_synth.table.chip_ids, rng)
+    ids = small_synth.table.chip_ids
+    _add_model(root, "gamma-s2", ids if gamma == "same" else ids[::-1], rng)
     load_chip_table(root / "chips.jsonl")  # writes the column cache
     read, decoded, hashed = [], [], []
     read_bytes = pathlib.Path.read_bytes
@@ -1205,4 +1209,4 @@ def test_dataset_dir_reads_each_index_once_and_joins_identical_ones_once(
     assert sorted(datasets) == sorted(fms or ["alpha-s1", "beta-s2", "gamma-s2"])
     assert read == ["alpha-s1", "beta-s2", "gamma-s2"]
     assert decoded == decodes
-    assert hashed == [len(small_synth.table)] * hashes
+    assert hashed == [len(small_synth.table)] * len(decodes)

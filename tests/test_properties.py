@@ -462,6 +462,12 @@ def test_filtered_load_matches_a_loop_join_of_the_read_aois(tmp_path_factory, da
                      label="aois")
     read = data.draw(st.one_of(st.none(), st.sets(st.sampled_from(["x", "y", "z", "w"]))),
                      label="read")
+    # a second model the grid does not read, whose index may share the read one's join
+    unread_ids = data.draw(st.one_of(
+        st.just(emb_ids),
+        st.permutations(emb_ids),
+        st.just([f"u{cid}" for cid in emb_ids]),
+    ), label="unread_ids")
     block_rows = data.draw(st.sampled_from([1, 2, 3, 1 << 20]), label="block_rows")
     table = ChipTable(
         chip_ids=tuple(table_ids), aois=np.array(aois, dtype=object),
@@ -472,12 +478,13 @@ def test_filtered_load_matches_a_loop_join_of_the_read_aois(tmp_path_factory, da
     root = tmp_path_factory.mktemp("filtered")
     (root / "embeddings").mkdir()
     save_chip_table(table, root / "chips.jsonl")
-    save_embeddings(EmbeddingSet(fm_id="m-s2", chip_ids=tuple(emb_ids), matrix=matrix),
-                    root / "embeddings" / "m-s2.emb", root / "embeddings" / "m-s2.idx")
+    for fm_id, ids, m in (("m-s2", emb_ids, matrix), ("u-s2", unread_ids, -matrix)):
+        save_embeddings(EmbeddingSet(fm_id=fm_id, chip_ids=tuple(ids), matrix=m),
+                        root / "embeddings" / f"{fm_id}.emb", root / "embeddings" / f"{fm_id}.idx")
     saved = ingest._BLOCK_BYTES
     ingest._BLOCK_BYTES = 4 * 3 * block_rows
     try:
-        if not set(table_ids) & set(emb_ids):
+        if not set(table_ids) & set(emb_ids) or not set(table_ids) & set(unread_ids):
             with pytest.raises(AlignmentError):
                 ingest.load_dataset_dir(root, {"m-s2"}, read)
             return

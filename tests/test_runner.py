@@ -4,6 +4,8 @@ import concurrent.futures
 import dataclasses
 import gc
 import itertools
+import os
+import stat
 import time
 import weakref
 from concurrent.futures import Future
@@ -446,6 +448,24 @@ def test_results_file_round_trip(tmp_path, small_datasets):
     again = tmp_path / "again.csv"
     write_results_file(again, parse_results_file(path))
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_failed_results_write_leaves_no_temporary_file(tmp_path):
+    path = tmp_path / "r.csv"
+    path.mkdir()  # the rename over a directory fails once the data is written
+    with pytest.raises(IsADirectoryError):
+        write_results_file(path, [AggregateRecord(spec=make_spec())])
+    assert [p.name for p in tmp_path.rglob("*")] == ["r.csv"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_results_file_mode_follows_the_umask(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_results_file(tmp_path / "r.csv", [AggregateRecord(spec=make_spec())])
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "r.csv").stat().st_mode) == 0o666 & ~umask
 
 
 def test_parse_results_file_errors(tmp_path):
