@@ -9,17 +9,21 @@ sampler, sizes, repetition count. Two regimes exist:
   AOI, test drawn first.
 
 In both, the test set is a uniform random draw from the target AOI. Each
-spec derives its seed from the grid's base seed and the spec's *draw key*,
-its canonical key without the class, and each repetition derives its test
-and train seeds from that one (``ExperimentSpec.draw_seeds``), so results
-are independent of execution order and of how many workers run. Specs that
-differ only in class therefore draw the same train and test chips in every
-repetition; the runner runs them as one draw group, which factorizes each
-training matrix once and solves it per class. The
-runner streams one CSV row per finished spec (appendable; a crash can tear
-at most the final row, which a resume drops) and then rewrites the file in
-canonical enumeration order with wall times zeroed, making completed result
-files byte-comparable across parallelism levels.
+repetition's test and train seeds derive from the grid's base seed and the
+spec's keys (``ExperimentSpec.draw_seeds``), so results are independent of
+execution order and of how many workers run. A target-split spec keys both
+draws by its *draw key*, its canonical key without the class. An external
+spec keys its train draw by its *train key* (model, train AOI, sampler,
+train size) and its test draw by its *test key* (model, target AOI, test
+size), each of which names only what that draw reads. Specs that share a
+train key (for target-split, the draw key) therefore train on the same
+chips in every repetition; the runner runs them as one *run unit*, which
+draws and factorizes each training matrix once, draws each test set once,
+and solves per class. The runner streams one CSV row per finished spec
+(appendable; a crash can tear at most the final row, which a resume drops)
+and then rewrites the file in canonical enumeration order with wall times
+zeroed, making completed result files byte-comparable across parallelism
+levels.
 Wall-clock measurements still reach the log and the streaming rows; they
 are deliberately absent from the canonical artifact. The spec, its record
 and the results file itself are defined in ``schema``.
@@ -178,9 +182,19 @@ def _aux_for(kind: SamplerKind, ds: Dataset, pos: np.ndarray) -> dict:
 _NO_POSITIONS = np.zeros(0, dtype=np.intp)
 
 
+def _feasible(spec: ExperimentSpec, dataset: Dataset) -> bool:
+    """Whether the AOIs hold the sizes ``spec`` draws; an AOI this dataset lacks holds none."""
+    def size(aoi: str) -> int:
+        return dataset.aoi_positions.get(aoi, _NO_POSITIONS).size
+
+    if spec.regime == REGIME_EXTERNAL:
+        return spec.n_train <= size(spec.train_aoi) and spec.n_test <= size(spec.target_aoi)
+    return spec.n_train + spec.n_test <= size(spec.target_aoi)
+
+
 @dataclass
 class SpecRuns:
-    """One spec's share of a draw group run: what its record aggregates."""
+    """One spec's share of a run unit: what its record aggregates."""
 
     runs: list[RunMetrics] = field(default_factory=list)
     degenerate: int = 0
@@ -188,54 +202,59 @@ class SpecRuns:
     wall_ms: float = 0.0
 
 
-def _run_draw_group(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[SpecRuns]:
-    """Run specs that share one draw key, repetition by repetition.
+def _run_unit(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[SpecRuns]:
+    """Run specs that share one train key, repetition by repetition.
 
-    Each repetition draws once, gathers the train and test rows once and
-    factorizes the training matrix once; then every spec fits, predicts and
-    scores its own class. Sizes the AOIs cannot supply, including an AOI
-    this dataset lacks, make every spec infeasible; repetitions whose
-    test-side variance vanishes are counted degenerate and excluded. Each
-    spec's ``wall_ms`` is an equal share of the group's wall time.
+    Each repetition draws the train set once and factorizes it once. Then,
+    per test key among the specs (a target AOI and test size; a
+    target-split unit has one), it draws and gathers the test set once,
+    and every spec of that test key fits, predicts and scores its own
+    class. Specs whose sizes the AOIs cannot supply are infeasible and
+    draw nothing; repetitions whose test-side variance vanishes are
+    counted degenerate and excluded. Each spec's ``wall_ms`` is an equal
+    share of the unit's wall time.
     """
     t0 = time.perf_counter()
-    spec = specs[0]
-    target_pos = dataset.aoi_positions.get(spec.target_aoi, _NO_POSITIONS)
-    if spec.regime == REGIME_EXTERNAL:
-        train_pos_all = dataset.aoi_positions.get(spec.train_aoi, _NO_POSITIONS)
-        feasible = (
-            spec.n_train <= train_pos_all.size and spec.n_test <= target_pos.size
-        )
-    else:
-        train_pos_all = target_pos  # split_target draws the train set from it
-        feasible = spec.n_train + spec.n_test <= target_pos.size
+    shares = [SpecRuns(infeasible=not _feasible(s, dataset)) for s in specs]
+    by_test: dict[str, list[int]] = {}
+    for i, s in enumerate(specs):
+        if not shares[i].infeasible:
+            by_test.setdefault(s.test_key(), []).append(i)
 
-    shares = [SpecRuns(infeasible=not feasible) for _ in specs]
-    if feasible:
-        targets = [dataset.fractions[:, s.class_id.value] for s in specs]
+    if by_test:
+        heads = [specs[members[0]] for members in by_test.values()]
+        spec = heads[0]
+        # split_target draws the target-split train set from the target AOI
+        train_pos_all = dataset.aoi_positions[spec.train_aoi or spec.target_aoi]
         aux = _aux_for(spec.sampler, dataset, train_pos_all)
+        targets = [dataset.fractions[:, s.class_id.value] for s in specs]
         for r in range(spec.repetitions):
-            test_seed, train_seed = spec.draw_seeds(r)
-            test = draw(SampleRequest(target_pos, spec.n_test, test_seed, SamplerKind.RANDOM))
+            seeds = [h.draw_seeds(r) for h in heads]  # one train seed across the unit
+            tests = [draw(SampleRequest(dataset.aoi_positions[h.target_aoi], h.n_test,
+                                        test_seed, SamplerKind.RANDOM))
+                     for h, (test_seed, _) in zip(heads, seeds)]
+            train_seed = seeds[0][1]
             if spec.regime == REGIME_EXTERNAL:
                 train = draw(SampleRequest(
                     train_pos_all, spec.n_train, train_seed, spec.sampler, **aux,
                 ))
             else:
                 train = split_target(
-                    target_pos, test, spec.n_train, spec.sampler, train_seed, **aux,
+                    train_pos_all, tests[0], spec.n_train, spec.sampler, train_seed, **aux,
                 )
             train_svd = factorize(dataset.matrix[train])
-            test_matrix = dataset.matrix[test].astype(np.float64)
-            for share, y_all in zip(shares, targets):
-                pred = predict(fit(train_svd, y_all[train]), test_matrix)
-                truth = y_all[test]
-                try:
-                    r_val = pearson(pred, truth)
-                except DegenerateVarianceError:
-                    share.degenerate += 1
-                    continue
-                share.runs.append(RunMetrics(pearson_r=r_val, rmse=rmse(pred, truth)))
+            for members, test in zip(by_test.values(), tests):
+                test_matrix = dataset.matrix[test].astype(np.float64)
+                for i in members:
+                    y_all = targets[i]
+                    pred = predict(fit(train_svd, y_all[train]), test_matrix)
+                    truth = y_all[test]
+                    try:
+                        r_val = pearson(pred, truth)
+                    except DegenerateVarianceError:
+                        shares[i].degenerate += 1
+                        continue
+                    shares[i].runs.append(RunMetrics(pearson_r=r_val, rmse=rmse(pred, truth)))
 
     wall = (time.perf_counter() - t0) * 1000.0 / len(specs)
     for share in shares:
@@ -247,20 +266,21 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset,
                    share: SpecRuns | None = None) -> AggregateRecord:
     """One spec's results row: repeated resample, fit, predict, aggregate.
 
-    ``run_grid`` passes the spec's ``share`` of its draw group. Alone, the
-    spec runs as a group of one, which gives the same record: its draws
-    depend only on its draw key, and its fits only on its own class. When
-    fewer than two usable repetitions remain the metric fields stay NaN.
+    ``run_grid`` passes the spec's ``share`` of its run unit. Alone, the
+    spec runs as a unit of one, which gives the same record: its train
+    draw depends only on its train key, its test draw only on its test
+    key, and its fits only on its own class. When fewer than two usable
+    repetitions remain the metric fields stay NaN.
     """
     if share is None:
-        share = _run_draw_group([spec], dataset)[0]
+        share = _run_unit([spec], dataset)[0]
     metrics = asdict(aggregate(share.runs)) if len(share.runs) >= 2 else {}
     return AggregateRecord(spec=spec, degenerate_runs=share.degenerate,
                            infeasible=share.infeasible, wall_ms=share.wall_ms, **metrics)
 
 
-def _run_group(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[AggregateRecord]:
-    shares = _run_draw_group(specs, dataset)
+def _unit_records(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[AggregateRecord]:
+    shares = _run_unit(specs, dataset)
     return [run_experiment(s, dataset, share) for s, share in zip(specs, shares)]
 
 
@@ -275,7 +295,7 @@ def _init_pool(datasets: Mapping[str, Dataset]) -> None:
 
 
 def _run_one(specs: list[ExperimentSpec]) -> list[AggregateRecord]:
-    return _run_group(specs, _POOL_DATA[specs[0].fm_id])
+    return _unit_records(specs, _POOL_DATA[specs[0].fm_id])
 
 
 def _check_resumed_row(path: Path, line: int, kept: AggregateRecord,
@@ -314,19 +334,20 @@ def run_grid(
 ) -> list[AggregateRecord]:
     """Execute every grid spec and persist the canonical results file.
 
-    Specs still to run are grouped by draw key, and each group runs as one
-    task (see ``_run_draw_group``) on one of ``threads`` worker processes,
-    or fewer when there are fewer groups. With ``resume``, rows already present
-    in ``out_path`` (matching spec key and base seed) are kept and only
-    missing specs execute; a final row without its newline, torn by a
-    crash, is dropped first, and a file left empty starts over with a fresh
-    header. The first kept row in canonical order is re-run first, and a
-    mismatch (other data, or another seed scheme) raises
+    Specs still to run are grouped by train key into run units, and each
+    unit runs as one task (see ``_run_unit``) on one of ``threads`` worker
+    processes, or fewer when there are fewer units. With ``resume``, rows
+    already present in ``out_path`` (matching spec key and base seed) are
+    kept and only missing specs execute; a final row without its newline,
+    torn by a crash, is dropped first, and a file left empty starts over
+    with a fresh header. Per regime, the first kept feasible row in
+    canonical order is re-run first (with any infeasible kept rows before
+    it), and a mismatch (other data, or another seed scheme) raises
     ``DataFormatError``. While running, finished rows are appended
     immediately with measured wall times; on completion the whole file is
     rewritten in enumeration order with wall times zeroed, so the final
-    bytes depend only on grid and data. The first failing group stops the
-    run, and no further group starts; rows streamed before it stay for a
+    bytes depend only on grid and data. The first failing unit stops the
+    run, and no further unit starts; rows streamed before it stay for a
     later resume. Returns records in canonical order.
     """
     specs = enumerate_grid(grid)
@@ -352,17 +373,23 @@ def run_grid(
                 continue
             done[rec.spec.key()] = rec
             lines[rec.spec.key()] = line
-        first = next((s for s in specs if s.key() in done), None)
-        if first is not None:
-            _check_resumed_row(out_path, lines[first.key()], done[first.key()],
-                               datasets[first.fm_id])
+        # Each regime keys its draws its own way, and an infeasible row is
+        # the same under any seed scheme: so per regime, kept rows are re-run
+        # in canonical order up to the first feasible one.
+        checked: set[str] = set()
+        for s in specs:
+            kept = done.get(s.key())
+            if kept is not None and s.regime not in checked:
+                _check_resumed_row(out_path, lines[s.key()], kept, datasets[s.fm_id])
+                if not kept.infeasible:
+                    checked.add(s.regime)
 
     todo = [s for s in specs if s.key() not in done]
-    groups: dict[str, list[ExperimentSpec]] = {}
+    units: dict[str, list[ExperimentSpec]] = {}
     for s in todo:
-        groups.setdefault(s.draw_key(), []).append(s)
+        units.setdefault(s.train_key(), []).append(s)
     # The pool starts every worker at once and each holds the datasets: no idle ones.
-    workers = max(1, min(threads, len(groups)))
+    workers = max(1, min(threads, len(units)))
     stale = len(done) - (len(specs) - len(todo))
     if stale > 0:
         logger.warning("%d resumed rows do not match any grid spec; dropping", stale)
@@ -370,8 +397,8 @@ def run_grid(
         logger.info("all specs present; nothing to run")
     else:
         logger.info(
-            "running %d of %d specs (%d resumed) in %d draw groups with %d worker(s)",
-            len(todo), len(specs), len(specs) - len(todo), len(groups), workers,
+            "running %d of %d specs (%d resumed) in %d run units with %d worker(s)",
+            len(todo), len(specs), len(specs) - len(todo), len(units), workers,
         )
 
     with open(out_path, "a" if append else "w", encoding="utf-8", newline="") as stream_fh:
@@ -392,8 +419,8 @@ def run_grid(
                 )
 
         if workers == 1:
-            for group in groups.values():
-                _collect(_run_group(group, datasets[group[0].fm_id]))
+            for unit in units.values():
+                _collect(_unit_records(unit, datasets[unit[0].fm_id]))
         else:
             import multiprocessing
             from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -406,9 +433,9 @@ def run_grid(
             try:
                 with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
                                          initializer=_init_pool, initargs=(datasets,)) as pool:
-                    # One group per worker in flight: the executor starts queued
+                    # One unit per worker in flight: the executor starts queued
                     # tasks early, and a started task cannot be cancelled.
-                    queued = iter(groups.values())
+                    queued = iter(units.values())
                     running = {pool.submit(_run_one, g) for g in itertools.islice(queued, workers)}
                     while running:
                         finished, running = wait(running, return_when=FIRST_COMPLETED)

@@ -141,14 +141,43 @@ class ExperimentSpec:
         return self._key(f"class={self.class_id.label};")
 
     def draw_key(self) -> str:
-        """The key without the class, and the seed tag: no draw reads the class."""
+        """The key without the class, and the target-split seed tag: no draw reads the class."""
         return self._key("")
 
+    def train_key(self) -> str:
+        """What the train draw reads, and the tag its seed derives from.
+
+        An external train set reads neither the target AOI nor the test
+        size. A target-split train set is carved beside its test set, so it
+        reads the whole draw key.
+        """
+        if self.regime != REGIME_EXTERNAL:
+            return self.draw_key()
+        return (f"regime={self.regime};fm={self.fm_id};train={self.train_aoi};"
+                f"sampler={self.sampler.value};n_train={self.n_train};"
+                f"reps={self.repetitions}")
+
+    def test_key(self) -> str:
+        """The tag the test draw's seed derives from.
+
+        An external test set is a random draw from the target AOI whatever
+        the train side, so it names no train AOI, sampler or train size. A
+        target-split test set keeps the draw key's chain.
+        """
+        if self.regime != REGIME_EXTERNAL:
+            return self.draw_key()
+        return (f"regime={self.regime};fm={self.fm_id};target={self.target_aoi};"
+                f"n_test={self.n_test};reps={self.repetitions}")
+
     def seed(self) -> int:
+        """The draw key's seed: the root of a target-split spec's draws."""
         return derive_seed(self.base_seed, self.draw_key())
 
     def draw_seeds(self, rep: int) -> tuple[int, int]:
         """Repetition ``rep``'s (test, train) draw seeds; no other code derives them."""
+        if self.regime == REGIME_EXTERNAL:
+            return (derive_seed(self.base_seed, self.test_key(), "rep", rep),
+                    derive_seed(self.base_seed, self.train_key(), "rep", rep))
         rep_seed = derive_seed(self.seed(), "rep", rep)
         return derive_seed(rep_seed, "test"), derive_seed(rep_seed, "train")
 

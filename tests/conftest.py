@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import probeforge  # noqa: F401  first, so its BLAS pin is set before numpy loads
 
+import concurrent.futures
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
+import probeforge.runner as runner_mod
 from probeforge.core import ClassId
 from probeforge.ingest import SynthSpec, synthesize_dataset
 from probeforge.runner import AggregateRecord, ExperimentSpec
@@ -26,6 +30,36 @@ def small_synth():
 @pytest.fixture(scope="session")
 def small_datasets(small_synth):
     return {fm: small_synth.dataset(fm) for fm in small_synth.spec.fm_ids}
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Make ``run_grid``'s process pool run each task in this process, at submit.
+
+    Returns the list of the pool sizes ``run_grid`` asks for.
+    """
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    # run_grid imports the executor from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(runner_mod, "_POOL_DATA", {})
+    return started
 
 
 def make_record(

@@ -176,6 +176,31 @@ def test_run_resume_keeps_rows_it_reproduces(workdir):
     assert after.startswith(before)
 
 
+@pytest.mark.parametrize("line", [3, 6], ids=["feasible-after-infeasible", "first-external"])
+def test_run_resume_checks_the_first_feasible_row_of_each_regime(workdir, capsys, line):
+    # target-split rows first, and the first one infeasible (150 + 20 > 100 chips)
+    grid = {**GRID, "regimes": ["target-split", "external"],
+            "target_aois": ["aoi-00", "aoi-01"], "external_aois": ["aoi-00", "aoi-01"],
+            "n_train_target": [150, 40], "n_train_external": [40]}
+    (workdir / "grid.json").write_text(json.dumps(grid))
+    synth(workdir)
+    assert run(workdir) == 0
+    path = workdir / "results.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    assert [row.split(",")[2] for row in lines[1:]] == ["target-split"] * 4 + ["external"] * 2
+    assert lines[1].split(",")[14] == "true" and lines[line - 1].split(",")[14] == "false"
+    fields = lines[line - 1].split(",")
+    fields[9] = "0.5"  # r_mean
+    lines[line - 1] = ",".join(fields)
+    path.write_text("".join(lines[:-1]))  # and the last row still to run
+    before = path.read_bytes()
+    capsys.readouterr()
+    assert run(workdir, "--resume") == 2
+    err = capsys.readouterr().err
+    assert f"results.csv: line {line}: kept row is not reproduced" in err
+    assert path.read_bytes() == before
+
+
 def test_run_zero_width_embeddings_exits_2(workdir):
     synth(workdir)
     emb = workdir / "data" / "embeddings" / "tiny-s1.emb"

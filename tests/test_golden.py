@@ -49,19 +49,21 @@ GOLDEN = {
     "synth/planted.json":
         "5a37085db34d10b7df6604bd43c22171a3fc17c292a143991b434a84a308ade9",
     "run/results.csv":
-        "9739d08740bb9b59362e93efe1de80933cd838047163e22cd64f671ac03d7cb1",
+        "c4eee27ed077f0f256aecf9f449aba3324234400316233f4aa1975ce3ea5bed0",
     "run-threads-2/results.csv":
-        "9739d08740bb9b59362e93efe1de80933cd838047163e22cd64f671ac03d7cb1",
+        "c4eee27ed077f0f256aecf9f449aba3324234400316233f4aa1975ce3ea5bed0",
+    "run/results.csv/target-split":
+        "1c9f7738c0416a22d8d8fb6a0b20808392a286a7f3829166db8200a57e5e9600",
     "report-heatmap":
-        "2c494c4d9233cb85a45bb9ded255ada1631afcc6dda70e6e865c2bc615655e67",
+        "d907aa70b22980f14db078e50d395bc23f2d3a40ee764f8ca653cf8dc8ba3c58",
     "report-scatter":
-        "3651d8f309b9549087394e74e7876a6f571a72a537e088b8dacd9536249c42cb",
+        "12a352225b1307fe580f007be5e024b8b960a554fa8fa18b57b183ed9f0ca002",
     "report-select/csv":
-        "4ef3ed920d8975a3dd06c301fb9cadb3276742a558d8e08ce8ac89fa62f27733",
+        "73564970a9cf121dbcae70b84719368fbc8d009cce3d85d163a421c8cf86da13",
     "report-select/text":
-        "6f7d353134ae59f3f34e43a2fda7fcfa0b5b131662a8f146325c87e8a41433d3",
+        "e1b793ecd8b03e7c1fbf34ef050d26df163394dceba21beb7613dfb1329305ff",
     "report-select/best-corr-mean":
-        "67ef6c5be3241f2e4097bbc15e21c3f6a82834be16ce034e11ac6938dbce02be",
+        "fced5a09eb3c61f43757b0b0fdd3121a5646d4f28db81b01af6fd02ca6c37a5c",
     "validate/stdout":
         "1cc67877168e32455c906371f090303f1a8ac61fabbc8e20e4323253e3ebc7b9",
 }
@@ -97,6 +99,15 @@ def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _target_split_digest(path):
+    """The digest of the header and the target-split rows alone: external
+    draws may be re-keyed without touching these bytes."""
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    kept = [row for row in rows if row.split(b",")[2] == b"target-split"]
+    assert kept
+    return hashlib.sha256(header + b"".join(kept)).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -120,6 +131,7 @@ def outputs(tmp_path_factory):
                          "--data-dir", str(data), "--out", str(path), *extra]) == 0
             out[f"{label}/results.csv"] = _digest(path)
         (root / "run.csv").replace(results)
+        out["run/results.csv/target-split"] = _target_split_digest(results)
 
         reports = {
             "report-heatmap": ["report-heatmap", "--class", "tree-cover",

@@ -1,5 +1,6 @@
 """Property-based checks: samplers, target splits, the probe, the metrics, result rows,
-chip tables and their column cache, the chip-to-embedding join and the dataset loader."""
+run units, chip tables and their column cache, the chip-to-embedding join and the dataset
+loader."""
 
 import json
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from probeforge import ingest, sampling  # noqa: E402
@@ -22,6 +23,7 @@ from probeforge.errors import (  # noqa: E402
 from probeforge.ingest import load_chip_table, save_chip_table, save_embeddings  # noqa: E402
 from probeforge.metrics import DEGENERATE_STD, pearson, rmse  # noqa: E402
 from probeforge.probe import DEFAULT_RCOND, factorize, fit, predict  # noqa: E402
+from probeforge.runner import GridSpec, enumerate_grid, run_experiment, run_grid  # noqa: E402
 from probeforge.schema import (  # noqa: E402
     REGIME_EXTERNAL,
     REGIME_TARGET_SPLIT,
@@ -223,6 +225,44 @@ def test_results_rows_round_trip(tmp_path_factory, recs):
     assert [record_to_row(r, zero_wall=True) for r in parse_results_file(path)] == [
         record_to_row(r, zero_wall=True) for r in recs
     ]
+
+
+#: One train AOI and two samplers: two run units, which test on the same two
+#: target AOIs at the same two test sizes.
+_UNIT_GRID = GridSpec(
+    fms=("alpha-s1",), classes=(ClassId.TREE_COVER, ClassId.BUILTUP),
+    samplers=(SamplerKind.SRTM, SamplerKind.RANDOM), regimes=(REGIME_EXTERNAL,),
+    external_aois=("aoi-00",), target_aois=("aoi-01", "aoi-02"),
+    n_train_external=(20,), n_test_target=(10, 15), repetitions=3, base_seed=11,
+)
+
+
+@pytest.fixture(scope="module")
+def unit_grid_bytes(tmp_path_factory, small_datasets):
+    path = tmp_path_factory.mktemp("unit") / "full.csv"
+    run_grid(_UNIT_GRID, small_datasets, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(subset=st.sets(st.integers(0, 15), min_size=1), threads=st.sampled_from([1, 2]))
+def test_a_spec_row_does_not_depend_on_which_specs_of_its_run_unit_run(
+        tmp_path_factory, small_datasets, in_process_pool, unit_grid_bytes, subset, threads):
+    specs = enumerate_grid(_UNIT_GRID)
+    assert len(specs) == 16 and len({s.train_key() for s in specs}) == 2
+    header, *rows = unit_grid_bytes.splitlines(keepends=True)
+    path = tmp_path_factory.mktemp("subset") / "r.csv"
+    path.write_bytes(header + b"".join(row for i, row in enumerate(rows) if i not in subset))
+    pools = len(in_process_pool)
+    run_grid(_UNIT_GRID, small_datasets, path, threads=threads, resume=True)
+    assert path.read_bytes() == unit_grid_bytes
+    units = {specs[i].train_key() for i in subset}
+    assert in_process_pool[pools:] == ([2] if threads == 2 and len(units) == 2 else [])
+    full = parse_results_file(path)
+    for i in subset:
+        alone = run_experiment(specs[i], small_datasets["alpha-s1"])
+        assert record_to_row(alone, zero_wall=True) == record_to_row(full[i], zero_wall=True)
 
 
 _labels = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)),

@@ -1,6 +1,5 @@
 """Grid enumeration, single-spec execution, and results-file determinism."""
 
-import concurrent.futures
 import dataclasses
 import gc
 import itertools
@@ -8,7 +7,6 @@ import os
 import stat
 import time
 import weakref
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -65,6 +63,9 @@ SMALL_GRID = GridSpec(
     base_seed=9,
 )
 
+#: Each external AOI trains for two targets: two draw groups, one run unit.
+THREE_TARGETS = dataclasses.replace(SMALL_GRID, target_aois=("aoi-00", "aoi-01", "aoi-02"))
+
 
 # ---------------------------------------------------------------------------
 # spec identity
@@ -110,21 +111,37 @@ def test_spec_seeds_stable_under_grid_growth():
         repetitions=3,
         base_seed=9,
     ))
-    seeds_small = {s.key(): s.seed() for s in small}
-    seeds_grown = {s.key(): s.seed() for s in grown}
+    def seeds(specs):
+        return {s.key(): [s.draw_seeds(r) for r in range(s.repetitions)] for s in specs}
+
+    seeds_small, seeds_grown = seeds(small), seeds(grown)
     assert set(seeds_small) < set(seeds_grown)
     for key, seed in seeds_small.items():
         assert seeds_grown[key] == seed
 
 
 def test_spec_seeds_distinct_within_grid():
-    specs = enumerate_grid(SMALL_GRID)
-    seeds = {s.seed() for s in specs}
-    draw_keys = {s.draw_key() for s in specs}
-    assert len(draw_keys) == len(specs) // len(SMALL_GRID.classes)
-    assert len(seeds) == len(draw_keys)  # distinct across draw keys
-    for s in specs:  # equal within one: the classes share their draws
-        assert s.seed() == dataclasses.replace(s, class_id=ClassId.CROPLAND).seed()
+    grid = dataclasses.replace(THREE_TARGETS, samplers=(SamplerKind.RANDOM, SamplerKind.SRTM),
+                               n_test_target=(15, 25))
+    specs = enumerate_grid(grid)
+    split = [s for s in specs if s.regime == REGIME_TARGET_SPLIT]
+    external = [s for s in specs if s.regime == REGIME_EXTERNAL]
+    draw_keys = {s.draw_key() for s in split}
+    assert len(draw_keys) == len(split) // len(grid.classes)
+    assert len({s.seed() for s in split}) == len(draw_keys)  # distinct across draw keys
+    # an external train seed is shared exactly by the specs of one train key,
+    # and a test seed by those of one test key, whatever the train side
+    for role, key in ((1, ExperimentSpec.train_key), (0, ExperimentSpec.test_key)):
+        by_key = {key(s): s.draw_seeds(0)[role] for s in external}
+        assert all(by_key[key(s)] == s.draw_seeds(0)[role] for s in external)
+        assert len(set(by_key.values())) == len(by_key)
+    train_keys = {s.train_key() for s in external}  # 2 train AOIs x 2 samplers
+    test_keys = {s.test_key() for s in external}  # 3 target AOIs x 2 test sizes
+    assert (len(train_keys), len(test_keys)) == (4, 6)
+    all_seeds = {seed for s in specs for r in range(2) for seed in s.draw_seeds(r)}
+    assert len(all_seeds) == 2 * (2 * len(draw_keys) + len(train_keys) + len(test_keys))
+    for s in specs:  # equal within a key: the classes share their draws
+        assert s.draw_seeds(0) == dataclasses.replace(s, class_id=ClassId.CROPLAND).draw_seeds(0)
 
 
 @pytest.mark.parametrize("spec", [
@@ -132,10 +149,18 @@ def test_spec_seeds_distinct_within_grid():
     make_spec(sampler=SamplerKind.SRTM),
 ], ids=["external", "target-split"])
 def test_draw_seeds_follow_the_seed_tree(spec):
-    # base seed -> draw key -> rep -> test/train; a change here moves every row
+    # a change here moves every row of the spec's regime
     for r in range(spec.repetitions):
-        rep = derive_seed(derive_seed(spec.base_seed, spec.draw_key()), "rep", r)
-        assert spec.draw_seeds(r) == (derive_seed(rep, "test"), derive_seed(rep, "train"))
+        if spec.regime == REGIME_EXTERNAL:  # base seed -> test key or train key -> rep
+            test_key = "regime=external;fm=alpha-s1;target=aoi-00;n_test=20;reps=4"
+            train_key = "regime=external;fm=alpha-s1;train=aoi-01;sampler=random;n_train=40;reps=4"
+            assert (spec.test_key(), spec.train_key()) == (test_key, train_key)
+            want = (derive_seed(spec.base_seed, test_key, "rep", r),
+                    derive_seed(spec.base_seed, train_key, "rep", r))
+        else:  # base seed -> draw key -> rep -> test/train
+            rep = derive_seed(derive_seed(spec.base_seed, spec.draw_key()), "rep", r)
+            want = (derive_seed(rep, "test"), derive_seed(rep, "train"))
+        assert spec.draw_seeds(r) == want
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +378,7 @@ def test_run_experiment_splits_stay_disjoint(monkeypatch, small_datasets):
 
 
 def test_class_rows_do_not_depend_on_the_other_classes(tmp_path, small_datasets):
-    # what lets a resume finish a draw group that is only partly done
+    # what lets a resume finish a run unit that is only partly done
     grid = dataclasses.replace(SMALL_GRID, samplers=tuple(SamplerKind))
     alone = run_grid(dataclasses.replace(grid, classes=(ClassId.BUILTUP,)),
                      small_datasets, tmp_path / "alone.csv")
@@ -370,28 +395,50 @@ def test_class_rows_do_not_depend_on_the_other_classes(tmp_path, small_datasets)
         assert record_to_row(single, zero_wall=True) == record_to_row(rec, zero_wall=True)
 
 
-def test_one_factorization_per_draw_group_and_repetition(
+def _spy(monkeypatch, name, record):
+    """Replace ``runner.<name>`` with a wrapper that passes its argument tuple to ``record``."""
+    real = getattr(runner_mod, name)
+
+    def counted(*args):
+        record(args)
+        return real(*args)
+    monkeypatch.setattr(runner_mod, name, counted)
+
+
+def test_one_factorization_per_run_unit_and_repetition(
         tmp_path, monkeypatch, small_datasets):
-    grid = dataclasses.replace(SMALL_GRID, classes=tuple(ClassId))
+    grid = dataclasses.replace(THREE_TARGETS, classes=tuple(ClassId))
     specs = enumerate_grid(grid)
-    groups = {s.draw_key() for s in specs}
-    assert len(specs) == 7 * len(groups)
-    calls = {"factorize": 0, "fit": 0}
-
-    def spy(name):
-        real = getattr(runner_mod, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(runner_mod, name, spy(name))
+    units = {s.train_key() for s in specs}
+    assert len(specs) == 7 * len({s.draw_key() for s in specs}) and len(units) == 5
+    factorized, fitted = [], []
+    _spy(monkeypatch, "factorize", factorized.append)
+    _spy(monkeypatch, "fit", fitted.append)
     records = run_grid(grid, small_datasets, tmp_path / "r.csv")
     assert not any(r.infeasible for r in records)
-    assert calls == {"factorize": len(groups) * grid.repetitions,
-                     "fit": len(specs) * grid.repetitions}
+    assert len(factorized) == len(units) * grid.repetitions
+    assert len(fitted) == len(specs) * grid.repetitions
+
+
+def test_one_train_draw_per_train_key_and_repetition(tmp_path, monkeypatch, small_datasets):
+    # the quick start's shape: two external AOIs, three targets, random and srtm, two classes
+    grid = dataclasses.replace(THREE_TARGETS, samplers=(SamplerKind.RANDOM, SamplerKind.SRTM))
+    specs = enumerate_grid(grid)
+    train_keys = {s.train_key() for s in specs if s.regime == REGIME_EXTERNAL}
+    draw_groups = {s.draw_key() for s in specs if s.regime == REGIME_TARGET_SPLIT}
+    assert (len(train_keys), len(draw_groups)) == (4, 6)
+    factorized, drawn = [], []
+    _spy(monkeypatch, "factorize", factorized.append)
+    _spy(monkeypatch, "draw", drawn.append)
+    records = run_grid(grid, small_datasets, tmp_path / "r.csv")
+    assert not any(r.infeasible for r in records)
+    assert len(factorized) == (len(train_keys) + len(draw_groups)) * grid.repetitions
+    # test draws take n_test=15 chips; runner.draw makes train draws only for external specs
+    train_draws = [req for (req,) in drawn if req.k == 20]
+    assert len(train_draws) == len(train_keys) * grid.repetitions
+    # each train key tests on two targets, each target-split draw group on one
+    test_draws = (2 * len(train_keys) + len(draw_groups)) * grid.repetitions
+    assert len(drawn) - len(train_draws) == test_draws
 
 
 # ---------------------------------------------------------------------------
@@ -671,39 +718,17 @@ def test_run_grid_worker_failure_cancels_queued_specs(tmp_path, monkeypatch, sma
     assert len(list(ran.iterdir())) < (len(specs) - 1) / 2
 
 
-def test_run_grid_starts_no_more_workers_than_draw_groups(tmp_path, monkeypatch, small_datasets):
-    started = []
-
-    class InProcessPool:
-        """Records the pool size it is given and runs each task at submit."""
-
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    # run_grid imports the executor from concurrent.futures when it needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(runner_mod, "_POOL_DATA", {})
-    groups = len({s.draw_key() for s in enumerate_grid(SMALL_GRID)})
-    assert groups == 4
+def test_run_grid_starts_no_more_workers_than_run_units(tmp_path, small_datasets,
+                                                       in_process_pool):
+    units = len({s.train_key() for s in enumerate_grid(THREE_TARGETS)})
+    assert units == 5
     serial = tmp_path / "serial.csv"
-    run_grid(SMALL_GRID, small_datasets, serial, threads=1)
+    run_grid(THREE_TARGETS, small_datasets, serial, threads=1)
     for threads in (16, 3):
         path = tmp_path / f"threads-{threads}.csv"
-        run_grid(SMALL_GRID, small_datasets, path, threads=threads)
+        run_grid(THREE_TARGETS, small_datasets, path, threads=threads)
         assert path.read_bytes() == serial.read_bytes()
-    assert started == [groups, 3]
+    assert in_process_pool == [units, 3]
 
 
 def test_serial_run_grid_keeps_no_dataset_alive(tmp_path, small_synth):
