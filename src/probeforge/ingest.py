@@ -16,13 +16,15 @@ On-disk formats (all little-endian, documented here and nowhere else):
   chip lon, lat, the seven fractions in class-code order and the elevation;
   then ``[chip_ids, aois]`` as one ASCII JSON array of two string arrays,
   whose escapes keep every string exactly (NUL, line ends and lone
-  surrogates included). A load serves the table from the cache only when
-  magic, version and both digests match; otherwise it parses the chip file
-  and rewrites the cache. The cache is safe to delete, and a directory that
-  cannot be written is no error.
+  surrogates included). A load streams the chip file through its digest
+  and serves the table from the cache only when magic, version and both
+  digests match, without ever holding the chip file whole; otherwise it
+  parses the chip file and rewrites the cache. The cache is safe to delete,
+  and a directory that cannot be written is no error.
 * Embeddings: magic ``EMB1`` | dim u32 | count u64 | count*dim f32 values,
-  row-major. A sibling text index holds one chip_id per line; line i names
-  row i.
+  row-major, read in blocks of 1 MiB. A sibling text index holds one chip_id
+  per line; line i names row i. An index whose bytes list exactly the chip
+  table's ids, each ended by ``\n``, is joined without being decoded.
 * Text files (the chip table, each index) are UTF-8, refused at a bad byte
   with the file and 1-based line. Lines end only at ``\n``, ``\r\n`` or
   ``\r``, so an index id may hold any other character, U+2028 included;
@@ -49,7 +51,7 @@ import warnings
 from dataclasses import asdict, dataclass, field, replace
 from itertools import compress
 from pathlib import Path
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import BinaryIO, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -83,8 +85,10 @@ _COLS_HEAD = struct.Struct("<4sIQ32s32s")
 #: lon, lat, the seven fractions and the elevation of one chip
 _COLS_VALUES = 3 + N_CLASSES
 
-#: Bytes of ``.emb`` payload read per block: a few MiB, whatever the dim.
-_BLOCK_BYTES = 1 << 22
+#: Bytes of ``.emb`` payload read per block: 1 MiB, whatever the dim.
+_BLOCK_BYTES = 1 << 20
+#: Bytes of the chip file hashed at a time.
+_DIGEST_BLOCK = 1 << 18
 #: Bytes of a text file decoded at a time, up to the next "\n": open()'s chunk size.
 _TEXT_BLOCK = 1 << 13
 
@@ -116,22 +120,33 @@ def load_chip_table(path: str | Path) -> ChipTable:
     the id. Blank lines are permitted and skipped, so an empty file yields
     an empty table.
 
-    The file is read once. When ``<path>.cols`` holds the columns of exactly
-    these bytes (see the module docstring), the table comes from there and
-    no chip record is decoded; otherwise the bytes are parsed. A parse that
-    passes every check, the fraction range that ``load_dataset_dir`` refuses
-    included, rewrites the cache.
+    The file is first streamed through a digest. When ``<path>.cols`` holds
+    the columns of exactly these bytes (see the module docstring), the table
+    comes from there, and neither the whole file nor any chip record is held;
+    otherwise the file is read whole and parsed. A parse that passes every
+    check, the fraction range that ``load_dataset_dir`` refuses included,
+    rewrites the cache, keyed by the digest of the bytes it parsed.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    digest = hashlib.sha256(blob).digest()
     cache = Path(f"{os.fspath(path)}.cols")
-    table = _read_columns(cache, digest)
-    if table is None:
-        table = _parse_chips(path, blob)
-        if not fraction_out_of_range(table.fractions).any():
-            _write_columns(cache, digest, table)
+    with open(path, "rb") as fh:
+        table = _read_columns(cache, _digest(fh))
+        if table is not None:
+            return table
+        fh.seek(0)
+        blob = fh.read()
+    table = _parse_chips(path, blob)
+    if not fraction_out_of_range(table.fractions).any():
+        _write_columns(cache, hashlib.sha256(blob).digest(), table)
     return table
+
+
+def _digest(fh: BinaryIO) -> bytes:
+    """The sha256 of what is left of binary file ``fh``, read through one buffer."""
+    h = hashlib.sha256()
+    buf = memoryview(bytearray(_DIGEST_BLOCK))
+    while n := fh.readinto(buf):
+        h.update(buf[:n])
+    return h.digest()
 
 
 def _parse_chips(path: str | Path, blob: bytes) -> ChipTable:
@@ -175,27 +190,35 @@ def _chip_table(ids: Sequence[str], aois: Sequence[str], cols: np.ndarray) -> Ch
 
 def _read_columns(path: Path, digest: bytes) -> ChipTable | None:
     """The table the column cache at ``path`` holds for the chip file of
-    sha256 ``digest``; None when the cache is missing, stale or damaged."""
+    sha256 ``digest``; None when the cache is missing, stale or damaged.
+
+    The values are read straight into the table's array, and only once the
+    header matches and the file is long enough to hold them.
+    """
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            head = fh.read(_COLS_HEAD.size)
+            if len(head) < _COLS_HEAD.size:
+                return None
+            magic, version, n, chips_sha, payload_sha = _COLS_HEAD.unpack(head)
+            if ((magic, version, chips_sha) != (_COLS_MAGIC, _COLS_VERSION, digest)
+                    or 8 * _COLS_VALUES * n > os.fstat(fh.fileno()).st_size - len(head)):
+                return None
+            cols = np.empty((n, _COLS_VALUES), dtype="<f8")
+            if fh.readinto(cols) != cols.nbytes:
+                return None
+            tail = fh.read()
     except OSError:
         return None
-    if len(blob) < _COLS_HEAD.size:
-        return None
-    magic, version, n, chips_sha, payload_sha = _COLS_HEAD.unpack_from(blob)
-    payload = memoryview(blob)[_COLS_HEAD.size:]
-    if ((magic, version, chips_sha) != (_COLS_MAGIC, _COLS_VERSION, digest)
-            or hashlib.sha256(payload).digest() != payload_sha):
+    h = hashlib.sha256(cols)
+    h.update(tail)
+    if h.digest() != payload_sha:
         return None
     # Both digests match, so only a faulty writer could make what follows fail.
     try:
-        at = 8 * _COLS_VALUES * n
-        # a copy, so the table does not keep the whole file alive
-        cols = np.frombuffer(payload[:at], dtype="<f8").reshape(n, _COLS_VALUES).copy()
-        ids, aois = json.loads(str(payload[at:], "ascii"))
+        ids, aois = json.loads(str(tail, "ascii"))
         return _chip_table(ids, aois, cols)
-    except (ValueError, TypeError):  # short values, bad JSON, columns of other lengths
+    except (ValueError, TypeError):  # bad JSON, columns of other lengths
         return None
 
 
@@ -362,13 +385,21 @@ class _IndexJoin:
 def _join_index(index_path: str | Path, blob: bytes, chips: Sequence[str] | None,
                 wanted: np.ndarray | None = None) -> _IndexJoin:
     """Join ``blob``, the bytes of ``index_path``, to ``chips`` (see
-    ``load_embeddings``), keeping only the chips that mask ``wanted`` marks, if given."""
-    ids = tuple(_text_lines(index_path, blob))
-    # The index is hashed once, for both the join and the repeat check.
-    index = id_positions(ids)
-    if chips is None:
-        chips = ids
-    found, src = _match(chips, ids, index)
+    ``load_embeddings``), keeping only the chips that mask ``wanted`` marks, if given.
+
+    An index that lists exactly ``chips``, in order, is neither decoded nor
+    hashed: ``chips`` are distinct, so its rows are theirs one for one.
+    """
+    if chips is not None and _lists_exactly(blob, chips):
+        count, repeated = len(chips), False
+        found, src = np.ones(count, dtype=bool), np.arange(count)
+    else:
+        ids = tuple(_text_lines(index_path, blob))
+        # The index is hashed once, for both the join and the repeat check.
+        index = id_positions(ids)
+        chips = ids if chips is None else chips
+        found, src = _match(chips, ids, index)
+        count, repeated = len(ids), len(index) < len(ids)
     aligned = bool(found.any())
     if wanted is not None:
         src = src[wanted[found]]
@@ -376,10 +407,21 @@ def _join_index(index_path: str | Path, blob: bytes, chips: Sequence[str] | None
     rows = np.flatnonzero(found)
     kept = tuple(chips if rows.size == len(chips) else compress(chips, found.tolist()))
     dest = None
-    if not np.array_equal(src, np.arange(len(ids))):
-        dest = np.full(len(ids), -1, dtype=np.intp)
+    if not np.array_equal(src, np.arange(count)):
+        dest = np.full(count, -1, dtype=np.intp)
         dest[src] = np.arange(rows.size)
-    return _IndexJoin(blob, len(ids), len(index) < len(ids), aligned, rows, kept, dest)
+    return _IndexJoin(blob, count, repeated, aligned, rows, kept, dest)
+
+
+def _lists_exactly(blob: bytes, chips: Sequence[str]) -> bool:
+    r"""Whether index bytes ``blob`` hold ``chips`` one per line, each ended by
+    ``"\n"``: no ``"\r"``, one ``"\n"`` per chip, and the chips' own UTF-8."""
+    if b"\r" in blob or blob.count(b"\n") != len(chips):
+        return False
+    try:
+        return blob == "\n".join([*chips, ""]).encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate, which no valid index holds
+        return False
 
 
 def load_embeddings(
@@ -854,8 +896,9 @@ def load_dataset_dir(
     Dataset, on which every spec is infeasible.
 
     Models usually index the same chips. Each distinct ``.idx`` content is
-    decoded, hashed and joined to the table once, whatever the grid reads,
-    and the Datasets of models that share it share every array but the matrix.
+    joined to the table once, whatever the grid reads, and is decoded and
+    hashed only when it does not list exactly the table's chips in order.
+    The Datasets of models that share it share every array but the matrix.
     """
     root = Path(data_dir)
     chips_path = root / "chips.jsonl"

@@ -1,6 +1,8 @@
-"""The package's runtime dependencies, the stdlib and numpy, and who may derive seeds."""
+"""The package's runtime dependencies, the stdlib and numpy, who may derive seeds, and
+the oldest Python its sources must parse on."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -44,3 +46,13 @@ def test_only_the_seed_tree_and_the_stream_derive_seeds():
     }
     assert "schema.py" in callers
     assert callers <= {"seeds.py", "schema.py", "ingest.py"}, sorted(callers)
+
+
+def test_every_module_parses_as_the_oldest_python_the_package_declares():
+    # The suite may run on a newer interpreter than requires-python names.
+    pyproject = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject).groups())
+    sources = sorted(SRC.rglob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(major, minor))

@@ -10,6 +10,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -331,6 +332,52 @@ def test_chip_table_cache_with_valid_digests_but_inconsistent_payload_is_refused
         _cols(p).write_bytes(head.pack(magic, version, n, chips_sha, digest) + payload)
         assert load_chip_table(p) == small_synth.table
         assert _cols(p).read_bytes() == good
+
+
+@pytest.mark.parametrize("damage", ["count-beyond-file", "payload-digest", "cut-in-tail"])
+def test_chip_table_cache_is_checked_before_its_payload_is_used(tmp_path, small_synth, damage):
+    p = tmp_path / "chips.jsonl"
+    save_chip_table(small_synth.table, p)
+    load_chip_table(p)
+    good = _cols(p).read_bytes()
+    head = ingest_mod._COLS_HEAD
+    magic, version, n, chips_sha, payload_sha = head.unpack_from(good)
+    values_end = head.size + 80 * n
+    if damage == "count-beyond-file":  # rows that no file could hold
+        bad = head.pack(magic, version, 1 << 56, chips_sha, payload_sha) + good[head.size:]
+    elif damage == "payload-digest":
+        bad = head.pack(magic, version, n, chips_sha, bytes(32)) + good[head.size:]
+    else:
+        bad = good[:(values_end + len(good)) // 2]
+    _cols(p).write_bytes(bad)
+    digest = ingest_mod.hashlib.sha256(p.read_bytes()).digest()
+    tracemalloc.start()
+    try:
+        assert ingest_mod._read_columns(_cols(p), digest) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if damage == "count-beyond-file":
+        assert peak < 80 * n  # not even the rows the file does hold
+    assert load_chip_table(p) == small_synth.table
+    assert _cols(p).read_bytes() == good
+
+
+def test_chip_table_cache_hit_never_holds_the_chip_file_whole(tmp_path):
+    p = tmp_path / "chips.jsonl"
+    table = synthesize_dataset(SynthSpec(n_chips=5000, dim=4)).table
+    save_chip_table(table, p)
+    size = p.stat().st_size
+    assert size > 2_000_000
+    load_chip_table(p)  # writes the cache
+    tracemalloc.start()
+    try:
+        served = load_chip_table(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert served == table
+    assert peak < size
 
 
 _BAD_CHIPS = {
@@ -1182,10 +1229,12 @@ def test_dataset_dir_header_disagreeing_with_a_shared_index_names_its_own_index(
                                f" header rows {count - 1}, index lines {count}")
 
 
+# An index that lists exactly the table's chips is neither decoded nor
+# hashed; any other is decoded and hashed once, whoever reads it.
 @pytest.mark.parametrize("fms, gamma, decodes", [
-    (None, "same", ["alpha-s1"]),
-    ({"alpha-s1"}, "same", ["alpha-s1"]),
-    ({"alpha-s1"}, "reversed", ["alpha-s1", "gamma-s2"]),
+    (None, "same", []),
+    ({"alpha-s1"}, "same", []),
+    ({"alpha-s1"}, "reversed", ["gamma-s2"]),
 ], ids=["all-read", "two-unread", "unread-differs"])
 def test_dataset_dir_reads_each_index_once_and_joins_identical_ones_once(
         tmp_path, small_synth, rng, monkeypatch, fms, gamma, decodes):
@@ -1210,3 +1259,79 @@ def test_dataset_dir_reads_each_index_once_and_joins_identical_ones_once(
     assert read == ["alpha-s1", "beta-s2", "gamma-s2"]
     assert decoded == decodes
     assert hashed == [len(small_synth.table)] * len(decodes)
+
+
+def _write_index_model(root, fm_id, index, rng):
+    """Write model ``fm_id`` into ``root`` with index bytes ``index`` and one
+    row per line that a text file reads from them."""
+    from probeforge.core import EmbeddingSet
+
+    n = len(_file_lines(index, errors="replace"))
+    m = rng.standard_normal((n, 8)).astype(np.float32)
+    emb, idx = root / "embeddings" / f"{fm_id}.emb", root / "embeddings" / f"{fm_id}.idx"
+    save_embeddings(EmbeddingSet(fm_id=fm_id, chip_ids=tuple(f"p{i}" for i in range(n)),
+                                 matrix=m), emb, idx)
+    idx.write_bytes(index)
+    return emb, idx
+
+
+def _listing(ids, errors="strict"):
+    return b"".join(cid.encode("utf-8", errors) + b"\n" for cid in ids)
+
+
+# Each index nearly lists the table's chips, so only the full test tells it
+# from the table's own listing.
+_NOT_THE_TABLE = {
+    "cr-in-an-id": ("a\rb", lambda ids: _listing(ids)),
+    "lf-in-an-id": ("a\nb", lambda ids: _listing(ids)),
+    "lone-surrogate": ("\ud800x", lambda ids: _listing(ids, "surrogatepass")),
+    "no-final-newline": (None, lambda ids: _listing(ids)[:-1]),
+    "permuted": (None, lambda ids: _listing(ids[1:] + ids[:1])),
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_THE_TABLE))
+def test_dataset_dir_index_that_is_not_the_tables_listing_is_decoded_and_joined(
+        tmp_path, small_synth, rng, monkeypatch, capsys, case):
+    from probeforge.cli import main
+    from probeforge.core import ChipTable, assemble_dataset
+
+    special, index = _NOT_THE_TABLE[case]
+    table = small_synth.table
+    if special is not None:
+        table = ChipTable(chip_ids=(table.chip_ids[0], special, *table.chip_ids[2:]),
+                          **{name: getattr(table, name)
+                             for name in ("aois", "lon", "lat", "fractions", "elevations")})
+    root = tmp_path / "data"
+    (root / "embeddings").mkdir(parents=True)
+    save_chip_table(table, root / "chips.jsonl")
+    assert load_chip_table(root / "chips.jsonl") == table  # and writes the cache
+    emb, idx = _write_index_model(root, "alpha-s1", index(list(table.chip_ids)), rng)
+    decoded = []
+    text_lines = ingest_mod._text_lines
+    monkeypatch.setattr(ingest_mod, "_text_lines",
+                        lambda path, blob: decoded.append(path.name) or text_lines(path, blob))
+    if case == "lone-surrogate":
+        want = f"{idx}: line 2: not valid UTF-8 (byte 0xed: invalid continuation byte)"
+        with pytest.raises(DataFormatError) as info:
+            load_dataset_dir(root)
+        assert str(info.value) == want
+        assert decoded == ["alpha-s1.idx"]
+        grid = {"fms": ["alpha-s1"], "classes": ["tree-cover"], "samplers": ["random"],
+                "target_aois": ["aoi-00"], "n_train_target": [20], "n_test_target": [10],
+                "regimes": ["target-split"], "repetitions": 2, "base_seed": 5}
+        (tmp_path / "grid.json").write_text(json.dumps(grid))
+        assert main(["run", "--grid", str(tmp_path / "grid.json"), "--data-dir", str(root),
+                     "--out", str(tmp_path / "results.csv")]) == 2
+        assert want in capsys.readouterr().err
+        return
+    got = load_dataset_dir(root)["alpha-s1"]
+    assert decoded == ["alpha-s1.idx"]
+    alone = assemble_dataset(table, load_embeddings(emb, idx, "alpha-s1"))
+    assert got.chip_ids == alone.chip_ids
+    assert len(got) == len(table) - (special is not None)
+    for name in ("matrix", "fractions", "elevations"):
+        assert getattr(got, name).tobytes() == getattr(alone, name).tobytes()
+    assert list(got.aoi_positions) == list(alone.aoi_positions)
+    for aoi, pos in got.aoi_positions.items():
+        assert np.array_equal(pos, alone.aoi_positions[aoi])
