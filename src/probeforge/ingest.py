@@ -16,11 +16,12 @@ On-disk formats (all little-endian, documented here and nowhere else):
   chip lon, lat, the seven fractions in class-code order and the elevation;
   then ``[chip_ids, aois]`` as one ASCII JSON array of two string arrays,
   whose escapes keep every string exactly (NUL, line ends and lone
-  surrogates included). A load streams the chip file through its digest
-  and serves the table from the cache only when magic, version and both
-  digests match, without ever holding the chip file whole; otherwise it
-  parses the chip file and rewrites the cache. The cache is safe to delete,
-  and a directory that cannot be written is no error.
+  surrogates included). When the cache exists, a load streams the chip
+  file through its digest and serves the table from the cache only when
+  magic, version and both digests match, without ever holding the chip
+  file whole; otherwise it parses the chip file and rewrites the cache.
+  The cache is safe to delete, and a directory that cannot be written is
+  no error.
 * Embeddings: magic ``EMB1`` | dim u32 | count u64 | count*dim f32 values,
   row-major, read in blocks of 1 MiB. A sibling text index holds one chip_id
   per line; line i names row i. An index whose bytes list exactly the chip
@@ -120,19 +121,21 @@ def load_chip_table(path: str | Path) -> ChipTable:
     the id. Blank lines are permitted and skipped, so an empty file yields
     an empty table.
 
-    The file is first streamed through a digest. When ``<path>.cols`` holds
-    the columns of exactly these bytes (see the module docstring), the table
-    comes from there, and neither the whole file nor any chip record is held;
-    otherwise the file is read whole and parsed. A parse that passes every
-    check, the fraction range that ``load_dataset_dir`` refuses included,
-    rewrites the cache, keyed by the digest of the bytes it parsed.
+    When ``<path>.cols`` exists, the file is first streamed through a
+    digest. When the cache holds the columns of exactly these bytes (see the
+    module docstring), the table comes from there, and neither the whole
+    file nor any chip record is held; otherwise the file is read whole and
+    parsed. A parse that passes every check, the fraction range that
+    ``load_dataset_dir`` refuses included, rewrites the cache, keyed by the
+    digest of the bytes it parsed.
     """
     cache = Path(f"{os.fspath(path)}.cols")
     with open(path, "rb") as fh:
-        table = _read_columns(cache, _digest(fh))
-        if table is not None:
-            return table
-        fh.seek(0)
+        if cache.exists():
+            table = _read_columns(cache, _digest(fh))
+            if table is not None:
+                return table
+            fh.seek(0)
         blob = fh.read()
     table = _parse_chips(path, blob)
     if not fraction_out_of_range(table.fractions).any():

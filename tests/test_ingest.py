@@ -222,6 +222,19 @@ def test_chip_table_cache_is_written_by_a_parse_and_serves_the_next_load(
     assert served.aois.dtype == object and served.aois.tolist() == first.aois.tolist()
 
 
+def test_chip_table_is_streamed_through_its_digest_only_when_a_cache_exists(
+        tmp_path, small_synth, monkeypatch):
+    p = tmp_path / "chips.jsonl"
+    save_chip_table(small_synth.table, p)
+    streamed = []
+    digest = ingest_mod._digest
+    monkeypatch.setattr(ingest_mod, "_digest", lambda fh: streamed.append(fh) or digest(fh))
+    assert load_chip_table(p) == small_synth.table  # no cache: read and hashed once
+    assert streamed == [] and _cols(p).exists()
+    assert load_chip_table(p) == small_synth.table
+    assert len(streamed) == 1
+
+
 def test_chip_table_cache_of_an_empty_file(tmp_path, monkeypatch):
     p = tmp_path / "chips.jsonl"
     p.write_text("\n\n")
