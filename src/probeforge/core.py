@@ -210,13 +210,22 @@ def _match(keys: Sequence[str], ids: Sequence[str],
     """Which ``keys`` occur in ``ids`` (a mask), and at which ``ids`` position
     each does: the package's one join by chip id. A caller that already
     holds ``id_positions(ids)`` passes it as ``index``, so ``ids`` is hashed once."""
-    if keys == ids:  # as the dataset loader lines rows up: no lookups needed
+    if keys == ids:  # as synth data and ``validate`` line rows up: no lookups needed
         return np.ones(len(keys), dtype=bool), np.arange(len(keys))
     if index is None:
         index = id_positions(ids)
     pos = np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
     found = pos >= 0
     return found, pos[found]
+
+
+def chip_side(table: ChipTable, rows: np.ndarray, chip_ids: tuple[str, ...]) -> dict:
+    """A ``Dataset``'s chip fields over ascending ``rows`` of ``table``, whose
+    ids are ``chip_ids``: each array is the table's own when ``rows`` lists
+    every row, and otherwise a copy."""
+    return dict(chip_ids=chip_ids, fractions=_take(table.fractions, rows),
+                elevations=_take(table.elevations, rows),
+                aoi_positions=group_rows(table.aois[rows]))
 
 
 def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
@@ -226,8 +235,8 @@ def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
     only one side are counted and logged, never fatal. An empty intersection
     raises :class:`AlignmentError`. Each joined array is the source array
     itself when the join keeps all of its rows in order, and otherwise a copy
-    of the kept rows. ``ingest.load_dataset_dir`` makes the same join once per
-    distinct index file, for every model that shares it.
+    of the kept rows. ``ingest.open_dataset_dir`` makes the same join, through
+    ``chip_side``, once per distinct index file, for every model that shares it.
     """
     kept, emb_rows = _match(table.chip_ids, emb.chip_ids)
     if not kept.any():
@@ -235,14 +244,9 @@ def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
     rows = np.flatnonzero(kept)
 
     log_join(emb.fm_id, len(table) - rows.size, len(emb) - rows.size)
-    return Dataset(
-        fm_id=emb.fm_id,
-        chip_ids=tuple(compress(table.chip_ids, kept.tolist())),
-        matrix=_take(emb.matrix, emb_rows),
-        fractions=_take(table.fractions, rows),
-        elevations=_take(table.elevations, rows),
-        aoi_positions=group_rows(table.aois[rows]),
-    )
+    ids = tuple(compress(table.chip_ids, kept.tolist()))
+    return Dataset(fm_id=emb.fm_id, matrix=_take(emb.matrix, emb_rows),
+                   **chip_side(table, rows, ids))
 
 
 def log_join(fm_id: str, dropped_table: int, dropped_emb: int) -> None:

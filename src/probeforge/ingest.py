@@ -1,4 +1,4 @@
-r"""File formats, label-raster processing, compositing, and synthetic data.
+r"""File formats, dataset directories, label rasters, composites and synthetic data.
 
 On-disk formats (all little-endian, documented here and nowhere else):
 
@@ -26,6 +26,9 @@ On-disk formats (all little-endian, documented here and nowhere else):
   row-major, read in blocks of 1 MiB. A sibling text index holds one chip_id
   per line; line i names row i. An index whose bytes list exactly the chip
   table's ids, each ended by ``\n``, is joined without being decoded.
+* Dataset directory: ``chips.jsonl`` and ``embeddings/<fm_id>.emb`` with its
+  ``.idx``. ``open_dataset_dir`` reads the table and every index, and frees
+  the table before ``DatasetDir.load`` or ``check`` reads any payload.
 * Text files (the chip table, each index) are UTF-8, refused at a bad byte
   with the file and 1-based line. Lines end only at ``\n``, ``\r\n`` or
   ``\r``, so an index id may hold any other character, U+2028 included;
@@ -49,7 +52,7 @@ import logging
 import os
 import struct
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import compress
 from pathlib import Path
 from typing import BinaryIO, Collection, Iterator, Mapping, Sequence
@@ -62,12 +65,11 @@ from .core import (
     Dataset,
     EmbeddingSet,
     _match,
-    _take,
     assemble_dataset,
     check_json_fields,
+    chip_side,
     first_repeat,
     fraction_out_of_range,
-    group_rows,
     id_positions,
     log_join,
 )
@@ -126,7 +128,7 @@ def load_chip_table(path: str | Path) -> ChipTable:
     module docstring), the table comes from there, and neither the whole
     file nor any chip record is held; otherwise the file is read whole and
     parsed. A parse that passes every check, the fraction range that
-    ``load_dataset_dir`` refuses included, rewrites the cache, keyed by the
+    ``open_dataset_dir`` refuses included, rewrites the cache, keyed by the
     digest of the bytes it parsed.
     """
     cache = Path(f"{os.fspath(path)}.cols")
@@ -363,16 +365,15 @@ def save_embeddings(emb: EmbeddingSet, data_path: str | Path, index_path: str | 
 @dataclass(frozen=True, eq=False)
 class _IndexJoin:
     """An embedding index's bytes, joined to a list of chips: all that a load
-    of any ``.emb`` file with this index needs, and whether the index lists
-    any chip of the list. Models whose ``.idx`` files hold the same bytes
-    share one join. It keeps the bytes, not the decoded ids, which are decoded
-    again only to name a chip or a line in an error.
-    """
+    of any ``.emb`` file with this index needs. Models whose ``.idx`` files
+    hold the same bytes share one join. It keeps the bytes, not the decoded
+    ids, which are decoded again only to name a chip or a line in an error."""
 
     blob: bytes
     count: int
     repeated: bool
-    aligned: bool
+    #: the index rows whose chip the list holds, whatever ``wanted`` keeps
+    matched: int
     #: the list positions of the kept chips, ascending
     rows: np.ndarray
     kept: tuple[str, ...]
@@ -383,6 +384,10 @@ class _IndexJoin:
     def ids(self, index_path: str | Path) -> list[str]:
         """The index's chip ids, line by line, decoded from its bytes again."""
         return list(_text_lines(index_path, self.blob))
+
+    def keeping_none(self) -> _IndexJoin:  # for a load that only checks the payload
+        return _IndexJoin(self.blob, self.count, self.repeated, self.matched,
+                          self.rows[:0], (), np.full(self.count, -1, dtype=np.intp))
 
 
 def _join_index(index_path: str | Path, blob: bytes, chips: Sequence[str] | None,
@@ -403,7 +408,7 @@ def _join_index(index_path: str | Path, blob: bytes, chips: Sequence[str] | None
         chips = ids if chips is None else chips
         found, src = _match(chips, ids, index)
         count, repeated = len(ids), len(index) < len(ids)
-    aligned = bool(found.any())
+    matched = int(np.count_nonzero(found))
     if wanted is not None:
         src = src[wanted[found]]
         found &= wanted
@@ -413,7 +418,7 @@ def _join_index(index_path: str | Path, blob: bytes, chips: Sequence[str] | None
     if not np.array_equal(src, np.arange(count)):
         dest = np.full(count, -1, dtype=np.intp)
         dest[src] = np.arange(rows.size)
-    return _IndexJoin(blob, count, repeated, aligned, rows, kept, dest)
+    return _IndexJoin(blob, count, repeated, matched, rows, kept, dest)
 
 
 def _lists_exactly(blob: bytes, chips: Sequence[str]) -> bool:
@@ -447,9 +452,9 @@ def load_embeddings(
     every row in file order; with a sequence of distinct chip ids it holds
     the rows of those the index lists, in ``chips`` order, and nothing else.
 
-    ``join`` is the index already read and joined by the caller, which then
-    passes its kept ids as ``chips``: ``load_dataset_dir`` joins each distinct
-    index once and passes that join with every model whose index holds the
+    ``join``, in place of ``chips``, is the index already read and joined by
+    the caller, and the set holds the rows it keeps: ``open_dataset_dir``
+    joins each distinct index once, for every model whose index holds the
     same bytes. Otherwise the index is read and joined here.
     """
     with open(data_path, "rb") as fh:
@@ -880,29 +885,48 @@ def write_dataset_dir(result: SynthResult, out_dir: str | Path) -> None:
         fh.write("\n")
 
 
-def load_dataset_dir(
-    data_dir: str | Path,
-    fms: Collection[str] | None = None,
-    aois: Collection[str] | None = None,
-) -> dict[str, Dataset]:
-    """Load each model's aligned Dataset from a dataset directory.
+@dataclass(frozen=True, eq=False)
+class _Model:
+    """A model's files, and the join and Dataset chip fields (``chip_side``)
+    it shares with every model whose index holds the same bytes."""
 
-    Expects ``chips.jsonl`` plus ``embeddings/<fm_id>.emb`` and matching
-    ``.idx`` files; each model's id is its file stem and its dim comes from
-    the file header. A fraction out of range, which no probe can fit or
-    score, is refused here with the first offending chip named.
+    data_path: Path
+    index_path: Path
+    join: _IndexJoin
+    chips: dict
 
-    ``fms`` and ``aois``, when given, name what a grid reads. Every file is
-    still checked in full, and every model's index must share a chip with
-    the table, but only models in ``fms`` get a Dataset, and it holds only
-    the chips of ``aois``. A model with none of those chips gets an empty
-    Dataset, on which every spec is infeasible.
+    def read(self, join: _IndexJoin) -> EmbeddingSet:
+        """The payload, read and checked, with the rows ``join`` keeps."""
+        emb = load_embeddings(self.data_path, self.index_path, self.data_path.stem, join=join)
+        if not join.matched:
+            raise AlignmentError(f"{self.index_path}: no aligned chips")
+        return emb
 
-    Models usually index the same chips. Each distinct ``.idx`` content is
-    joined to the table once, whatever the grid reads, and is decoded and
-    hashed only when it does not list exactly the table's chips in order.
-    The Datasets of models that share it share every array but the matrix.
-    """
+
+@dataclass(frozen=True)
+class DatasetDir:
+    """An opened dataset directory: the table's chips in the AOIs read, and
+    each model by id, in sorted order."""
+
+    n_chips: int
+    models: Mapping[str, _Model]
+
+    def load(self, fm_id: str) -> Dataset:
+        """Read and check model ``fm_id``'s payload, and return its Dataset."""
+        model = self.models[fm_id]
+        emb = model.read(model.join)
+        log_join(fm_id, self.n_chips - len(emb), model.join.count - model.join.matched)
+        return Dataset(fm_id=fm_id, matrix=emb.matrix, **model.chips)
+
+    def check(self, fm_id: str) -> None:
+        """Read and check model ``fm_id``'s payload, and keep no row of it."""
+        self.models[fm_id].read(self.models[fm_id].join.keeping_none())
+
+
+def open_dataset_dir(data_dir: str | Path, aois: Collection[str] | None = None) -> DatasetDir:
+    """Do all that a load of a dataset directory does before the first
+    payload byte, and keep no chip table. Each distinct ``.idx`` content is
+    joined once to the table's chips in ``aois`` (all when None)."""
     root = Path(data_dir)
     chips_path = root / "chips.jsonl"
     if not chips_path.exists():
@@ -919,35 +943,37 @@ def load_dataset_dir(
     if aois is not None:
         wanted = np.fromiter(map(frozenset(aois).__contains__, table.aois.tolist()),
                              dtype=bool, count=len(table))
-    n_reads = len(table) if wanted is None else int(np.count_nonzero(wanted))
+    n_chips = len(table) if wanted is None else int(np.count_nonzero(wanted))
 
     emb_dir = root / "embeddings"
     paths = sorted(emb_dir.glob("*.emb")) if emb_dir.is_dir() else []
     if not paths:
         raise DataFormatError(f"{root}: no embeddings/*.emb files")
-    joins: dict[bytes, tuple[_IndexJoin, dict]] = {}  # each with its Dataset chip side
-    datasets: dict[str, Dataset] = {}
+    models, first = {}, {}  # first: the first model of each distinct index
     for data_path in paths:
-        fm_id = data_path.stem
         index_path = data_path.with_suffix(".idx")
         if not index_path.exists():
             raise DataFormatError(f"{data_path}: missing index file {index_path.name}")
         blob = index_path.read_bytes()
-        if blob not in joins:
+        if blob not in first:
             join = _join_index(index_path, blob, table.chip_ids, wanted)
-            joins[blob] = join, dict(
-                chip_ids=join.kept, fractions=_take(table.fractions, join.rows),
-                elevations=_take(table.elevations, join.rows),
-                aoi_positions=group_rows(table.aois[join.rows]))
-        join, chip_side = joins[blob]
-        read = fms is None or fm_id in fms
-        if not read:  # the file is only checked
-            join = replace(join, rows=join.rows[:0], kept=(),
-                           dest=np.full(join.count, -1, dtype=np.intp))
-        emb = load_embeddings(data_path, index_path, fm_id, join.kept, join)
-        if not join.aligned:
-            raise AlignmentError("no aligned chips")
-        if read:
-            log_join(fm_id, n_reads - len(emb), 0)
-            datasets[fm_id] = Dataset(fm_id=fm_id, matrix=emb.matrix, **chip_side)
+            first[blob] = _Model(data_path, index_path, join,
+                                 chip_side(table, join.rows, join.kept))
+        models[data_path.stem] = _Model(data_path, index_path, first[blob].join,
+                                        first[blob].chips)
+    return DatasetDir(n_chips, models)
+
+
+def load_dataset_dir(data_dir: str | Path, fms: Collection[str] | None = None,
+                     aois: Collection[str] | None = None) -> dict[str, Dataset]:
+    """Open a dataset directory, then load each model in ``fms`` (all when
+    None) and check every other one, in sorted order. A Dataset holds the
+    chips in ``aois`` (all when None); with none, every spec is infeasible."""
+    opened = open_dataset_dir(data_dir, aois)
+    datasets = {}
+    for fm_id in opened.models:
+        if fms is None or fm_id in fms:
+            datasets[fm_id] = opened.load(fm_id)
+        else:
+            opened.check(fm_id)
     return datasets

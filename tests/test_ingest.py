@@ -1135,6 +1135,28 @@ def test_dataset_dir_index_sharing_no_chip_is_refused(tmp_path, small_synth, fms
         load_dataset_dir(tmp_path / "data", fms, {"aoi-00"})
 
 
+@pytest.mark.parametrize("read", [True, False], ids=["read", "unread"])
+def test_dataset_dir_index_sharing_no_chip_is_named(tmp_path, small_synth, capsys, read):
+    from probeforge.cli import main
+
+    root = tmp_path / "data"
+    write_dataset_dir(small_synth, root)
+    idx = root / "embeddings" / "beta-s2.idx"
+    idx.write_text("".join(f"x{line}\n" for line in idx.read_text().splitlines()))
+    with pytest.raises(AlignmentError) as info:
+        load_dataset_dir(root, {"beta-s2"} if read else {"alpha-s1"})
+    assert str(info.value) == f"{idx}: no aligned chips"
+    grid = {"fms": ["beta-s2" if read else "alpha-s1"], "classes": ["tree-cover"],
+            "samplers": ["random"], "target_aois": ["aoi-00"], "n_train_target": [20],
+            "n_test_target": [10], "regimes": ["target-split"], "repetitions": 2,
+            "base_seed": 5}
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    assert main(["run", "--grid", str(tmp_path / "grid.json"), "--data-dir", str(root),
+                 "--out", str(tmp_path / "results.csv")]) == 2
+    assert capsys.readouterr().err == f"probeforge: error: {idx}: no aligned chips\n"
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_dataset_dir_unread_index_is_split_only_at_file_line_ends(tmp_path, small_synth):
     # "x\u2028chip-..." is one id, which the table lacks; str.splitlines
     # would make it "x" and a chip of the table
@@ -1208,6 +1230,18 @@ def test_dataset_dir_logs_each_models_dropped_chips(tmp_path, small_synth, rng, 
         f"join for fm {fm} dropped 5 table-only and 0 embedding-only records"
         for fm in ("alpha-s1", "beta-s2")
     ]
+    # an index lacking 3 table chips and listing 2 the table lacks, as
+    # assemble_dataset counts them on the same files
+    ids = ("ghost-1", *small_synth.table.chip_ids[3:], "ghost-2")
+    for fm_id in ("alpha-s1", "beta-s2"):
+        _add_model(root, fm_id, ids, rng)
+    caplog.clear()
+    with caplog.at_level("INFO", logger="probeforge.core"):
+        load_dataset_dir(root)
+    assert caplog.messages == [
+        f"join for fm {fm} dropped 3 table-only and 2 embedding-only records"
+        for fm in ("alpha-s1", "beta-s2")
+    ]
 
 
 def test_dataset_dir_non_finite_row_of_a_shared_index_names_its_own_file(
@@ -1240,6 +1274,78 @@ def test_dataset_dir_header_disagreeing_with_a_shared_index_names_its_own_index(
         load_dataset_dir(root)
     assert str(info.value) == (f"{root / 'embeddings' / 'beta-s2.idx'}: index/header mismatch:"
                                f" header rows {count - 1}, index lines {count}")
+
+
+def test_dataset_dir_bad_index_of_a_later_model_is_named_before_an_earlier_payload(
+        tmp_path, small_synth):
+    # Opening reads every index before any payload, so beta's undecodable
+    # index is named ahead of alpha's non-finite row.
+    from probeforge.core import EmbeddingSet
+
+    root = tmp_path / "data"
+    write_dataset_dir(small_synth, root)
+    alpha = small_synth.embeddings["alpha-s1"]
+    m = alpha.matrix.copy()
+    m[7, 0] = np.inf
+    save_embeddings(EmbeddingSet(fm_id="alpha-s1", chip_ids=alpha.chip_ids, matrix=m),
+                    root / "embeddings" / "alpha-s1.emb", root / "embeddings" / "alpha-s1.idx")
+    idx = root / "embeddings" / "beta-s2.idx"
+    idx.write_bytes(b"\xff" + idx.read_bytes())
+    with pytest.raises(DataFormatError) as info:
+        load_dataset_dir(root)
+    assert str(info.value) == (f"{idx}: line 1: not valid UTF-8"
+                               " (byte 0xff: invalid start byte)")
+    idx.write_bytes(idx.read_bytes()[1:])
+    with pytest.raises(DataFormatError, match="alpha-s1.emb: non-finite values"):
+        load_dataset_dir(root)
+
+
+@pytest.mark.parametrize("fms", [None, {"beta-s2"}], ids=["all-read", "one-read"])
+def test_dataset_dir_loads_the_chip_table_once_and_each_emb_once_through_ingest(
+        tmp_path, small_synth, rng, monkeypatch, fms):
+    # The benchmark's tracer times these two calls by rebinding them in
+    # ingest, and reads the two paths from the leading positional arguments.
+    root = tmp_path / "data"
+    write_dataset_dir(small_synth, root)
+    _add_model(root, "gamma-s2", small_synth.table.chip_ids[::-1], rng)
+    calls = []
+    load_table, load_emb = ingest_mod.load_chip_table, ingest_mod.load_embeddings
+    monkeypatch.setattr(ingest_mod, "load_chip_table", lambda *args, **kwargs: (
+        calls.append(("table", args, kwargs)) or load_table(*args, **kwargs)))
+    monkeypatch.setattr(ingest_mod, "load_embeddings", lambda *args, **kwargs: (
+        calls.append(("emb", args[:3])) or load_emb(*args, **kwargs)))
+    emb = root / "embeddings"
+    for _ in range(2):
+        calls.clear()
+        load_dataset_dir(root, fms)
+        assert calls == [("table", (root / "chips.jsonl",), {})] + [
+            ("emb", (emb / f"{fm}.emb", emb / f"{fm}.idx", fm))
+            for fm in ("alpha-s1", "beta-s2", "gamma-s2")
+        ]
+
+
+@pytest.mark.parametrize("aois", [None, {"aoi-01"}], ids=["all-aois", "one-aoi"])
+def test_dataset_dir_frees_the_chip_table_before_reading_a_payload(
+        tmp_path, small_synth, monkeypatch, aois):
+    import weakref
+
+    write_dataset_dir(small_synth, tmp_path / "data")
+    tables, freed = [], []
+    load_table, load_emb = ingest_mod.load_chip_table, ingest_mod.load_embeddings
+
+    def spy_table(path):
+        table = load_table(path)
+        tables.append(weakref.ref(table))
+        return table
+
+    def spy_emb(*args, **kwargs):
+        freed.append(tables[0]() is None)
+        return load_emb(*args, **kwargs)
+
+    monkeypatch.setattr(ingest_mod, "load_chip_table", spy_table)
+    monkeypatch.setattr(ingest_mod, "load_embeddings", spy_emb)
+    load_dataset_dir(tmp_path / "data", {"alpha-s1"}, aois)
+    assert freed == [True, True]
 
 
 # An index that lists exactly the table's chips is neither decoded nor
