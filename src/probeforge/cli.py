@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import DataFormatError, ProbeforgeError
+from .errors import AlignmentError, DataFormatError, ProbeforgeError
 from .report import (
     LEAST_TOTAL_ELEMENTS,
     R_THRESHOLD,
@@ -134,6 +134,16 @@ def run_grid(grid, datasets, out_path, threads=1, resume=False):
     return run_grid(grid, datasets, out_path, threads=threads, resume=resume)
 
 
+def _read_json(path: str, build):
+    """``build`` of the JSON document in file ``path``; a refusal of either
+    names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return build(json.load(fh))
+        except (ProbeforgeError, ValueError, KeyError, RecursionError) as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -152,7 +162,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             f"{args.emb}: dimension mismatch: file dim {emb.matrix.shape[1]}, "
             f"--fm-dim {args.fm_dim}"
         )
-    report = validate_dataset(assemble_dataset(table, emb))
+    try:
+        dataset = assemble_dataset(table, emb)
+    except AlignmentError as exc:
+        raise AlignmentError(f"{args.index}: {exc}") from exc
+    report = validate_dataset(dataset)
     print(report.summary())
     return 0 if report.valid else 2
 
@@ -160,8 +174,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     from .ingest import SynthSpec, synthesize_dataset, write_dataset_dir
 
-    with open(args.spec, encoding="utf-8") as fh:
-        spec = SynthSpec.from_dict(json.load(fh))
+    spec = _read_json(args.spec, SynthSpec.from_dict)
     result = synthesize_dataset(spec)
     write_dataset_dir(result, args.out_dir)
     logger.info(
@@ -179,8 +192,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from . import ingest  # noqa: F401
     from .runner import GridSpec, enumerate_grid, grid_reads
 
-    with open(args.grid, encoding="utf-8") as fh:
-        grid = GridSpec.from_dict(json.load(fh))
+    grid = _read_json(args.grid, GridSpec.from_dict)
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
         try:

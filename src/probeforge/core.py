@@ -205,8 +205,8 @@ def id_positions(ids: Sequence[str]) -> dict[str, int]:
     return dict(zip(ids, range(len(ids))))
 
 
-def _match(keys: Sequence[str], ids: Sequence[str],
-           index: Mapping[str, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def match_ids(keys: Sequence[str], ids: Sequence[str],
+              index: Mapping[str, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Which ``keys`` occur in ``ids`` (a mask), and at which ``ids`` position
     each does: the package's one join by chip id. A caller that already
     holds ``id_positions(ids)`` passes it as ``index``, so ``ids`` is hashed once."""
@@ -238,7 +238,7 @@ def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
     of the kept rows. ``ingest.open_dataset_dir`` makes the same join, through
     ``chip_side``, once per distinct index file, for every model that shares it.
     """
-    kept, emb_rows = _match(table.chip_ids, emb.chip_ids)
+    kept, emb_rows = match_ids(table.chip_ids, emb.chip_ids)
     if not kept.any():
         raise AlignmentError("no aligned chips")
     rows = np.flatnonzero(kept)

@@ -1,6 +1,7 @@
-r"""File formats, dataset directories, label rasters, composites and synthetic data.
+r"""File formats, dataset directories, label-grid fractions, composites and synthetic data.
 
-On-disk formats (all little-endian, documented here and nowhere else):
+On-disk formats (all little-endian; README *File formats* describes the
+same layouts for users):
 
 * Chip table: UTF-8 newline-delimited JSON, one object per line with keys
   ``chip_id``, ``aoi``, ``lon``, ``lat``, ``fractions`` (object keyed by the
@@ -33,12 +34,6 @@ On-disk formats (all little-endian, documented here and nowhere else):
   with the file and 1-based line. Lines end only at ``\n``, ``\r\n`` or
   ``\r``, so an index id may hold any other character, U+2028 included;
   ``save_embeddings`` refuses an id with a line end or a lone surrogate.
-* Label grids and image stacks share a fixture header of four u32 fields
-  (height, width, bands, dates). A label grid (bands = dates = 1) stores
-  height*width i32 class codes. A stack stores ``dates`` u32 stamps encoded
-  YYYYMMDD, then dates*bands*height*width f32 values in C order with NaN as
-  the no-data marker. These fixture formats exist for tests; real rasters
-  are preprocessed upstream.
 
 The synthetic generator plants a known linear signal in random embeddings
 so probe recovery is checkable against closed-form targets.
@@ -64,7 +59,6 @@ from .core import (
     ChipTable,
     Dataset,
     EmbeddingSet,
-    _match,
     assemble_dataset,
     check_json_fields,
     chip_side,
@@ -72,6 +66,7 @@ from .core import (
     fraction_out_of_range,
     id_positions,
     log_join,
+    match_ids,
 )
 from .errors import AlignmentError, DataFormatError
 from .schema import CLASS_LABELS, N_CLASSES, ClassId, write_atomic
@@ -166,7 +161,7 @@ def _parse_chips(path: str | Path, blob: bytes) -> ChipTable:
         try:
             chip_id, aoi, row = _parse_chip(line)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                OverflowError) as exc:
+                OverflowError, RecursionError) as exc:
             raise DataFormatError(f"{path}: line {lineno}: {exc}") from exc
         if chip_id in seen:
             raise DataFormatError(
@@ -392,8 +387,10 @@ class _IndexJoin:
 
 def _join_index(index_path: str | Path, blob: bytes, chips: Sequence[str] | None,
                 wanted: np.ndarray | None = None) -> _IndexJoin:
-    """Join ``blob``, the bytes of ``index_path``, to ``chips`` (see
-    ``load_embeddings``), keeping only the chips that mask ``wanted`` marks, if given.
+    """Join ``blob``, the bytes of ``index_path``, to ``chips``, distinct chip
+    ids, keeping the rows of those the index lists, in ``chips`` order, and
+    only the chips that mask ``wanted`` marks, if given. With ``chips`` None
+    the join keeps every row in file order.
 
     An index that lists exactly ``chips``, in order, is neither decoded nor
     hashed: ``chips`` are distinct, so its rows are theirs one for one.
@@ -406,7 +403,7 @@ def _join_index(index_path: str | Path, blob: bytes, chips: Sequence[str] | None
         # The index is hashed once, for both the join and the repeat check.
         index = id_positions(ids)
         chips = ids if chips is None else chips
-        found, src = _match(chips, ids, index)
+        found, src = match_ids(chips, ids, index)
         count, repeated = len(ids), len(index) < len(ids)
     matched = int(np.count_nonzero(found))
     if wanted is not None:
@@ -436,7 +433,6 @@ def load_embeddings(
     data_path: str | Path,
     index_path: str | Path,
     fm_id: str,
-    chips: Sequence[str] | None = None,
     join: _IndexJoin | None = None,
 ) -> EmbeddingSet:
     """Read a binary embedding matrix plus its text index as model ``fm_id``.
@@ -448,14 +444,11 @@ def load_embeddings(
     occurrence.
 
     The payload is read once, in blocks of a fixed byte size, and every row
-    is checked whatever ``chips`` keeps. Without ``chips`` the set holds
-    every row in file order; with a sequence of distinct chip ids it holds
-    the rows of those the index lists, in ``chips`` order, and nothing else.
-
-    ``join``, in place of ``chips``, is the index already read and joined by
-    the caller, and the set holds the rows it keeps: ``open_dataset_dir``
-    joins each distinct index once, for every model whose index holds the
-    same bytes. Otherwise the index is read and joined here.
+    is checked whatever the set keeps. Without ``join`` the set holds every
+    row in file order. ``join`` is the index already read and joined by the
+    caller (``_join_index``), and the set holds the rows it keeps, in the
+    order of the chips it was joined to: ``open_dataset_dir`` joins each
+    distinct index once, for every model whose index holds the same bytes.
     """
     with open(data_path, "rb") as fh:
         head = fh.read(16)
@@ -470,7 +463,7 @@ def load_embeddings(
             )
 
         if join is None:
-            join = _join_index(index_path, Path(index_path).read_bytes(), chips)
+            join = _join_index(index_path, Path(index_path).read_bytes(), None)
         if join.count != count:
             raise DataFormatError(
                 f"{index_path}: index/header mismatch: header rows {count},"
@@ -536,14 +529,6 @@ class LabelGrid:
             raise ValueError(f"unknown class codes in grid: {unknown}")
         object.__setattr__(self, "codes", codes)
 
-    @property
-    def height(self) -> int:
-        return int(self.codes.shape[0])
-
-    @property
-    def width(self) -> int:
-        return int(self.codes.shape[1])
-
 
 def compute_class_fractions(grid: LabelGrid) -> dict[ClassId, float]:
     """Per-class pixel fractions over the valid (non-no-data) pixels.
@@ -560,26 +545,6 @@ def compute_class_fractions(grid: LabelGrid) -> dict[ClassId, float]:
     for code, cls in CODE_TO_CLASS.items():
         out[cls] = int((grid.codes == code).sum()) / n_valid
     return out
-
-
-def save_label_grid(grid: LabelGrid, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<IIII", grid.height, grid.width, 1, 1))
-        fh.write(np.ascontiguousarray(grid.codes, dtype="<i4").tobytes())
-
-
-def load_label_grid(path: str | Path) -> LabelGrid:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16:
-        raise DataFormatError(f"{path}: truncated label grid header")
-    h, w, bands, dates = struct.unpack("<IIII", blob[:16])
-    if bands != 1 or dates != 1:
-        raise DataFormatError(f"{path}: label grid must have bands=dates=1")
-    if len(blob) != 16 + 4 * h * w:
-        raise DataFormatError(f"{path}: payload does not match {h}x{w} header")
-    codes = np.frombuffer(blob, dtype="<i4", offset=16).reshape(h, w)
-    return LabelGrid(codes=codes)
 
 
 # ---------------------------------------------------------------------------
@@ -608,18 +573,6 @@ class ImageStack:
             )
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "values", v)
-
-    @property
-    def bands(self) -> int:
-        return int(self.values.shape[1])
-
-    @property
-    def height(self) -> int:
-        return int(self.values.shape[2])
-
-    @property
-    def width(self) -> int:
-        return int(self.values.shape[3])
 
 
 def meteorological_season(date: str) -> str:
@@ -664,44 +617,6 @@ def seasonal_median_composite(
             warnings.filterwarnings("ignore", "All-NaN slice encountered")
             out[season] = np.nanmedian(slab, axis=0)
     return out
-
-
-def _encode_date(date: str) -> int:
-    y, m, d = date.split("-")
-    return int(y) * 10000 + int(m) * 100 + int(d)
-
-
-def _decode_date(stamp: int) -> str:
-    return f"{stamp // 10000:04d}-{stamp // 100 % 100:02d}-{stamp % 100:02d}"
-
-
-def save_image_stack(stack: ImageStack, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(
-            struct.pack("<IIII", stack.height, stack.width, stack.bands, len(stack.dates))
-        )
-        stamps = np.array([_encode_date(d) for d in stack.dates], dtype="<u4")
-        fh.write(stamps.tobytes())
-        fh.write(np.ascontiguousarray(stack.values, dtype="<f4").tobytes())
-
-
-def load_image_stack(path: str | Path) -> ImageStack:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16:
-        raise DataFormatError(f"{path}: truncated stack header")
-    h, w, bands, n_dates = struct.unpack("<IIII", blob[:16])
-    stamps_end = 16 + 4 * n_dates
-    expected = stamps_end + 4 * n_dates * bands * h * w
-    if len(blob) != expected:
-        raise DataFormatError(f"{path}: payload is {len(blob)} bytes, header implies {expected}")
-    stamps = np.frombuffer(blob, dtype="<u4", offset=16, count=n_dates)
-    values = np.frombuffer(blob, dtype="<f4", offset=stamps_end).reshape(
-        n_dates, bands, h, w
-    )
-    return ImageStack(
-        dates=tuple(_decode_date(int(s)) for s in stamps), values=values
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -888,12 +803,13 @@ def write_dataset_dir(result: SynthResult, out_dir: str | Path) -> None:
 @dataclass(frozen=True, eq=False)
 class _Model:
     """A model's files, and the join and Dataset chip fields (``chip_side``)
-    it shares with every model whose index holds the same bytes."""
+    it shares with every model whose index holds the same bytes; no chip
+    fields for a model opened only to be checked."""
 
     data_path: Path
     index_path: Path
     join: _IndexJoin
-    chips: dict
+    chips: dict | None
 
     def read(self, join: _IndexJoin) -> EmbeddingSet:
         """The payload, read and checked, with the rows ``join`` keeps."""
@@ -912,7 +828,8 @@ class DatasetDir:
     models: Mapping[str, _Model]
 
     def load(self, fm_id: str) -> Dataset:
-        """Read and check model ``fm_id``'s payload, and return its Dataset."""
+        """Read and check model ``fm_id``'s payload, and return its Dataset;
+        ``fm_id`` must be one of the models the directory was opened to load."""
         model = self.models[fm_id]
         emb = model.read(model.join)
         log_join(fm_id, self.n_chips - len(emb), model.join.count - model.join.matched)
@@ -923,10 +840,13 @@ class DatasetDir:
         self.models[fm_id].read(self.models[fm_id].join.keeping_none())
 
 
-def open_dataset_dir(data_dir: str | Path, aois: Collection[str] | None = None) -> DatasetDir:
+def open_dataset_dir(data_dir: str | Path, fms: Collection[str] | None = None,
+                     aois: Collection[str] | None = None) -> DatasetDir:
     """Do all that a load of a dataset directory does before the first
     payload byte, and keep no chip table. Each distinct ``.idx`` content is
-    joined once to the table's chips in ``aois`` (all when None)."""
+    joined once to the table's chips in ``aois`` (all when None), and gets a
+    Dataset's chip fields only when a model in ``fms`` (all when None) uses it:
+    any other model can only be checked."""
     root = Path(data_dir)
     chips_path = root / "chips.jsonl"
     if not chips_path.exists():
@@ -949,18 +869,18 @@ def open_dataset_dir(data_dir: str | Path, aois: Collection[str] | None = None) 
     paths = sorted(emb_dir.glob("*.emb")) if emb_dir.is_dir() else []
     if not paths:
         raise DataFormatError(f"{root}: no embeddings/*.emb files")
-    models, first = {}, {}  # first: the first model of each distinct index
+    models, joins, sides = {}, {}, {}  # joins and sides: per distinct index
     for data_path in paths:
         index_path = data_path.with_suffix(".idx")
         if not index_path.exists():
             raise DataFormatError(f"{data_path}: missing index file {index_path.name}")
         blob = index_path.read_bytes()
-        if blob not in first:
-            join = _join_index(index_path, blob, table.chip_ids, wanted)
-            first[blob] = _Model(data_path, index_path, join,
-                                 chip_side(table, join.rows, join.kept))
-        models[data_path.stem] = _Model(data_path, index_path, first[blob].join,
-                                        first[blob].chips)
+        if blob not in joins:
+            joins[blob] = _join_index(index_path, blob, table.chip_ids, wanted)
+        join = joins[blob]
+        if (fms is None or data_path.stem in fms) and blob not in sides:
+            sides[blob] = chip_side(table, join.rows, join.kept)
+        models[data_path.stem] = _Model(data_path, index_path, join, sides.get(blob))
     return DatasetDir(n_chips, models)
 
 
@@ -969,7 +889,7 @@ def load_dataset_dir(data_dir: str | Path, fms: Collection[str] | None = None,
     """Open a dataset directory, then load each model in ``fms`` (all when
     None) and check every other one, in sorted order. A Dataset holds the
     chips in ``aois`` (all when None); with none, every spec is infeasible."""
-    opened = open_dataset_dir(data_dir, aois)
+    opened = open_dataset_dir(data_dir, fms, aois)
     datasets = {}
     for fm_id in opened.models:
         if fms is None or fm_id in fms:

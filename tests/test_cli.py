@@ -486,6 +486,58 @@ def test_malformed_synth_spec_exits_2(workdir, capsys, spec, key):
     assert not (workdir / "data").exists()
 
 
+#: JSON nested deeper than the parser's recursion limit
+_NESTED = "[" * 100_000 + "]" * 100_000
+
+
+def _break_one_input(workdir, case):
+    """Break one input file of a command; return the command's argv and that file."""
+    data, spec, grid = workdir / "data", workdir / "synth.json", workdir / "grid.json"
+    if case in ("spec-json", "spec-key"):
+        spec.write_text('{"n_chips": 5,\n' if case == "spec-json" else '{"n_chips": 5}')
+        return ["synth", "--spec", str(spec), "--out-dir", str(data)], spec
+    synth(workdir)
+    run_argv = ["run", "--grid", str(grid), "--data-dir", str(data),
+                "--out", str(workdir / "results.csv")]
+    emb, idx = data / "embeddings" / "tiny-s1.emb", data / "embeddings" / "tiny-s1.idx"
+    if case in ("grid-json", "grid-key", "grid-nested"):
+        grid.write_text({"grid-json": '{"fms": ["tiny-s1"],\n', "grid-key": '{"fmz": []}',
+                         "grid-nested": _NESTED}[case])
+        return run_argv, grid
+    if case == "validate-unaligned":
+        from probeforge.core import EmbeddingSet
+        from probeforge.ingest import save_embeddings
+
+        save_embeddings(EmbeddingSet(fm_id="tiny-s1", chip_ids=("x0", "x1", "x2"),
+                                     matrix=np.ones((3, 8), dtype=np.float32)), emb, idx)
+        return ["validate", "--chips", str(data / "chips.jsonl"), "--emb", str(emb),
+                "--index", str(idx), "--fm-dim", "8"], idx
+    if case in ("chip-line", "chip-line-nested"):
+        chips = data / "chips.jsonl"
+        lines = chips.read_text().splitlines(keepends=True)
+        bad = "{" if case == "chip-line" else _NESTED
+        chips.write_text("".join([*lines[:3], f"{bad}\n", *lines[4:]]))
+        return run_argv, chips
+    if case == "emb-magic":
+        emb.write_bytes(b"XXXX" + emb.read_bytes()[4:])
+        return run_argv, emb
+    assert case == "results-row" and main(run_argv) == 0
+    results = workdir / "results.csv"
+    results.write_text(results.read_text() + "tiny-s1,tree-cover\n")
+    return ["report-select", "--results", str(results)], results
+
+
+@pytest.mark.parametrize("case", ["grid-json", "grid-key", "grid-nested", "spec-json",
+                                  "spec-key", "validate-unaligned", "chip-line",
+                                  "chip-line-nested", "emb-magic", "results-row"])
+def test_every_refusal_of_an_input_file_names_it(workdir, capsys, case):
+    argv, path = _break_one_input(workdir, case)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"probeforge: error: {path}: ") and "unexpected" not in err, err
+
+
 def test_synth_spec_takes_an_integer_for_a_float(workdir):
     (workdir / "synth.json").write_text(json.dumps({**SYNTH_SPEC, "noise_sigma": 1}))
     synth(workdir)

@@ -1,5 +1,5 @@
-"""The package's runtime dependencies, the stdlib and numpy, who may derive seeds, and
-the oldest Python its sources must parse on."""
+"""The package's runtime dependencies, the stdlib and numpy, who may derive seeds, which
+names one module may import from another, and the oldest Python its sources must parse on."""
 
 import ast
 import re
@@ -46,6 +46,21 @@ def test_only_the_seed_tree_and_the_stream_derive_seeds():
     }
     assert "schema.py" in callers
     assert callers <= {"seeds.py", "schema.py", "ingest.py"}, sorted(callers)
+
+
+def test_no_module_imports_another_modules_private_name():
+    # A leading underscore keeps a name inside its module; what another module
+    # needs is public, as core.match_ids is for ingest.
+    private = {
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "probeforge")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert not private, sorted(private)
 
 
 def test_every_module_parses_as_the_oldest_python_the_package_declares():

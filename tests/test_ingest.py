@@ -29,15 +29,11 @@ from probeforge.ingest import (
     load_chip_table,
     load_dataset_dir,
     load_embeddings,
-    load_image_stack,
-    load_label_grid,
     meteorological_season,
     noise_sigma_for_correlation,
     presquash_correlation,
     save_chip_table,
     save_embeddings,
-    save_image_stack,
-    save_label_grid,
     seasonal_median_composite,
     synthesize_dataset,
     write_dataset_dir,
@@ -639,6 +635,14 @@ def make_emb(rng, n=5, d=4, fm_id="m-s2"):
     return EmbeddingSet(fm_id=fm_id, chip_ids=ids, matrix=m)
 
 
+def _load_keeping(tmp_path, chips):
+    """``m.emb`` in ``tmp_path``, keeping the rows of ``chips`` (every row when
+    None) through the join the directory loader makes."""
+    idx = tmp_path / "m.idx"
+    join = None if chips is None else ingest_mod._join_index(idx, idx.read_bytes(), chips)
+    return load_embeddings(tmp_path / "m.emb", idx, "m-s2", join=join)
+
+
 def test_embeddings_round_trip_bit_exact(tmp_path, rng):
     emb = make_emb(rng)
     save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
@@ -672,7 +676,7 @@ def test_embeddings_index_ids_may_hold_unicode_line_separators(tmp_path, rng, se
     again = load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2")
     assert again.chip_ids == ids
     assert again.matrix.tobytes() == emb.matrix.tobytes()
-    kept = load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2", (ids[2], "b"))
+    kept = _load_keeping(tmp_path, (ids[2], "b"))
     assert kept.chip_ids == (ids[2],)
 
 
@@ -755,12 +759,11 @@ def test_embeddings_zero_dim_is_reported_before_a_repeated_id(tmp_path):
 def test_embeddings_keep_only_the_chips_asked_for_in_their_order(tmp_path, rng):
     emb = make_emb(rng, n=5)
     save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
-    got = load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2",
-                          ("c3", "zz", "c0", "c4"))
+    got = _load_keeping(tmp_path, ("c3", "zz", "c0", "c4"))
     assert got.chip_ids == ("c3", "c0", "c4")
     assert got.matrix.tobytes() == emb.matrix[[3, 0, 4]].tobytes()
     assert not got.matrix.flags.writeable
-    none = load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2", ())
+    none = _load_keeping(tmp_path, ())
     assert none.chip_ids == () and none.matrix.shape == (0, emb.matrix.shape[1])
 
 
@@ -777,7 +780,7 @@ def test_embeddings_check_every_row_in_every_block(tmp_path, rng, monkeypatch,
     blob[16 + 4 * 3 * 5 + 8:16 + 4 * 3 * 5 + 12] = struct.pack("<f", float("inf"))
     (tmp_path / "m.emb").write_bytes(bytes(blob))
     with pytest.raises(DataFormatError, match=r"first offending row 5 \(chip 'c5'\)"):
-        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2", chips)
+        _load_keeping(tmp_path, chips)
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
@@ -793,7 +796,7 @@ def test_embeddings_non_finite_value_names_its_row_and_chip(tmp_path, rng, monke
                     tmp_path / "m.emb", tmp_path / "m.idx")
     monkeypatch.setattr(ingest_mod, "_BLOCK_BYTES", 4 * 3 * 3)
     with pytest.raises(DataFormatError) as info:
-        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", "m-s2", chips)
+        _load_keeping(tmp_path, chips)
     assert str(info.value) == (f"{tmp_path / 'm.emb'}: non-finite values,"
                                f" first offending row {row} (chip 'c{row}')")
 
@@ -803,7 +806,7 @@ def test_embeddings_repeated_id_outside_the_kept_chips_is_refused(tmp_path, rng)
     save_embeddings(emb, tmp_path / "m.emb", tmp_path / "m.idx")
     (tmp_path / "m.idx").write_text("c0\nc1\nc2\nc1\n")
     with pytest.raises(DataFormatError, match=r"m\.idx: line 4: duplicate chip_id: 'c1'"):
-        load_embeddings(tmp_path / "m.emb", tmp_path / "m.idx", emb.fm_id, ("c0",))
+        _load_keeping(tmp_path, ("c0",))
 
 
 # ---------------------------------------------------------------------------
@@ -858,13 +861,6 @@ def test_fractions_sum_bound(rng):
     assert np.isclose(sum(compute_class_fractions(grid).values()), 1.0)
     grid = LabelGrid(codes=rng.choice(np.array(PRODUCT_CODES), size=(32, 32)).astype(np.int32))
     assert sum(compute_class_fractions(grid).values()) <= 1.0 + 1e-12
-
-
-def test_label_grid_file_round_trip(tmp_path, rng):
-    grid = LabelGrid(codes=rng.choice(np.array(PRODUCT_CODES), size=(7, 9)).astype(np.int32))
-    save_label_grid(grid, tmp_path / "g.bin")
-    again = load_label_grid(tmp_path / "g.bin")
-    assert np.array_equal(again.codes, grid.codes)
 
 
 # ---------------------------------------------------------------------------
@@ -966,21 +962,14 @@ def test_composite_matches_sort_oracle(rng):
         by_season = {}
         for i, d in enumerate(stack.dates):
             by_season.setdefault(cal[d], []).append(i)
+        _, bands, height, width = stack.values.shape
         for season, idx in by_season.items():
-            for b in range(stack.bands):
-                for y in range(stack.height):
-                    for x in range(stack.width):
+            for b in range(bands):
+                for y in range(height):
+                    for x in range(width):
                         want = sort_median_oracle(stack.values[idx, b, y, x])
                         got = out[season][b, y, x]
                         assert (np.isnan(want) and np.isnan(got)) or got == want
-
-
-def test_stack_file_round_trip(tmp_path, rng):
-    stack = make_stack(rng, n_dates=6, nan_rate=0.25)
-    save_image_stack(stack, tmp_path / "s.bin")
-    again = load_image_stack(tmp_path / "s.bin")
-    assert again.dates == stack.dates
-    assert again.values.tobytes() == stack.values.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1202,7 +1191,7 @@ def test_dataset_dir_shared_index_matches_each_model_loaded_alone(
     assert sorted(datasets) == sorted(fms or ["alpha-s1", "beta-s2", "gamma-s2"])
     for fm_id, ds in datasets.items():
         alone = assemble_dataset(reads, load_embeddings(
-            emb_dir / f"{fm_id}.emb", emb_dir / f"{fm_id}.idx", fm_id, reads.chip_ids))
+            emb_dir / f"{fm_id}.emb", emb_dir / f"{fm_id}.idx", fm_id))
         assert ds.fm_id == fm_id and ds.chip_ids == alone.chip_ids
         assert list(ds.aoi_positions) == list(alone.aoi_positions)
         for aoi, pos in ds.aoi_positions.items():
@@ -1322,6 +1311,27 @@ def test_dataset_dir_loads_the_chip_table_once_and_each_emb_once_through_ingest(
             ("emb", (emb / f"{fm}.emb", emb / f"{fm}.idx", fm))
             for fm in ("alpha-s1", "beta-s2", "gamma-s2")
         ]
+
+
+# gamma lists the table's chips reversed, so its index has a join of its own;
+# a Dataset's chip fields are built only for an index that a loaded model uses.
+@pytest.mark.parametrize("fms, built", [
+    ({"alpha-s1", "beta-s2"}, 1),
+    ({"gamma-s2"}, 1),
+    (None, 2),
+], ids=["gamma-unread", "only-gamma-read", "all-read"])
+def test_dataset_dir_builds_chip_fields_only_for_an_index_a_loaded_model_uses(
+        tmp_path, small_synth, rng, monkeypatch, fms, built):
+    root = tmp_path / "data"
+    write_dataset_dir(small_synth, root)
+    _add_model(root, "gamma-s2", small_synth.table.chip_ids[::-1], rng)
+    calls = []
+    chip_side = ingest_mod.chip_side
+    monkeypatch.setattr(ingest_mod, "chip_side",
+                        lambda *args: calls.append(args) or chip_side(*args))
+    datasets = load_dataset_dir(root, fms)
+    assert len(calls) == built
+    assert sorted(datasets) == sorted(fms or ["alpha-s1", "beta-s2", "gamma-s2"])
 
 
 @pytest.mark.parametrize("aois", [None, {"aoi-01"}], ids=["all-aois", "one-aoi"])
