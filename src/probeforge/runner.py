@@ -33,6 +33,9 @@ from __future__ import annotations
 
 import itertools
 import logging
+import os
+import signal
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -289,9 +292,38 @@ def _unit_records(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[Agg
 _POOL_DATA: Mapping[str, Dataset] = {}
 
 
-def _init_pool(datasets: Mapping[str, Dataset]) -> None:
+#: The ``prctl`` option that has the kernel signal a process when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _init_pool(datasets: Mapping[str, Dataset], parent: int) -> None:
     global _POOL_DATA
     _POOL_DATA = datasets
+    if os.getpid() != parent:  # a worker process, not a pool run in ``parent`` itself
+        _die_with(parent)
+
+
+def _die_with(parent: int) -> None:
+    """Have this worker end when ``parent``, the process that forked it, dies.
+
+    On Linux the kernel sends SIGKILL when the thread that forked a process
+    ends; the pool forks every worker from the main thread, so that is when
+    the ``run`` process ends, killed or not. A parent that died before the
+    request took effect shows in ``os.getppid``, and the worker exits at
+    once. Elsewhere only that check is made, so the workers of a killed run
+    can outlive it.
+    """
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+        prctl.restype = ctypes.c_int
+        if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) != 0:
+            logger.warning("worker %d does not die with its parent: prctl: %s",
+                           os.getpid(), os.strerror(ctypes.get_errno()))
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _run_one(specs: list[ExperimentSpec]) -> list[AggregateRecord]:
@@ -432,7 +464,8 @@ def run_grid(
                 ctx = multiprocessing.get_context()
             try:
                 with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
-                                         initializer=_init_pool, initargs=(datasets,)) as pool:
+                                         initializer=_init_pool,
+                                         initargs=(datasets, os.getpid())) as pool:
                     # One unit per worker in flight: the executor starts queued
                     # tasks early, and a started task cannot be cancelled.
                     queued = iter(units.values())

@@ -1,5 +1,6 @@
 """File formats, raster fractions, composites, and the synthetic generator."""
 
+import errno
 import io
 import itertools
 import json
@@ -359,10 +360,9 @@ def test_chip_table_cache_is_checked_before_its_payload_is_used(tmp_path, small_
     else:
         bad = good[:(values_end + len(good)) // 2]
     _cols(p).write_bytes(bad)
-    digest = ingest_mod.hashlib.sha256(p.read_bytes()).digest()
     tracemalloc.start()
     try:
-        assert ingest_mod._read_columns(_cols(p), digest) is None
+        assert ingest_mod._read_columns(_cols(p)) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -387,6 +387,68 @@ def test_chip_table_cache_hit_never_holds_the_chip_file_whole(tmp_path):
         tracemalloc.stop()
     assert served == table
     assert peak < size
+
+
+def _eio(fh):
+    raise OSError(errno.EIO, "Input/output error")
+
+
+#: Runs a test with the chip digest on the helper thread, and inline; each
+#: test sets ``_HASH_THREAD_BYTES`` so that its small file takes that path.
+_HASH_PATHS = pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
+
+
+@_HASH_PATHS
+def test_chip_table_digest_error_is_raised_by_the_load_and_run_exits_2(
+        tmp_path, small_synth, monkeypatch, capsys, helper):
+    from probeforge.cli import main
+
+    root = tmp_path / "data"
+    write_dataset_dir(small_synth, root)
+    load_chip_table(root / "chips.jsonl")  # writes the cache, so the next load hashes
+    monkeypatch.setattr(ingest_mod, "_HASH_THREAD_BYTES", 0 if helper else 1 << 62)
+    monkeypatch.setattr(ingest_mod, "_digest", _eio)
+    _no_parse(monkeypatch)  # an unread digest must not become a silent re-parse
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    with pytest.raises(OSError, match="Input/output error"):
+        load_chip_table(root / "chips.jsonl")
+    grid = {"fms": ["alpha-s1"], "classes": ["tree-cover"], "samplers": ["random"],
+            "target_aois": ["aoi-00"], "n_train_target": [20], "n_test_target": [10],
+            "regimes": ["target-split"], "repetitions": 2, "base_seed": 5}
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    capsys.readouterr()
+    assert main(["run", "--grid", str(tmp_path / "grid.json"), "--data-dir", str(root),
+                 "--out", str(tmp_path / "results.csv")]) == 2
+    assert "Input/output error" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
+    assert unhandled == []
+
+
+@_HASH_PATHS
+def test_chip_table_load_leaves_no_thread_alive(tmp_path, small_synth, monkeypatch, helper):
+    p = tmp_path / "chips.jsonl"
+    save_chip_table(small_synth.table, p)
+    monkeypatch.setattr(ingest_mod, "_HASH_THREAD_BYTES",
+                        p.stat().st_size if helper else p.stat().st_size + 1)
+    before = threading.enumerate()
+    hashed_on = []
+    digest = ingest_mod._digest
+    monkeypatch.setattr(ingest_mod, "_digest",
+                        lambda fh: hashed_on.append(threading.current_thread()) or digest(fh))
+    assert load_chip_table(p) == small_synth.table  # miss: no cache yet
+    assert threading.enumerate() == before and hashed_on == []
+    assert load_chip_table(p) == small_synth.table  # hit
+    assert threading.enumerate() == before
+    assert len(hashed_on) == 1
+    assert (hashed_on[0] is threading.current_thread()) is not helper
+    p.write_bytes(p.read_bytes() + b"\n")  # stale: other bytes, the same table
+    assert load_chip_table(p) == small_synth.table
+    assert threading.enumerate() == before and len(hashed_on) == 2
+    monkeypatch.setattr(ingest_mod, "_digest", _eio)
+    with pytest.raises(OSError):
+        load_chip_table(p)
+    assert threading.enumerate() == before
 
 
 _BAD_CHIPS = {
