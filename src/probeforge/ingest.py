@@ -19,7 +19,7 @@ same layouts for users):
   whose escapes keep every string exactly (NUL, line ends and lone
   surrogates included). When the cache exists, the chip file's digest is
   computed through a read-only mapping, so the chip file is never copied
-  into the heap; for a chip file of 4 MiB or more, on a second thread
+  into the heap; for a chip file of 4 MiB or more, on a second lane
   while the cache decodes. The table is served from the cache only when
   magic, version and both digests match; otherwise the chip file is
   parsed and the cache rewritten. A chip file truncated in place while it
@@ -32,11 +32,19 @@ same layouts for users):
   table's ids, each ended by ``\n``, is joined without being decoded.
 * Dataset directory: ``chips.jsonl`` and ``embeddings/<fm_id>.emb`` with its
   ``.idx``. ``open_dataset_dir`` reads the table and every index, and frees
-  the table before ``DatasetDir.load`` or ``check`` reads any payload.
+  the table before ``DatasetDir.load`` reads any payload. The load opens
+  every ``.emb`` in sorted order, fills them all on lanes split by block
+  (from 4 MiB of payload up), and finishes each in sorted order, so it
+  raises what loading one model after another would.
 * Text files (the chip table, each index) are UTF-8, refused at a bad byte
   with the file and 1-based line. Lines end only at ``\n``, ``\r\n`` or
   ``\r``, so an index id may hold any other character, U+2028 included;
   ``save_embeddings`` refuses an id with a line end or a lone surrogate.
+
+Lanes: ``_in_lanes`` starts every thread of the package, from 4 MiB of
+work up, one per CPU the process may use and item of work at most, and
+joins them all before it returns, so no thread is alive when ``run
+--threads N`` forks its workers.
 
 The synthetic generator plants a known linear signal in random embeddings
 so probe recovery is checkable against closed-form targets.
@@ -52,10 +60,12 @@ import os
 import struct
 import threading
 import warnings
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import compress
 from pathlib import Path
-from typing import BinaryIO, Collection, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Collection, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -90,10 +100,11 @@ _COLS_VALUES = 3 + N_CLASSES
 
 #: Bytes of ``.emb`` payload read per block: 1 MiB, whatever the dim.
 _BLOCK_BYTES = 1 << 20
-#: Chip-file size from which its digest is computed on a helper thread. Below
-#: it, the hash (about 0.55 ms per MB) saves less than a thread costs. Besides
-#: its start and join, glibc treats the process as multi-threaded for good once
-#: one thread has run, and a loop of 500x64 Gram fits then ran 2-3% slower.
+#: Bytes of work (a chip file to hash, payloads to read) from which
+#: ``_in_lanes`` runs it on threads. Below it, the work (about 0.55 ms per MB
+#: of hash) saves less than a thread costs. Besides its start and join, glibc
+#: treats the process as multi-threaded for good once one thread has run, and
+#: a loop of 500x64 Gram fits then ran 2-3% slower.
 _HASH_THREAD_BYTES = 1 << 22
 #: Bytes of a text file decoded at a time, up to the next "\n": open()'s chunk size.
 _TEXT_BLOCK = 1 << 13
@@ -116,6 +127,58 @@ SEASONS = ("winter", "spring", "summer", "fall")
 
 
 # ---------------------------------------------------------------------------
+# lanes
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_lanes(items: Sequence, nbytes: int, run: Callable[[Any, np.ndarray], Any],
+              buffer_bytes: int = 0) -> list:
+    """What ``run(item, buffer)`` returns for each of ``items``, in order, or
+    the exception it raised. Each lane gets a ``buffer`` of ``buffer_bytes``
+    bytes of its own, made here on the calling thread.
+
+    This is the one place the package starts a thread. From
+    ``_HASH_THREAD_BYTES`` of work (``nbytes``) up, the items are split into
+    contiguous runs, one per lane, on as many lanes as there are items or CPUs
+    this process may use, whichever is fewer: the first run here, each other
+    on a thread of its own. Every thread is joined before this returns or
+    raises, so none is alive when ``run --threads N`` forks its workers.
+    Below the floor, or with one CPU, every item runs here and no thread
+    starts. ``run`` must call nothing that perfbench's tracer rebinds: its
+    span stack is one per process.
+    """
+    lanes = 1 if nbytes < _HASH_THREAD_BYTES else max(1, min(len(items), _usable_cpus()))
+    bounds = [len(items) * k // lanes for k in range(lanes + 1)]
+    buffers = [np.empty(buffer_bytes, dtype=np.uint8) for _ in range(lanes)]
+    done: list = [None] * len(items)
+
+    def lane(k: int) -> None:
+        for i in range(bounds[k], bounds[k + 1]):
+            try:
+                done[i] = run(items[i], buffers[k])
+            except Exception as exc:  # the caller raises it, in item order
+                done[i] = exc
+
+    started = []
+    try:
+        for k in range(1, lanes):
+            thread = threading.Thread(target=lane, args=(k,), name=f"probeforge-lane-{k}")
+            thread.start()
+            started.append(thread)
+        lane(0)
+    finally:
+        for thread in started:
+            thread.join()
+    return done
+
+
+# ---------------------------------------------------------------------------
 # chip tables
 
 
@@ -127,9 +190,9 @@ def load_chip_table(path: str | Path) -> ChipTable:
     an empty table.
 
     When ``<path>.cols`` exists, the file is hashed through a read-only
-    mapping; from ``_HASH_THREAD_BYTES`` up, on a second thread while this
-    one decodes the cache. The helper is joined before anything is returned
-    or raised, and an error it meets is raised here. When the cache holds
+    mapping; from ``_HASH_THREAD_BYTES`` up, on a second lane (``_in_lanes``)
+    while this thread decodes the cache. The lane is joined before anything
+    is returned or raised, and an error it meets is raised here. When the cache holds
     the columns of exactly these bytes (see the module docstring), the table
     comes from there, and the file is never copied into memory nor any chip
     record parsed; otherwise the file is read whole and parsed. A parse
@@ -152,27 +215,15 @@ def load_chip_table(path: str | Path) -> ChipTable:
 
 
 def _columns_and_digest(cache: Path, fh: BinaryIO) -> tuple[tuple[bytes, ChipTable] | None, bytes]:
-    """``_read_columns(cache)`` and ``_digest(fh)``, side by side from
-    ``_HASH_THREAD_BYTES`` up: the digest on a helper thread, joined here."""
-    if os.fstat(fh.fileno()).st_size < _HASH_THREAD_BYTES:
-        return _read_columns(cache), _digest(fh)
-    hashed: list[bytes | Exception] = []
-
-    def hash_chips() -> None:
-        try:
-            hashed.append(_digest(fh))
-        except Exception as exc:  # raised below, in the caller
-            hashed.append(exc)
-
-    helper = threading.Thread(target=hash_chips, name="chip-digest")
-    helper.start()
-    try:
-        cached = _read_columns(cache)
-    finally:
-        helper.join()
-    if isinstance(hashed[0], Exception):
-        raise hashed[0]
-    return cached, hashed[0]
+    """``_read_columns(cache)`` and ``_digest(fh)``, side by side on two lanes
+    (``_in_lanes``) from ``_HASH_THREAD_BYTES`` of chip file up."""
+    done = _in_lanes((partial(_read_columns, cache), partial(_digest, fh)),
+                     os.fstat(fh.fileno()).st_size, lambda task, buffer: task())
+    for got in done:
+        if isinstance(got, Exception):
+            raise got
+    cached, digest = done
+    return cached, digest
 
 
 def _digest(fh: BinaryIO) -> bytes:
@@ -487,63 +538,157 @@ def load_embeddings(
     caller (``_join_index``), and the set holds the rows it keeps, in the
     order of the chips it was joined to: ``open_dataset_dir`` joins each
     distinct index once, for every model whose index holds the same bytes.
+    The load takes the steps of a directory's (``_read_payloads``) for one
+    model.
     """
-    with open(data_path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) < 16 or head[:4] != _EMB_MAGIC:
-            raise DataFormatError(f"{data_path}: bad magic, not an embedding file")
-        dim, count = struct.unpack("<IQ", head[4:16])
-        size = os.fstat(fh.fileno()).st_size
-        expected = 16 + 4 * dim * count
-        if size != expected:
-            raise DataFormatError(
-                f"{data_path}: payload is {size} bytes, header implies {expected}"
-            )
+    payloads, failed = _read_payloads([(Path(data_path), Path(index_path), join)])
+    if failed is not None:
+        raise failed
+    [(payload, blocks)] = payloads
+    return payload.finish(fm_id, blocks)
 
-        if join is None:
-            join = _join_index(index_path, Path(index_path).read_bytes(), None)
-        if join.count != count:
-            raise DataFormatError(
-                f"{index_path}: index/header mismatch: header rows {count},"
-                f" index lines {join.count}"
-            )
 
-        # Without a row map every row is kept in file order, so blocks are
-        # read straight into the matrix; with one, into a buffer whose kept
-        # rows are then copied.
-        dest = join.dest
-        matrix = np.empty((len(join.kept), dim), dtype="<f4")
-        step = max(1, _BLOCK_BYTES // max(4 * dim, 1))
-        block = matrix if dest is None else np.empty((min(count, step), dim), dtype="<f4")
-        for start in range(0, count, step):
-            rows = block[start:start + step] if dest is None else block[: count - start]
-            if fh.readinto(rows) != rows.nbytes:
-                raise DataFormatError(f"{data_path}: payload shrank while being read")
-            # one flat test per block; the bad row is looked for only on failure
-            if not np.isfinite(rows).all():
-                row = start + int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+@dataclass(frozen=True, eq=False)
+class _Payload:
+    """An ``.emb`` payload between its open and its finish: the join that
+    places its rows, and the matrix its blocks fill from file ``fh``, which
+    is open only until the fill ends."""
+
+    data_path: Path
+    index_path: Path
+    join: _IndexJoin
+    fh: BinaryIO
+    count: int
+    matrix: np.ndarray
+
+    @property
+    def step(self) -> int:
+        """Rows per block: as many as ``_BLOCK_BYTES`` hold, and at least one."""
+        return max(1, _BLOCK_BYTES // max(4 * self.matrix.shape[1], 1))
+
+    @property
+    def nbytes(self) -> int:
+        return 4 * self.count * self.matrix.shape[1]
+
+    @property
+    def starts(self) -> range:
+        """The first row of each block; none when the payload holds no byte."""
+        return range(0, self.count if self.nbytes else 0, self.step)
+
+    def finish(self, fm_id: str, blocks: Sequence[int | Exception | None]) -> EmbeddingSet:
+        """The set of model ``fm_id``, once ``blocks``, what ``_fill_block``
+        gave for each block, shows the payload finite and whole."""
+        for got in blocks:
+            if isinstance(got, Exception):
+                raise got
+            if got is not None:
                 raise DataFormatError(
-                    f"{data_path}: non-finite values, first offending row {row}"
-                    f" (chip {join.ids(index_path)[row]!r})"
+                    f"{self.data_path}: non-finite values, first offending row {got}"
+                    f" (chip {self.join.ids(self.index_path)[got]!r})"
                 )
-            if dest is not None:
-                to = dest[start:start + len(rows)]
-                mine = to >= 0
-                matrix[to[mine]] = rows[mine]
-    matrix.setflags(write=False)
+        self.matrix.setflags(write=False)
+        # A zero width is reported before a repeated id, as EmbeddingSet checks it
+        # first. A repeated id is the index's fault: name its line, not the matrix file.
+        if self.matrix.shape[1] and self.join.repeated:
+            ids = self.join.ids(self.index_path)
+            dup = first_repeat(ids)
+            raise DataFormatError(
+                f"{self.index_path}: line {dup + 1}: duplicate chip_id: {ids[dup]!r}"
+            )
+        try:
+            return EmbeddingSet(fm_id=fm_id, chip_ids=self.join.kept, matrix=self.matrix)
+        except ValueError as exc:
+            raise DataFormatError(f"{self.data_path}: {exc}") from exc
 
-    # A zero width is reported before a repeated id, as EmbeddingSet checks it
-    # first. A repeated id is the index's fault: name its line, not the matrix file.
-    if dim and join.repeated:
-        ids = join.ids(index_path)
-        dup = first_repeat(ids)
+
+def _open_payload(fh: BinaryIO, data_path: Path, index_path: Path,
+                  join: _IndexJoin | None) -> _Payload:
+    """Check the header of ``.emb`` file ``fh`` against its size and index, and
+    allocate the matrix; without ``join``, the index is read and every row kept."""
+    head = fh.read(16)
+    if len(head) < 16 or head[:4] != _EMB_MAGIC:
+        raise DataFormatError(f"{data_path}: bad magic, not an embedding file")
+    dim, count = struct.unpack("<IQ", head[4:16])
+    size = os.fstat(fh.fileno()).st_size
+    expected = 16 + 4 * dim * count
+    if size != expected:
+        raise DataFormatError(f"{data_path}: payload is {size} bytes, header implies {expected}")
+    if join is None:
+        join = _join_index(index_path, index_path.read_bytes(), None)
+    if join.count != count:
         raise DataFormatError(
-            f"{index_path}: line {dup + 1}: duplicate chip_id: {ids[dup]!r}"
+            f"{index_path}: index/header mismatch: header rows {count},"
+            f" index lines {join.count}"
         )
-    try:
-        return EmbeddingSet(fm_id=fm_id, chip_ids=join.kept, matrix=matrix)
-    except ValueError as exc:
-        raise DataFormatError(f"{data_path}: {exc}") from exc
+    return _Payload(data_path, index_path, join, fh, count,
+                    np.empty((len(join.kept), dim), dtype="<f4"))
+
+
+def _read_payloads(models: Sequence[tuple[Path, Path, _IndexJoin | None]]
+                   ) -> tuple[list[tuple[_Payload, list]], Exception | None]:
+    """Open the ``.emb`` of each of ``models`` (data path, index path, join),
+    in order, up to the first that fails, then fill the opened ones on lanes
+    (``_in_lanes``), split by block. Returns each opened payload with what
+    ``_fill_block`` gave for its blocks, for its ``finish``, and the error of
+    the open that failed, if any. The caller raises that error only once every
+    model ahead of it is finished, as a load of one model after another would.
+    """
+    with ExitStack() as files:
+        opened, failed = [], None
+        for data_path, index_path, join in models:
+            try:
+                fh = files.enter_context(open(data_path, "rb", buffering=0))
+                opened.append(_open_payload(fh, data_path, index_path, join))
+            except Exception as exc:  # raised by the caller, in model order
+                failed = exc
+                break
+        blocks = [(p, start) for p in opened for start in p.starts]
+        buffer = max((4 * min(p.count, p.step) * p.matrix.shape[1]
+                      for p in opened if p.join.dest is not None), default=0)
+        done = iter(_in_lanes(blocks, sum(p.nbytes for p in opened), _fill_block, buffer))
+    return [(p, [next(done) for _ in p.starts]) for p in opened], failed
+
+
+def _fill_block(block: tuple[_Payload, int], buffer: np.ndarray) -> int | None:
+    """Read the block of payload rows from ``start``, check that it is finite,
+    and put its kept rows in the matrix; the first non-finite row, if any.
+
+    Without a row map every row is kept in file order, so the block is read
+    straight into the matrix; with one, into ``buffer``, whose kept rows are
+    then copied.
+    """
+    p, start = block
+    n, dim, dest = min(p.step, p.count - start), p.matrix.shape[1], p.join.dest
+    rows = p.matrix[start:start + n] if dest is None else (
+        buffer[:4 * n * dim].view("<f4").reshape(n, dim))
+    if _read_at(p, rows, 16 + 4 * dim * start) != rows.nbytes:
+        raise DataFormatError(f"{p.data_path}: payload shrank while being read")
+    # one flat test per block; the bad row is looked for only on failure
+    if not np.isfinite(rows).all():
+        return start + int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+    if dest is not None:
+        to = dest[start:start + n]
+        mine = to >= 0
+        p.matrix[to[mine]] = rows[mine]
+    return None
+
+
+def _read_at(p: _Payload, rows: np.ndarray, offset: int) -> int:
+    """Read ``p``'s file from byte ``offset`` into ``rows`` until they are full
+    or the file ends; the bytes read. Each lane reads at its own offset:
+    through ``os.preadv`` where there is one, else through a handle of its own."""
+    view = memoryview(rows).cast("B")
+    if not hasattr(os, "preadv"):
+        with open(p.data_path, "rb") as fh:
+            fh.seek(offset)
+            return fh.readinto(view)
+    got = 0
+    while got < len(view):
+        n = os.preadv(p.fh.fileno(), [view[got:]], offset + got)
+        if not n:
+            break
+        got += n
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -849,12 +994,10 @@ class _Model:
     join: _IndexJoin
     chips: dict | None
 
-    def read(self, join: _IndexJoin) -> EmbeddingSet:
-        """The payload, read and checked, with the rows ``join`` keeps."""
-        emb = load_embeddings(self.data_path, self.index_path, self.data_path.stem, join=join)
-        if not join.matched:
-            raise AlignmentError(f"{self.index_path}: no aligned chips")
-        return emb
+    @property
+    def reads(self) -> _IndexJoin:
+        """The join of the rows a load keeps: none for a model only checked."""
+        return self.join if self.chips is not None else self.join.keeping_none()
 
 
 @dataclass(frozen=True)
@@ -865,17 +1008,31 @@ class DatasetDir:
     n_chips: int
     models: Mapping[str, _Model]
 
-    def load(self, fm_id: str) -> Dataset:
-        """Read and check model ``fm_id``'s payload, and return its Dataset;
-        ``fm_id`` must be one of the models the directory was opened to load."""
-        model = self.models[fm_id]
-        emb = model.read(model.join)
-        log_join(fm_id, self.n_chips - len(emb), model.join.count - model.join.matched)
-        return Dataset(fm_id=fm_id, matrix=emb.matrix, **model.chips)
+    def load(self) -> dict[str, Dataset]:
+        """Read and check every model's payload, and return the Dataset of
+        each model the directory was opened to load; every other is only
+        checked, and keeps no row.
 
-    def check(self, fm_id: str) -> None:
-        """Read and check model ``fm_id``'s payload, and keep no row of it."""
-        self.models[fm_id].read(self.models[fm_id].join.keeping_none())
+        The load takes three steps. It opens each payload in sorted order on
+        this thread (header, size, the index/header count, and the matrix),
+        fills them all on lanes split by block (``_read_payloads``), and then
+        finishes each in sorted order here. So it raises the error that loading
+        one model after another would: that of the first model, in sorted
+        order, to fail, and of its earliest step and block.
+        """
+        payloads, failed = _read_payloads(
+            [(m.data_path, m.index_path, m.reads) for m in self.models.values()])
+        datasets = {}
+        for (fm_id, model), (payload, blocks) in zip(self.models.items(), payloads):
+            emb = payload.finish(fm_id, blocks)
+            if not model.join.matched:
+                raise AlignmentError(f"{model.index_path}: no aligned chips")
+            if model.chips is not None:
+                log_join(fm_id, self.n_chips - len(emb), model.join.count - model.join.matched)
+                datasets[fm_id] = Dataset(fm_id=fm_id, matrix=emb.matrix, **model.chips)
+        if failed is not None:
+            raise failed
+        return datasets
 
 
 def open_dataset_dir(data_dir: str | Path, fms: Collection[str] | None = None,
@@ -916,9 +1073,11 @@ def open_dataset_dir(data_dir: str | Path, fms: Collection[str] | None = None,
         if blob not in joins:
             joins[blob] = _join_index(index_path, blob, table.chip_ids, wanted)
         join = joins[blob]
-        if (fms is None or data_path.stem in fms) and blob not in sides:
+        read = fms is None or data_path.stem in fms
+        if read and blob not in sides:
             sides[blob] = chip_side(table, join.rows, join.kept)
-        models[data_path.stem] = _Model(data_path, index_path, join, sides.get(blob))
+        models[data_path.stem] = _Model(data_path, index_path, join,
+                                        sides[blob] if read else None)
     return DatasetDir(n_chips, models)
 
 
@@ -927,11 +1086,4 @@ def load_dataset_dir(data_dir: str | Path, fms: Collection[str] | None = None,
     """Open a dataset directory, then load each model in ``fms`` (all when
     None) and check every other one, in sorted order. A Dataset holds the
     chips in ``aois`` (all when None); with none, every spec is infeasible."""
-    opened = open_dataset_dir(data_dir, fms, aois)
-    datasets = {}
-    for fm_id in opened.models:
-        if fms is None or fm_id in fms:
-            datasets[fm_id] = opened.load(fm_id)
-        else:
-            opened.check(fm_id)
-    return datasets
+    return open_dataset_dir(data_dir, fms, aois).load()

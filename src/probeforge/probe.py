@@ -82,7 +82,7 @@ def factorize(X) -> Factorization:
 
     Well-conditioned inputs take the Gram path; anything else runs the thin SVD.
     """
-    Xm = np.asarray(X, dtype=np.float64)
+    Xm = np.array(X, dtype=np.float64)
     if Xm.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {Xm.shape}")
     n, d = Xm.shape
@@ -94,7 +94,8 @@ def factorize(X) -> Factorization:
         raise ValueError("non-finite values in training data")
 
     x_mean = Xm.mean(axis=0)
-    Xc = Xm - x_mean
+    Xc = Xm  # a copy of X, so it is centered in place
+    Xc -= x_mean
     gram = _gram_factors(Xc)
     if gram is not None:
         return Factorization(x_mean, *gram)
@@ -129,8 +130,12 @@ def _gram_factors(Xc: np.ndarray):
         return None
     s = np.sqrt(lam)
     if wide:
-        return Q.copy(), s, ((Xc.T @ Q) / s).T.copy()
-    return (Xc @ Q) / s, s, Q.T.copy()
+        B = Xc.T @ Q
+        B /= s
+        return Q.copy(), s, B.T.copy()
+    U = Xc @ Q
+    U /= s
+    return U, s, Q.T.copy()
 
 
 def fit(X, y) -> Probe:

@@ -71,3 +71,42 @@ def test_every_module_parses_as_the_oldest_python_the_package_declares():
     assert len(sources) > 5
     for path in sources:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(major, minor))
+
+
+#: What starts a thread or an executor of threads or processes.
+_CONCURRENCY = {"Thread", "Timer", "ThreadPoolExecutor", "ThreadPool", "start_new_thread",
+                "ProcessPoolExecutor", "Pool", "Process"}
+
+
+def _started_concurrency(tree):
+    """(function, callee) for each call in ``tree`` that starts concurrency."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    callee = node.func.attr if isinstance(node.func, ast.Attribute) else (
+                        getattr(node.func, "id", None))
+                    if callee in _CONCURRENCY:
+                        yield fn.name, callee
+
+
+def test_only_the_lane_helper_starts_threads_and_only_run_grid_starts_workers():
+    # One mechanism per kind: ingest._in_lanes starts every loader thread,
+    # and run_grid's process pool is ``run --threads N``.
+    found = {
+        (path.name, fn, callee)
+        for path in sorted(SRC.glob("*.py"))
+        for fn, callee in _started_concurrency(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {("ingest.py", "_in_lanes", "Thread"),
+                     ("runner.py", "run_grid", "ProcessPoolExecutor")}, sorted(found)
+    # nor is any of them made at module level, outside every function
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn)}
+        loose = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and id(node) not in inside
+                 and getattr(node.func, "attr", getattr(node.func, "id", None)) in _CONCURRENCY]
+        assert loose == [], (path.name, loose)

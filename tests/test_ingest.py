@@ -393,8 +393,8 @@ def _eio(fh):
     raise OSError(errno.EIO, "Input/output error")
 
 
-#: Runs a test with the chip digest on the helper thread, and inline; each
-#: test sets ``_HASH_THREAD_BYTES`` so that its small file takes that path.
+#: Runs a test with the chip digest on a second lane, and inline; each test
+#: sets ``_HASH_THREAD_BYTES`` so that its small file takes that path.
 _HASH_PATHS = pytest.mark.parametrize("helper", [True, False], ids=["helper", "inline"])
 
 
@@ -407,6 +407,7 @@ def test_chip_table_digest_error_is_raised_by_the_load_and_run_exits_2(
     write_dataset_dir(small_synth, root)
     load_chip_table(root / "chips.jsonl")  # writes the cache, so the next load hashes
     monkeypatch.setattr(ingest_mod, "_HASH_THREAD_BYTES", 0 if helper else 1 << 62)
+    monkeypatch.setattr(ingest_mod, "_usable_cpus", lambda: 2)  # two lanes on any host
     monkeypatch.setattr(ingest_mod, "_digest", _eio)
     _no_parse(monkeypatch)  # an unread digest must not become a silent re-parse
     unhandled = []
@@ -431,6 +432,7 @@ def test_chip_table_load_leaves_no_thread_alive(tmp_path, small_synth, monkeypat
     save_chip_table(small_synth.table, p)
     monkeypatch.setattr(ingest_mod, "_HASH_THREAD_BYTES",
                         p.stat().st_size if helper else p.stat().st_size + 1)
+    monkeypatch.setattr(ingest_mod, "_usable_cpus", lambda: 2)  # two lanes on any host
     before = threading.enumerate()
     hashed_on = []
     digest = ingest_mod._digest
@@ -1354,23 +1356,28 @@ def test_dataset_dir_bad_index_of_a_later_model_is_named_before_an_earlier_paylo
 @pytest.mark.parametrize("fms", [None, {"beta-s2"}], ids=["all-read", "one-read"])
 def test_dataset_dir_loads_the_chip_table_once_and_each_emb_once_through_ingest(
         tmp_path, small_synth, rng, monkeypatch, fms):
-    # The benchmark's tracer times these two calls by rebinding them in
-    # ingest, and reads the two paths from the leading positional arguments.
+    # The benchmark's tracer times load_chip_table by rebinding it in ingest,
+    # and reads the path from the leading positional argument. Each payload
+    # is opened once, on the calling thread; its blocks are filled on lanes,
+    # which call nothing the tracer rebinds, so load_embeddings is not called.
     root = tmp_path / "data"
     write_dataset_dir(small_synth, root)
     _add_model(root, "gamma-s2", small_synth.table.chip_ids[::-1], rng)
     calls = []
-    load_table, load_emb = ingest_mod.load_chip_table, ingest_mod.load_embeddings
+    load_table, open_payload = ingest_mod.load_chip_table, ingest_mod._open_payload
     monkeypatch.setattr(ingest_mod, "load_chip_table", lambda *args, **kwargs: (
         calls.append(("table", args, kwargs)) or load_table(*args, **kwargs)))
     monkeypatch.setattr(ingest_mod, "load_embeddings", lambda *args, **kwargs: (
-        calls.append(("emb", args[:3])) or load_emb(*args, **kwargs)))
+        calls.append(("load_embeddings",))))
+    monkeypatch.setattr(ingest_mod, "_open_payload", lambda fh, *args: (
+        calls.append(("emb", args[:2], threading.current_thread()))
+        or open_payload(fh, *args)))
     emb = root / "embeddings"
     for _ in range(2):
         calls.clear()
         load_dataset_dir(root, fms)
         assert calls == [("table", (root / "chips.jsonl",), {})] + [
-            ("emb", (emb / f"{fm}.emb", emb / f"{fm}.idx", fm))
+            ("emb", (emb / f"{fm}.emb", emb / f"{fm}.idx"), threading.current_thread())
             for fm in ("alpha-s1", "beta-s2", "gamma-s2")
         ]
 
@@ -1403,19 +1410,19 @@ def test_dataset_dir_frees_the_chip_table_before_reading_a_payload(
 
     write_dataset_dir(small_synth, tmp_path / "data")
     tables, freed = [], []
-    load_table, load_emb = ingest_mod.load_chip_table, ingest_mod.load_embeddings
+    load_table, open_payload = ingest_mod.load_chip_table, ingest_mod._open_payload
 
     def spy_table(path):
         table = load_table(path)
         tables.append(weakref.ref(table))
         return table
 
-    def spy_emb(*args, **kwargs):
+    def spy_open(*args):
         freed.append(tables[0]() is None)
-        return load_emb(*args, **kwargs)
+        return open_payload(*args)
 
     monkeypatch.setattr(ingest_mod, "load_chip_table", spy_table)
-    monkeypatch.setattr(ingest_mod, "load_embeddings", spy_emb)
+    monkeypatch.setattr(ingest_mod, "_open_payload", spy_open)
     load_dataset_dir(tmp_path / "data", {"alpha-s1"}, aois)
     assert freed == [True, True]
 
@@ -1526,3 +1533,203 @@ def test_dataset_dir_index_that_is_not_the_tables_listing_is_decoded_and_joined(
     assert list(got.aoi_positions) == list(alone.aoi_positions)
     for aoi, pos in got.aoi_positions.items():
         assert np.array_equal(pos, alone.aoi_positions[aoi])
+
+
+# ---------------------------------------------------------------------------
+# lanes: every payload of a directory filled on threads, split by block
+
+
+def _lanes(monkeypatch, on):
+    """Fill payloads on three lanes whatever their size (``on``), or inline
+    whatever their size, in blocks of 48 of small_synth's 16-d rows: 9 per
+    400-row model, so that a lane's run spans models and parts of models."""
+    monkeypatch.setattr(ingest_mod, "_HASH_THREAD_BYTES", 0 if on else 1 << 62)
+    monkeypatch.setattr(ingest_mod, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(ingest_mod, "_BLOCK_BYTES", 4 * 16 * 48)
+
+
+def _started_threads(monkeypatch):
+    """The names of the threads started from now on."""
+    names = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: names.append(thread.name) or start(thread))
+    return names
+
+
+def _lane_dir(root, small_synth, rng):
+    """small_synth's directory plus gamma-s2, whose index lists the chips
+    reversed and so has a join of its own."""
+    write_dataset_dir(small_synth, root)
+    _add_model(root, "gamma-s2", small_synth.table.chip_ids[::-1], rng)
+
+
+def _rewrite(root, fm_id, suffix, edit):
+    path = root / "embeddings" / f"{fm_id}{suffix}"
+    path.write_bytes(edit(path.read_bytes()))
+
+
+def _set_value(root, fm_id, row, value):
+    def edit(blob):
+        at = 16 + 4 * (struct.unpack("<I", blob[4:8])[0] * row + 3)
+        return blob[:at] + struct.pack("<f", value) + blob[at + 4:]
+    _rewrite(root, fm_id, ".emb", edit)
+
+
+def _rewrite_index(root, fm_id, edit):
+    _rewrite(root, fm_id, ".idx", lambda blob: "".join(
+        f"{line}\n" for line in edit(blob.decode().splitlines())).encode())
+
+
+#: Faults planted in one model's files, each refused at another step or block.
+_PLANTED = {
+    "bad-magic": lambda root, fm: _rewrite(root, fm, ".emb", lambda blob: b"XXXX" + blob[4:]),
+    "wrong-size": lambda root, fm: _rewrite(root, fm, ".emb", lambda blob: blob[:-4]),
+    "index-mismatch": lambda root, fm: _rewrite_index(root, fm, lambda ids: ids[:-1]),
+    "nan-early-block": lambda root, fm: _set_value(root, fm, 5, float("nan")),
+    "inf-late-block": lambda root, fm: _set_value(root, fm, 397, float("inf")),
+    "early-and-late-block": lambda root, fm: (_set_value(root, fm, 397, float("nan")),
+                                              _set_value(root, fm, 60, float("-inf"))),
+    "repeated-id": lambda root, fm: _rewrite_index(root, fm, lambda ids: ids[:9] + ids[3:4]
+                                                   + ids[10:]),
+    "no-aligned-chips": lambda root, fm: _rewrite_index(root, fm,
+                                                        lambda ids: [f"x{i}" for i in ids]),
+}
+
+
+def _one_model_after_another(root, table):
+    """The error of loading each model alone, in sorted order, as
+    ``load_embeddings`` and the join check do: the reference."""
+    for emb in sorted((root / "embeddings").glob("*.emb")):
+        idx = emb.with_suffix(".idx")
+        try:
+            join = ingest_mod._join_index(idx, idx.read_bytes(), table.chip_ids)
+            load_embeddings(emb, idx, emb.stem, join)
+            if not join.matched:
+                raise AlignmentError(f"{idx}: no aligned chips")
+        except (DataFormatError, AlignmentError) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("first", sorted(_PLANTED))
+def test_lanes_raise_what_a_serial_load_raises_for_two_faulty_models(
+        tmp_path, small_synth, rng, monkeypatch, first):
+    before = threading.enumerate()
+    for second in sorted(_PLANTED):
+        root = tmp_path / second / "data"
+        _lane_dir(root, small_synth, rng)
+        _PLANTED[first](root, "alpha-s1")
+        _PLANTED[second](root, "gamma-s2")
+        want = _one_model_after_another(root, small_synth.table)
+        assert want is not None
+        for fms, aois in ((None, None), ({"gamma-s2"}, {"aoi-01", "aoi-02"})):
+            got = []
+            for on in (True, False):
+                _lanes(monkeypatch, on)
+                with pytest.raises((DataFormatError, AlignmentError)) as info:
+                    load_dataset_dir(root, fms, aois)
+                got.append((info.type, str(info.value)))
+                assert threading.enumerate() == before
+            assert got == [want, want], (first, second, fms)
+
+
+@pytest.mark.parametrize("fms", [None, {"alpha-s1", "gamma-s2"}, {"beta-s2"}],
+                         ids=["all", "two", "one"])
+@pytest.mark.parametrize("aois", [None, {"aoi-00", "aoi-03"}], ids=["all-aois", "two-aois"])
+def test_lanes_and_a_serial_load_give_the_same_datasets_and_log(
+        tmp_path, small_synth, rng, monkeypatch, caplog, fms, aois):
+    root = tmp_path / "data"
+    _lane_dir(root, small_synth, rng)
+    # beta lacks 7 of the table's chips and lists one it lacks, so its join
+    # is its own, and a load that reads it logs what the join dropped
+    _add_model(root, "beta-s2", ["ghost", *small_synth.table.chip_ids[7:]], rng)
+    before = threading.enumerate()
+    loads, logs, started = [], [], _started_threads(monkeypatch)
+    for on in (True, False):
+        _lanes(monkeypatch, on)
+        caplog.clear()
+        started.clear()
+        with caplog.at_level("INFO", logger="probeforge.core"):
+            loads.append(load_dataset_dir(root, fms, aois))
+        logs.append(caplog.messages)
+        assert threading.enumerate() == before
+        assert bool(started) is on
+    lanes, serial = loads
+    assert logs[0] == logs[1]
+    assert (fms is None or "beta-s2" in fms) is any("beta-s2" in line for line in logs[0])
+    assert sorted(lanes) == sorted(serial) == sorted(fms or ["alpha-s1", "beta-s2", "gamma-s2"])
+    for fm_id in lanes:
+        a, b = lanes[fm_id], serial[fm_id]
+        assert a.chip_ids == b.chip_ids and list(a.aoi_positions) == list(b.aoi_positions)
+        for name in ("matrix", "fractions", "elevations"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes() and not x.flags.writeable
+
+
+def test_a_directory_below_the_lane_floor_starts_no_thread(tmp_path, small_synth, rng,
+                                                           monkeypatch):
+    root = tmp_path / "data"
+    _lane_dir(root, small_synth, rng)
+    load_chip_table(root / "chips.jsonl")  # writes the cache, so the next load hashes
+    monkeypatch.setattr(ingest_mod, "_usable_cpus", lambda: 3)
+    started = _started_threads(monkeypatch)
+    assert load_dataset_dir(root, None, {"aoi-02"})
+    assert started == []
+    monkeypatch.setattr(ingest_mod, "_HASH_THREAD_BYTES", 0)
+    assert load_dataset_dir(root, None, {"aoi-02"})
+    # the chip digest beside the cache decode, then 27 blocks on three lanes
+    assert started == ["probeforge-lane-1", "probeforge-lane-1", "probeforge-lane-2"]
+
+
+@pytest.mark.parametrize("preadv", [True, False], ids=["preadv", "own-handle"])
+@pytest.mark.parametrize("on", [True, False], ids=["lanes", "inline"])
+def test_a_payload_cut_short_after_its_open_is_named(tmp_path, small_synth, rng, monkeypatch,
+                                                     preadv, on):
+    # Where os.preadv is missing, each block is read through a handle of its own.
+    root = tmp_path / "data"
+    _lane_dir(root, small_synth, rng)
+    want = load_dataset_dir(root, None, {"aoi-01"})
+    _lanes(monkeypatch, on)
+    if not preadv:
+        monkeypatch.delattr(os, "preadv")
+    got = load_dataset_dir(root, None, {"aoi-01"})
+    assert all(got[fm].matrix.tobytes() == want[fm].matrix.tobytes() for fm in want)
+    beta = root / "embeddings" / "beta-s2.emb"
+    open_payload = ingest_mod._open_payload
+
+    def cut_beta(fh, data_path, *rest):
+        opened = open_payload(fh, data_path, *rest)
+        if data_path == beta:
+            os.truncate(beta, 16 + 4 * 16 * 100)  # within its third block of 48 rows
+        return opened
+
+    monkeypatch.setattr(ingest_mod, "_open_payload", cut_beta)
+    before = threading.enumerate()
+    with pytest.raises(DataFormatError) as info:
+        load_dataset_dir(root, None, {"aoi-01"})
+    assert str(info.value) == f"{beta}: payload shrank while being read"
+    assert threading.enumerate() == before
+
+
+def test_lanes_under_a_short_switch_interval_fill_every_row(tmp_path, small_synth, rng,
+                                                            monkeypatch):
+    # More lanes than cores, blocks of 4 rows and a thread switch every
+    # microsecond: a lost or misplaced block would change the bytes.
+    root = tmp_path / "data"
+    _lane_dir(root, small_synth, rng)
+    want = load_dataset_dir(root, None, {"aoi-00", "aoi-03"})
+    monkeypatch.setattr(ingest_mod, "_HASH_THREAD_BYTES", 0)
+    monkeypatch.setattr(ingest_mod, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(ingest_mod, "_BLOCK_BYTES", 4 * 16 * 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 5
+        for _ in range(10):
+            got = load_dataset_dir(root, None, {"aoi-00", "aoi-03"})
+            assert all(got[fm].matrix.tobytes() == want[fm].matrix.tobytes() for fm in want)
+            if time.monotonic() > deadline:
+                break
+    finally:
+        sys.setswitchinterval(interval)

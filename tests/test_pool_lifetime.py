@@ -51,18 +51,32 @@ def python_env():
     return env
 
 
-# Runs cli.main and prints, as its last stdout line, the exit code and
-# threading.active_count() just before every fork. The chip file is hashed
-# on the load's helper thread whatever its size.
+# Runs cli.main and prints, as its last stdout line, the exit code,
+# threading.active_count() just before every fork, and the names of the
+# threads started before the first fork. Whatever its size, the load runs on
+# two lanes: the chip file is hashed beside the cache decode, and the payload
+# is filled in four blocks.
 FORKS = """
 import json, os, sys, threading
 from probeforge import cli, ingest
 
 ingest._HASH_THREAD_BYTES = 0
-counts = []
+ingest._usable_cpus = lambda: 2
+ingest._BLOCK_BYTES = 4 * 8 * 100
+counts, started = [], []
+start = threading.Thread.start
+
+
+def spy_start(thread):
+    if not counts:
+        started.append(thread.name)
+    start(thread)
+
+
+threading.Thread.start = spy_start
 os.register_at_fork(before=lambda: counts.append(threading.active_count()))
 code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "threads": counts}))
+print(json.dumps({"code": code, "threads": counts, "lanes": started}))
 """
 
 
@@ -73,7 +87,8 @@ def test_run_forks_its_workers_with_no_other_thread_alive(golden_dir):
         env=python_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"code": 0, "threads": [1, 1]}  # one fork per worker
+    assert seen == {"code": 0, "threads": [1, 1],  # one fork per worker
+                    "lanes": ["probeforge-lane-1"] * 2}  # the digest's and the fill's
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["run/results.csv"]
 
 

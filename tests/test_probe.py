@@ -181,6 +181,19 @@ def test_factorize_takes_the_svd_only_when_the_gram_path_is_ill_conditioned(
     assert np.allclose(f.U * f.s @ f.Vt, Xc, atol=1e-10 * s[0])
 
 
+@pytest.mark.parametrize("n, d", [(60, 8), (10, 40)], ids=["n>d", "n<=d"])
+def test_factorize_leaves_its_float64_argument_unchanged(rng, n, d):
+    X = rng.standard_normal((n, d)) + 3.0
+    kept = X.copy()
+    f = factorize(X)
+    assert X.tobytes() == kept.tobytes()
+    ro = kept.copy()
+    ro.setflags(write=False)
+    again = factorize(ro)  # a read-only argument is copied too
+    for name in ("x_mean", "U", "s", "Vt"):
+        assert getattr(again, name).tobytes() == getattr(f, name).tobytes()
+
+
 def test_probe_is_a_plain_record():
     p = Probe(weights=np.array([1.0, 2.0]), intercept=0.5,
               effective_rank=2, sigma_max=3.0, sigma_min_retained=1.0)
