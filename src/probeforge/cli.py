@@ -5,7 +5,7 @@ Six subcommands: ``validate``, ``synth``, ``run``, ``report-heatmap``,
 error, 2 data or validation error, 3 unexpected runtime failure. All
 diagnostics go to stderr; report data goes to ``--out`` or stdout.
 
-The environment variable ``PROBEFORGE_SEED`` (decimal, 64-bit) overrides
+The environment variable ``PROBEFORGE_SEED`` (ASCII decimal digits, 64-bit) overrides
 the grid's base seed for ``run``.
 
 Importing this module loads only the standard library and the stdlib-only
@@ -195,11 +195,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     grid = _read_json(args.grid, GridSpec.from_dict)
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
-        try:
-            seed = int(env_seed, 10)
-        except ValueError:
+        # ASCII digits only: int() also takes "1_0", other scripts' digits and spaces
+        if not (env_seed.isascii() and env_seed.isdigit()):
             raise UsageError(f"{SEED_ENV} must be a decimal integer, got {env_seed!r}")
-        if not 0 <= seed < 2**64:
+        seed = int(env_seed)
+        if seed >= 2**64:
             raise UsageError(f"{SEED_ENV} must fit in 64 bits, got {env_seed}")
         logger.info("%s=%d overrides grid base_seed %d", SEED_ENV, seed, grid.base_seed)
         grid = dataclasses.replace(grid, base_seed=seed)

@@ -32,10 +32,10 @@ same layouts for users):
   table's ids, each ended by ``\n``, is joined without being decoded.
 * Dataset directory: ``chips.jsonl`` and ``embeddings/<fm_id>.emb`` with its
   ``.idx``. ``open_dataset_dir`` reads the table and every index, and frees
-  the table before ``DatasetDir.load`` reads any payload. The load opens
-  every ``.emb`` in sorted order, fills them all on lanes split by block
-  (from 4 MiB of payload up), and finishes each in sorted order, so it
-  raises what loading one model after another would.
+  the table before ``DatasetDir.load`` reads any payload. The load takes
+  one model after another, in sorted order: it opens the ``.emb``, fills its
+  blocks on lanes (from 4 MiB of payload up) and finishes it, so it raises
+  what a load of each model in turn raises.
 * Text files (the chip table, each index) are UTF-8, refused at a bad byte
   with the file and 1-based line. Lines end only at ``\n``, ``\r\n`` or
   ``\r``, so an index id may hold any other character, U+2028 included;
@@ -60,7 +60,6 @@ import os
 import struct
 import threading
 import warnings
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import compress
@@ -100,7 +99,7 @@ _COLS_VALUES = 3 + N_CLASSES
 
 #: Bytes of ``.emb`` payload read per block: 1 MiB, whatever the dim.
 _BLOCK_BYTES = 1 << 20
-#: Bytes of work (a chip file to hash, payloads to read) from which
+#: Bytes of work (a chip file to hash, one model's payload to read) from which
 #: ``_in_lanes`` runs it on threads. Below it, the work (about 0.55 ms per MB
 #: of hash) saves less than a thread costs. Besides its start and join, glibc
 #: treats the process as multi-threaded for good once one thread has run, and
@@ -146,15 +145,16 @@ def _in_lanes(items: Sequence, nbytes: int, run: Callable[[Any, np.ndarray], Any
     This is the one place the package starts a thread. From
     ``_HASH_THREAD_BYTES`` of work (``nbytes``) up, the items are split into
     contiguous runs, one per lane, on as many lanes as there are items or CPUs
-    this process may use, whichever is fewer: the first run here, each other
-    on a thread of its own. Every thread is joined before this returns or
+    this process may use, whichever is fewer: the first run here, and the
+    longer one when the items do not split evenly, each other on a thread of
+    its own. Every thread is joined before this returns or
     raises, so none is alive when ``run --threads N`` forks its workers.
     Below the floor, or with one CPU, every item runs here and no thread
     starts. ``run`` must call nothing that perfbench's tracer rebinds: its
     span stack is one per process.
     """
     lanes = 1 if nbytes < _HASH_THREAD_BYTES else max(1, min(len(items), _usable_cpus()))
-    bounds = [len(items) * k // lanes for k in range(lanes + 1)]
+    bounds = [-(-len(items) * k // lanes) for k in range(lanes + 1)]
     buffers = [np.empty(buffer_bytes, dtype=np.uint8) for _ in range(lanes)]
     done: list = [None] * len(items)
 
@@ -538,14 +538,10 @@ def load_embeddings(
     caller (``_join_index``), and the set holds the rows it keeps, in the
     order of the chips it was joined to: ``open_dataset_dir`` joins each
     distinct index once, for every model whose index holds the same bytes.
-    The load takes the steps of a directory's (``_read_payloads``) for one
-    model.
+    A directory load (``DatasetDir.load``) loads each model through the same
+    call (``_load_payload``).
     """
-    payloads, failed = _read_payloads([(Path(data_path), Path(index_path), join)])
-    if failed is not None:
-        raise failed
-    [(payload, blocks)] = payloads
-    return payload.finish(fm_id, blocks)
+    return _load_payload(Path(data_path), Path(index_path), join, fm_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -624,40 +620,28 @@ def _open_payload(fh: BinaryIO, data_path: Path, index_path: Path,
                     np.empty((len(join.kept), dim), dtype="<f4"))
 
 
-def _read_payloads(models: Sequence[tuple[Path, Path, _IndexJoin | None]]
-                   ) -> tuple[list[tuple[_Payload, list]], Exception | None]:
-    """Open the ``.emb`` of each of ``models`` (data path, index path, join),
-    in order, up to the first that fails, then fill the opened ones on lanes
-    (``_in_lanes``), split by block. Returns each opened payload with what
-    ``_fill_block`` gave for its blocks, for its ``finish``, and the error of
-    the open that failed, if any. The caller raises that error only once every
-    model ahead of it is finished, as a load of one model after another would.
-    """
-    with ExitStack() as files:
-        opened, failed = [], None
-        for data_path, index_path, join in models:
-            try:
-                fh = files.enter_context(open(data_path, "rb", buffering=0))
-                opened.append(_open_payload(fh, data_path, index_path, join))
-            except Exception as exc:  # raised by the caller, in model order
-                failed = exc
-                break
-        blocks = [(p, start) for p in opened for start in p.starts]
-        buffer = max((4 * min(p.count, p.step) * p.matrix.shape[1]
-                      for p in opened if p.join.dest is not None), default=0)
-        done = iter(_in_lanes(blocks, sum(p.nbytes for p in opened), _fill_block, buffer))
-    return [(p, [next(done) for _ in p.starts]) for p in opened], failed
+def _load_payload(data_path: Path, index_path: Path, join: _IndexJoin | None,
+                  fm_id: str) -> EmbeddingSet:
+    """Load the ``.emb`` at ``data_path`` as model ``fm_id``: open it
+    (``_open_payload``), fill its blocks on lanes (``_in_lanes``) from
+    ``_HASH_THREAD_BYTES`` of payload up, and finish it. A block buffer is
+    needed only to place rows through a row map."""
+    with open(data_path, "rb", buffering=0) as fh:
+        payload = _open_payload(fh, data_path, index_path, join)
+        buffer = 0 if payload.join.dest is None else (
+            4 * min(payload.count, payload.step) * payload.matrix.shape[1])
+        blocks = _in_lanes(payload.starts, payload.nbytes, partial(_fill_block, payload), buffer)
+    return payload.finish(fm_id, blocks)
 
 
-def _fill_block(block: tuple[_Payload, int], buffer: np.ndarray) -> int | None:
-    """Read the block of payload rows from ``start``, check that it is finite,
+def _fill_block(p: _Payload, start: int, buffer: np.ndarray) -> int | None:
+    """Read the block of ``p``'s rows from ``start``, check that it is finite,
     and put its kept rows in the matrix; the first non-finite row, if any.
 
     Without a row map every row is kept in file order, so the block is read
     straight into the matrix; with one, into ``buffer``, whose kept rows are
     then copied.
     """
-    p, start = block
     n, dim, dest = min(p.step, p.count - start), p.matrix.shape[1], p.join.dest
     rows = p.matrix[start:start + n] if dest is None else (
         buffer[:4 * n * dim].view("<f4").reshape(n, dim))
@@ -1013,25 +997,21 @@ class DatasetDir:
         each model the directory was opened to load; every other is only
         checked, and keeps no row.
 
-        The load takes three steps. It opens each payload in sorted order on
-        this thread (header, size, the index/header count, and the matrix),
-        fills them all on lanes split by block (``_read_payloads``), and then
-        finishes each in sorted order here. So it raises the error that loading
-        one model after another would: that of the first model, in sorted
-        order, to fail, and of its earliest step and block.
+        Each model is loaded in turn, in sorted order, through the call a
+        one-model load makes (``_load_payload``): its payload is opened here,
+        filled on lanes and finished here, and only then is the next one
+        opened. So the load raises what a load of each model in turn raises:
+        the error of the first model to fail, and of its earliest step and
+        block.
         """
-        payloads, failed = _read_payloads(
-            [(m.data_path, m.index_path, m.reads) for m in self.models.values()])
         datasets = {}
-        for (fm_id, model), (payload, blocks) in zip(self.models.items(), payloads):
-            emb = payload.finish(fm_id, blocks)
+        for fm_id, model in self.models.items():
+            emb = _load_payload(model.data_path, model.index_path, model.reads, fm_id)
             if not model.join.matched:
                 raise AlignmentError(f"{model.index_path}: no aligned chips")
             if model.chips is not None:
                 log_join(fm_id, self.n_chips - len(emb), model.join.count - model.join.matched)
                 datasets[fm_id] = Dataset(fm_id=fm_id, matrix=emb.matrix, **model.chips)
-        if failed is not None:
-            raise failed
         return datasets
 
 

@@ -99,6 +99,9 @@ class GridSpec:
             if len(set(values)) != len(values):
                 raise GridError(f"duplicate values in axis {name}: {list(values)}")
             object.__setattr__(self, name, values)
+        for name in ("target_aois", "external_aois"):
+            if "" in getattr(self, name):  # a results row reads "" as no AOI
+                raise GridError(f"axis {name} holds an empty AOI name")
         for name in ("n_test_target", "n_train_external", "n_train_target"):
             small = [v for v in getattr(self, name) if v < 2]
             if small:

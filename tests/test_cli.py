@@ -201,6 +201,21 @@ def test_run_resume_checks_the_first_feasible_row_of_each_regime(workdir, capsys
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("axis, grid", [
+    ("external_aois", {"regimes": ["external"], "external_aois": [""],
+                       "target_aois": ["aoi-01"], "n_train_external": [40]}),
+    ("target_aois", {"target_aois": [""]}),
+], ids=["external_aois", "target_aois"])
+def test_run_refuses_an_empty_aoi_name(workdir, capsys, axis, grid):
+    # A results row reads an empty AOI as none: such a run wrote rows that
+    # neither --resume nor report-select could read back.
+    synth(workdir)
+    (workdir / "grid.json").write_text(json.dumps({**GRID, **grid}))
+    assert run(workdir) == 2
+    assert f"axis {axis} holds an empty AOI name" in capsys.readouterr().err
+    assert not (workdir / "results.csv").exists()
+
+
 def test_run_zero_width_embeddings_exits_2(workdir):
     synth(workdir)
     emb = workdir / "data" / "embeddings" / "tiny-s1.emb"
@@ -353,6 +368,12 @@ def test_seed_env_rejects_garbage(workdir, monkeypatch, capsys):
     monkeypatch.setenv(SEED_ENV, str(2**64))
     assert run(workdir) == 1
     assert "64 bits" in capsys.readouterr().err
+    # int() reads these as 10, 3 and 5; the value is ASCII decimal digits only
+    for garbage in ("1_0", "\u0663", " 5 "):
+        monkeypatch.setenv(SEED_ENV, garbage)
+        assert run(workdir) == 1
+        assert f"{SEED_ENV} must be a decimal integer, got {garbage!r}" in capsys.readouterr().err
+    assert not (workdir / "results.csv").exists()
 
 
 def test_validate_clean_dataset(workdir, capsys):

@@ -110,3 +110,31 @@ def test_only_the_lane_helper_starts_threads_and_only_run_grid_starts_workers():
                  if isinstance(node, ast.Call) and id(node) not in inside
                  and getattr(node.func, "attr", getattr(node.func, "id", None)) in _CONCURRENCY]
         assert loose == [], (path.name, loose)
+
+
+def _names_read(node):
+    """Each name that the code under ``node`` reads, bare or as an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_private_function_and_class_is_used_in_the_package():
+    # A module-level helper goes with its last caller: each private def or
+    # class is read somewhere in src outside its own definition.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
+                # names read inside the definition itself, as by recursion, do not count
+                own = sum(1 for read in _names_read(node) if read == node.name)
+                everywhere = sum(1 for t in trees.values() for read in _names_read(t)
+                                 if read == node.name)
+                if everywhere == own:
+                    unused.append(f"{name}: {node.name}")
+    assert not unused, unused

@@ -372,6 +372,29 @@ def test_chip_table_cache_is_checked_before_its_payload_is_used(tmp_path, small_
     assert _cols(p).read_bytes() == good
 
 
+def test_chip_table_cache_cut_while_its_values_are_read_gives_the_parsed_table(
+        tmp_path, small_synth, monkeypatch):
+    # A cut after the size check leaves the read of the values short (a cut
+    # inside the header is the torn-header case above).
+    p = tmp_path / "chips.jsonl"
+    save_chip_table(small_synth.table, p)
+    load_chip_table(p)
+    good = _cols(p).read_bytes()
+    fstat, cut = os.fstat, []
+
+    def cut_after_fstat(fd):
+        st = fstat(fd)
+        if not cut and os.path.samestat(st, os.stat(_cols(p))):
+            cut.append(fd)
+            os.truncate(_cols(p), ingest_mod._COLS_HEAD.size + 40 * len(small_synth.table))
+        return st
+    monkeypatch.setattr(os, "fstat", cut_after_fstat)
+    assert ingest_mod._read_columns(_cols(p)) is None
+    assert cut
+    assert load_chip_table(p) == small_synth.table
+    assert _cols(p).read_bytes() == good
+
+
 def test_chip_table_cache_hit_never_holds_the_chip_file_whole(tmp_path):
     p = tmp_path / "chips.jsonl"
     table = synthesize_dataset(SynthSpec(n_chips=5000, dim=4)).table
@@ -1158,6 +1181,21 @@ def test_dataset_dir_missing_pieces(tmp_path, small_synth):
         load_dataset_dir(tmp_path / "data")
 
 
+def test_dataset_dir_without_an_emb_file_names_the_directory(tmp_path, small_synth):
+    root = tmp_path / "data"
+    write_dataset_dir(small_synth, root)
+    for emb in (root / "embeddings").glob("*.emb"):
+        emb.unlink()
+    message = f"{re.escape(str(root))}: no embeddings/\\*.emb files"
+    with pytest.raises(DataFormatError, match=message):
+        load_dataset_dir(root)
+    for idx in (root / "embeddings").iterdir():
+        idx.unlink()
+    (root / "embeddings").rmdir()
+    with pytest.raises(DataFormatError, match=message):
+        load_dataset_dir(root)
+
+
 def test_dataset_dir_keeps_only_the_models_and_aois_asked_for(tmp_path, small_synth):
     write_dataset_dir(small_synth, tmp_path / "data")
     full = load_dataset_dir(tmp_path / "data")
@@ -1542,7 +1580,7 @@ def test_dataset_dir_index_that_is_not_the_tables_listing_is_decoded_and_joined(
 def _lanes(monkeypatch, on):
     """Fill payloads on three lanes whatever their size (``on``), or inline
     whatever their size, in blocks of 48 of small_synth's 16-d rows: 9 per
-    400-row model, so that a lane's run spans models and parts of models."""
+    400-row model, so that each model's blocks are split into three runs."""
     monkeypatch.setattr(ingest_mod, "_HASH_THREAD_BYTES", 0 if on else 1 << 62)
     monkeypatch.setattr(ingest_mod, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(ingest_mod, "_BLOCK_BYTES", 4 * 16 * 48)
@@ -1677,9 +1715,11 @@ def test_a_directory_below_the_lane_floor_starts_no_thread(tmp_path, small_synth
     assert load_dataset_dir(root, None, {"aoi-02"})
     assert started == []
     monkeypatch.setattr(ingest_mod, "_HASH_THREAD_BYTES", 0)
+    monkeypatch.setattr(ingest_mod, "_BLOCK_BYTES", 4 * 16 * 48)
     assert load_dataset_dir(root, None, {"aoi-02"})
-    # the chip digest beside the cache decode, then 27 blocks on three lanes
-    assert started == ["probeforge-lane-1", "probeforge-lane-1", "probeforge-lane-2"]
+    # the chip digest beside the cache decode, then each model's 9 blocks on
+    # three lanes of its own
+    assert started == ["probeforge-lane-1"] + ["probeforge-lane-1", "probeforge-lane-2"] * 3
 
 
 @pytest.mark.parametrize("preadv", [True, False], ids=["preadv", "own-handle"])

@@ -83,6 +83,19 @@ def test_constant_target_gives_flat_probe(rng):
     assert np.allclose(predict(p, X), 0.25)
 
 
+@pytest.mark.parametrize("n, d", [(30, 4), (4, 30)], ids=["tall", "wide"])
+def test_constant_training_matrix_gives_a_rank_zero_probe(rng, n, d):
+    # small integers, so the column means are exact and the centered matrix is zero
+    X = np.tile(rng.integers(-5, 5, size=d).astype(np.float64), (n, 1))
+    y = rng.uniform(size=n)
+    p = fit(X, y)
+    assert p.effective_rank == 0
+    assert p.sigma_max == p.sigma_min_retained == 0.0
+    assert np.array_equal(p.weights, np.zeros(d))
+    assert p.intercept == y.mean()
+    assert np.array_equal(predict(p, X), np.full(n, y.mean()))
+
+
 def test_fit_diagnostics(rng):
     X = rng.standard_normal((100, 8))
     p = fit(X, rng.standard_normal(100))
