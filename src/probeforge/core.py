@@ -235,7 +235,7 @@ def assemble_dataset(table: ChipTable, emb: EmbeddingSet) -> Dataset:
     only one side are counted and logged, never fatal. An empty intersection
     raises :class:`AlignmentError`. Each joined array is the source array
     itself when the join keeps all of its rows in order, and otherwise a copy
-    of the kept rows. ``ingest.open_dataset_dir`` makes the same join, through
+    of the kept rows. ``ingest.load_dataset_dir`` makes the same join, through
     ``chip_side``, once per distinct index file that a loaded model uses.
     """
     kept, emb_rows = match_ids(table.chip_ids, emb.chip_ids)

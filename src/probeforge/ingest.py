@@ -31,11 +31,12 @@ same layouts for users):
   per line; line i names row i. An index whose bytes list exactly the chip
   table's ids, each ended by ``\n``, is joined without being decoded.
 * Dataset directory: ``chips.jsonl`` and ``embeddings/<fm_id>.emb`` with its
-  ``.idx``. ``open_dataset_dir`` reads the table and every index, and frees
-  the table before ``DatasetDir.load`` reads any payload. The load takes
-  one model after another, in sorted order: it opens the ``.emb``, fills its
-  blocks on lanes (from 4 MiB of payload up) and finishes it, so it raises
-  what a load of each model in turn raises.
+  ``.idx``. ``load_dataset_dir`` reads the table and every index, and frees
+  the table before it reads any payload. Then it loads one model after
+  another, in sorted order, through ``load_embeddings``, the call a
+  one-model load makes: it checks the header, fills the blocks on lanes
+  (from 4 MiB of payload up) and finishes the set, so a directory load
+  raises what a load of each model in turn raises.
 * Text files (the chip table, each index) are UTF-8, refused at a bad byte
   with the file and 1-based line. Lines end only at ``\n``, ``\r\n`` or
   ``\r``, so an index id may hold any other character, U+2028 included;
@@ -196,7 +197,7 @@ def load_chip_table(path: str | Path) -> ChipTable:
     the columns of exactly these bytes (see the module docstring), the table
     comes from there, and the file is never copied into memory nor any chip
     record parsed; otherwise the file is read whole and parsed. A parse
-    that passes every check, the fraction range that ``open_dataset_dir``
+    that passes every check, the fraction range that ``load_dataset_dir``
     refuses included, rewrites the cache, keyed by the digest of the bytes
     it parsed.
     """
@@ -532,143 +533,92 @@ def load_embeddings(
     is reported with the index file and the 1-based line of its second
     occurrence.
 
-    The payload is read once, in blocks of a fixed byte size, and every row
-    is checked whatever the set keeps. Without ``join`` the set holds every
-    row in file order. ``join`` is the index already read and joined by the
+    The header is checked against the file's size and the index, then the
+    payload is read once, in blocks of ``_BLOCK_BYTES``, on lanes
+    (``_in_lanes``) from ``_HASH_THREAD_BYTES`` of payload up; every row is
+    checked whatever the set keeps. Without ``join`` the set holds every row
+    in file order. ``join`` is the index already read and joined by the
     caller (``_join_index``), and the set holds the rows it keeps, in the
-    order of the chips it was joined to: ``open_dataset_dir`` joins each
-    distinct index once, for every model whose index holds the same bytes.
-    A directory load (``DatasetDir.load``) loads each model through the same
-    call (``_load_payload``).
+    order of the chips it was joined to: ``load_dataset_dir`` joins each
+    distinct index once, and loads each model through this call.
     """
-    return _load_payload(Path(data_path), Path(index_path), join, fm_id)
-
-
-@dataclass(frozen=True, eq=False)
-class _Payload:
-    """An ``.emb`` payload between its open and its finish: the join that
-    places its rows, and the matrix its blocks fill from file ``fh``, which
-    is open only until the fill ends."""
-
-    data_path: Path
-    index_path: Path
-    join: _IndexJoin
-    fh: BinaryIO
-    count: int
-    matrix: np.ndarray
-
-    @property
-    def step(self) -> int:
-        """Rows per block: as many as ``_BLOCK_BYTES`` hold, and at least one."""
-        return max(1, _BLOCK_BYTES // max(4 * self.matrix.shape[1], 1))
-
-    @property
-    def nbytes(self) -> int:
-        return 4 * self.count * self.matrix.shape[1]
-
-    @property
-    def starts(self) -> range:
-        """The first row of each block; none when the payload holds no byte."""
-        return range(0, self.count if self.nbytes else 0, self.step)
-
-    def finish(self, fm_id: str, blocks: Sequence[int | Exception | None]) -> EmbeddingSet:
-        """The set of model ``fm_id``, once ``blocks``, what ``_fill_block``
-        gave for each block, shows the payload finite and whole."""
-        for got in blocks:
-            if isinstance(got, Exception):
-                raise got
-            if got is not None:
-                raise DataFormatError(
-                    f"{self.data_path}: non-finite values, first offending row {got}"
-                    f" (chip {self.join.ids(self.index_path)[got]!r})"
-                )
-        self.matrix.setflags(write=False)
-        # A zero width is reported before a repeated id, as EmbeddingSet checks it
-        # first. A repeated id is the index's fault: name its line, not the matrix file.
-        if self.matrix.shape[1] and self.join.repeated:
-            ids = self.join.ids(self.index_path)
-            dup = first_repeat(ids)
-            raise DataFormatError(
-                f"{self.index_path}: line {dup + 1}: duplicate chip_id: {ids[dup]!r}"
-            )
-        try:
-            return EmbeddingSet(fm_id=fm_id, chip_ids=self.join.kept, matrix=self.matrix)
-        except ValueError as exc:
-            raise DataFormatError(f"{self.data_path}: {exc}") from exc
-
-
-def _open_payload(fh: BinaryIO, data_path: Path, index_path: Path,
-                  join: _IndexJoin | None) -> _Payload:
-    """Check the header of ``.emb`` file ``fh`` against its size and index, and
-    allocate the matrix; without ``join``, the index is read and every row kept."""
-    head = fh.read(16)
-    if len(head) < 16 or head[:4] != _EMB_MAGIC:
-        raise DataFormatError(f"{data_path}: bad magic, not an embedding file")
-    dim, count = struct.unpack("<IQ", head[4:16])
-    size = os.fstat(fh.fileno()).st_size
-    expected = 16 + 4 * dim * count
-    if size != expected:
-        raise DataFormatError(f"{data_path}: payload is {size} bytes, header implies {expected}")
-    if join is None:
-        join = _join_index(index_path, index_path.read_bytes(), None)
-    if join.count != count:
-        raise DataFormatError(
-            f"{index_path}: index/header mismatch: header rows {count},"
-            f" index lines {join.count}"
-        )
-    return _Payload(data_path, index_path, join, fh, count,
-                    np.empty((len(join.kept), dim), dtype="<f4"))
-
-
-def _load_payload(data_path: Path, index_path: Path, join: _IndexJoin | None,
-                  fm_id: str) -> EmbeddingSet:
-    """Load the ``.emb`` at ``data_path`` as model ``fm_id``: open it
-    (``_open_payload``), fill its blocks on lanes (``_in_lanes``) from
-    ``_HASH_THREAD_BYTES`` of payload up, and finish it. A block buffer is
-    needed only to place rows through a row map."""
+    data_path, index_path = Path(data_path), Path(index_path)
     with open(data_path, "rb", buffering=0) as fh:
-        payload = _open_payload(fh, data_path, index_path, join)
-        buffer = 0 if payload.join.dest is None else (
-            4 * min(payload.count, payload.step) * payload.matrix.shape[1])
-        blocks = _in_lanes(payload.starts, payload.nbytes, partial(_fill_block, payload), buffer)
-    return payload.finish(fm_id, blocks)
+        head = fh.read(16)
+        if len(head) < 16 or head[:4] != _EMB_MAGIC:
+            raise DataFormatError(f"{data_path}: bad magic, not an embedding file")
+        dim, count = struct.unpack("<IQ", head[4:16])
+        size = os.fstat(fh.fileno()).st_size
+        expected = 16 + 4 * dim * count
+        if size != expected:
+            raise DataFormatError(f"{data_path}: payload is {size} bytes, header implies {expected}")
+        if join is None:
+            join = _join_index(index_path, index_path.read_bytes(), None)
+        if join.count != count:
+            raise DataFormatError(
+                f"{index_path}: index/header mismatch: header rows {count},"
+                f" index lines {join.count}"
+            )
+        matrix = np.empty((len(join.kept), dim), dtype="<f4")
+        dest = join.dest
+        step = max(1, _BLOCK_BYTES // max(4 * dim, 1))  # rows per block, at least one
+
+        def fill(start: int, buffer: np.ndarray) -> int | None:
+            """Read the block of rows from ``start``, check that it is finite,
+            and put its kept rows in the matrix; the first non-finite row, if
+            any. Without a row map the block is read straight into the
+            matrix; with one, into ``buffer``, whose kept rows are then copied."""
+            n = min(step, count - start)
+            rows = matrix[start:start + n] if dest is None else (
+                buffer[:4 * n * dim].view("<f4").reshape(n, dim))
+            if _read_at(fh, data_path, rows, 16 + 4 * dim * start) != rows.nbytes:
+                raise DataFormatError(f"{data_path}: payload shrank while being read")
+            # one flat test per block; the bad row is looked for only on failure
+            if not np.isfinite(rows).all():
+                return start + int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+            if dest is not None:
+                to = dest[start:start + n]
+                mine = to >= 0
+                matrix[to[mine]] = rows[mine]
+            return None
+
+        nbytes = size - 16
+        blocks = _in_lanes(range(0, count if nbytes else 0, step), nbytes, fill,
+                           0 if dest is None else 4 * min(count, step) * dim)
+    for got in blocks:
+        if isinstance(got, Exception):
+            raise got
+        if got is not None:
+            raise DataFormatError(
+                f"{data_path}: non-finite values, first offending row {got}"
+                f" (chip {join.ids(index_path)[got]!r})"
+            )
+    matrix.setflags(write=False)
+    # A zero width is reported before a repeated id, as EmbeddingSet checks it
+    # first. A repeated id is the index's fault: name its line, not the matrix file.
+    if dim and join.repeated:
+        ids = join.ids(index_path)
+        dup = first_repeat(ids)
+        raise DataFormatError(f"{index_path}: line {dup + 1}: duplicate chip_id: {ids[dup]!r}")
+    try:
+        return EmbeddingSet(fm_id=fm_id, chip_ids=join.kept, matrix=matrix)
+    except ValueError as exc:
+        raise DataFormatError(f"{data_path}: {exc}") from exc
 
 
-def _fill_block(p: _Payload, start: int, buffer: np.ndarray) -> int | None:
-    """Read the block of ``p``'s rows from ``start``, check that it is finite,
-    and put its kept rows in the matrix; the first non-finite row, if any.
-
-    Without a row map every row is kept in file order, so the block is read
-    straight into the matrix; with one, into ``buffer``, whose kept rows are
-    then copied.
-    """
-    n, dim, dest = min(p.step, p.count - start), p.matrix.shape[1], p.join.dest
-    rows = p.matrix[start:start + n] if dest is None else (
-        buffer[:4 * n * dim].view("<f4").reshape(n, dim))
-    if _read_at(p, rows, 16 + 4 * dim * start) != rows.nbytes:
-        raise DataFormatError(f"{p.data_path}: payload shrank while being read")
-    # one flat test per block; the bad row is looked for only on failure
-    if not np.isfinite(rows).all():
-        return start + int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
-    if dest is not None:
-        to = dest[start:start + n]
-        mine = to >= 0
-        p.matrix[to[mine]] = rows[mine]
-    return None
-
-
-def _read_at(p: _Payload, rows: np.ndarray, offset: int) -> int:
-    """Read ``p``'s file from byte ``offset`` into ``rows`` until they are full
-    or the file ends; the bytes read. Each lane reads at its own offset:
-    through ``os.preadv`` where there is one, else through a handle of its own."""
+def _read_at(fh: BinaryIO, path: Path, rows: np.ndarray, offset: int) -> int:
+    """Read file ``fh``, at ``path``, from byte ``offset`` into ``rows`` until
+    they are full or the file ends; the bytes read. Each lane reads at its own
+    offset: through ``os.preadv`` where there is one, else through a handle of
+    its own."""
     view = memoryview(rows).cast("B")
     if not hasattr(os, "preadv"):
-        with open(p.data_path, "rb") as fh:
-            fh.seek(offset)
-            return fh.readinto(view)
+        with open(path, "rb") as own:
+            own.seek(offset)
+            return own.readinto(view)
     got = 0
     while got < len(view):
-        n = os.preadv(p.fh.fileno(), [view[got:]], offset + got)
+        n = os.preadv(fh.fileno(), [view[got:]], offset + got)
         if not n:
             break
         got += n
@@ -829,6 +779,12 @@ class SynthSpec:
         if self.link not in ("logistic", "linear"):
             raise ValueError(f"unknown link {self.link!r}")
         object.__setattr__(self, "fm_ids", tuple(self.fm_ids))
+        # Each id names embeddings/<fm_id>.emb, a file of its own in that directory.
+        for fm_id in self.fm_ids:
+            if not fm_id or any(c in fm_id for c in ("/", "\0", os.sep, os.altsep) if c):
+                raise ValueError(f"fm_ids: {fm_id!r} does not name a file in embeddings/")
+        if len(set(self.fm_ids)) < len(self.fm_ids):
+            raise ValueError(f"fm_ids: {self.fm_ids[first_repeat(self.fm_ids)]!r} is repeated")
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SynthSpec":
@@ -967,61 +923,21 @@ def write_dataset_dir(result: SynthResult, out_dir: str | Path) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True, eq=False)
-class _Model:
-    """A model's files, and the join and Dataset chip fields (``chip_side``)
-    it shares with every model whose index holds the same bytes; no chip
-    fields for a model opened only to be checked."""
+def load_dataset_dir(data_dir: str | Path, fms: Collection[str] | None = None,
+                     aois: Collection[str] | None = None) -> dict[str, Dataset]:
+    """Load each model in ``fms`` (all when None) and check every other one,
+    in sorted order. A Dataset holds the chips in ``aois`` (all when None);
+    with none, every spec is infeasible.
 
-    data_path: Path
-    index_path: Path
-    join: _IndexJoin
-    chips: dict | None
-
-    @property
-    def reads(self) -> _IndexJoin:
-        """The join of the rows a load keeps: none for a model only checked."""
-        return self.join if self.chips is not None else self.join.keeping_none()
-
-
-@dataclass(frozen=True)
-class DatasetDir:
-    """An opened dataset directory: the table's chips in the AOIs read, and
-    each model by id, in sorted order."""
-
-    n_chips: int
-    models: Mapping[str, _Model]
-
-    def load(self) -> dict[str, Dataset]:
-        """Read and check every model's payload, and return the Dataset of
-        each model the directory was opened to load; every other is only
-        checked, and keeps no row.
-
-        Each model is loaded in turn, in sorted order, through the call a
-        one-model load makes (``_load_payload``): its payload is opened here,
-        filled on lanes and finished here, and only then is the next one
-        opened. So the load raises what a load of each model in turn raises:
-        the error of the first model to fail, and of its earliest step and
-        block.
-        """
-        datasets = {}
-        for fm_id, model in self.models.items():
-            emb = _load_payload(model.data_path, model.index_path, model.reads, fm_id)
-            if not model.join.matched:
-                raise AlignmentError(f"{model.index_path}: no aligned chips")
-            if model.chips is not None:
-                log_join(fm_id, self.n_chips - len(emb), model.join.count - model.join.matched)
-                datasets[fm_id] = Dataset(fm_id=fm_id, matrix=emb.matrix, **model.chips)
-        return datasets
-
-
-def open_dataset_dir(data_dir: str | Path, fms: Collection[str] | None = None,
-                     aois: Collection[str] | None = None) -> DatasetDir:
-    """Do all that a load of a dataset directory does before the first
-    payload byte, and keep no chip table. Each distinct ``.idx`` content is
-    joined once to the table's chips in ``aois`` (all when None), and gets a
-    Dataset's chip fields only when a model in ``fms`` (all when None) uses it:
-    any other model can only be checked."""
+    The chip table and every index are read first. Each distinct ``.idx``
+    content is joined once to the table's chips in ``aois``, and gets a
+    Dataset's chip fields only when a model in ``fms`` uses it. The table is
+    freed before any payload is read. Then each model is loaded in turn
+    through the call a one-model load makes (``load_embeddings``); a model
+    only checked keeps no row. So the load raises what a load of each model
+    in turn raises: the error of the first model to fail, and of its
+    earliest step and block.
+    """
     root = Path(data_dir)
     chips_path = root / "chips.jsonl"
     if not chips_path.exists():
@@ -1044,7 +960,7 @@ def open_dataset_dir(data_dir: str | Path, fms: Collection[str] | None = None,
     paths = sorted(emb_dir.glob("*.emb")) if emb_dir.is_dir() else []
     if not paths:
         raise DataFormatError(f"{root}: no embeddings/*.emb files")
-    models, joins, sides = {}, {}, {}  # joins and sides: per distinct index
+    models, joins, sides = [], {}, {}  # joins and sides: per distinct index
     for data_path in paths:
         index_path = data_path.with_suffix(".idx")
         if not index_path.exists():
@@ -1056,14 +972,18 @@ def open_dataset_dir(data_dir: str | Path, fms: Collection[str] | None = None,
         read = fms is None or data_path.stem in fms
         if read and blob not in sides:
             sides[blob] = chip_side(table, join.rows, join.kept)
-        models[data_path.stem] = _Model(data_path, index_path, join,
-                                        sides[blob] if read else None)
-    return DatasetDir(n_chips, models)
+        models.append((data_path, index_path, join, sides[blob] if read else None))
+    # Only what each model needs outlives the reads: not the table, nor what joined it.
+    del table, wanted, joins, sides, blob
 
-
-def load_dataset_dir(data_dir: str | Path, fms: Collection[str] | None = None,
-                     aois: Collection[str] | None = None) -> dict[str, Dataset]:
-    """Open a dataset directory, then load each model in ``fms`` (all when
-    None) and check every other one, in sorted order. A Dataset holds the
-    chips in ``aois`` (all when None); with none, every spec is infeasible."""
-    return open_dataset_dir(data_dir, fms, aois).load()
+    datasets = {}
+    for data_path, index_path, join, chips in models:
+        fm_id = data_path.stem
+        emb = load_embeddings(data_path, index_path, fm_id,
+                              join if chips is not None else join.keeping_none())
+        if not join.matched:
+            raise AlignmentError(f"{index_path}: no aligned chips")
+        if chips is not None:
+            log_join(fm_id, n_chips - len(emb), join.count - join.matched)
+            datasets[fm_id] = Dataset(fm_id=fm_id, matrix=emb.matrix, **chips)
+    return datasets

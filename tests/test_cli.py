@@ -496,8 +496,15 @@ def test_malformed_grid_exits_2(workdir, capsys, grid, key):
     ({"n_chips": 40, "dim": 4, "link": 1}, "link"),
     ({"n_chips": 40}, "dim"),
     ({"n_chips": 40, "dim": 4, "n_aoi": 2}, "n_aoi"),
+    ({"n_chips": 40, "dim": 4, "fm_ids": ["", "ok-s2"]}, "fm_ids"),
+    ({"n_chips": 40, "dim": 4, "fm_ids": ["../escaped-s2"]}, "fm_ids"),
+    ({"n_chips": 40, "dim": 4, "fm_ids": ["ok-s2", "a/b-s2"]}, "fm_ids"),
+    ({"n_chips": 40, "dim": 4, "fm_ids": ["a-s2", "b-s2", "a-s2"]}, "fm_ids"),
+    ({"n_chips": 40, "dim": 4, "fm_ids": ["ok-s2", "a\0b-s2"]}, "fm_ids"),
 ], ids=["string-fm-ids", "number-fm-id", "string-int", "fractional-int", "bool-int",
-        "string-float", "nan-float", "number-string", "missing-key", "unknown-key"])
+        "string-float", "nan-float", "number-string", "missing-key", "unknown-key",
+        "empty-fm-id", "fm-id-escapes", "fm-id-with-slash", "repeated-fm-id",
+        "fm-id-with-nul"])
 def test_malformed_synth_spec_exits_2(workdir, capsys, spec, key):
     (workdir / "synth.json").write_text(json.dumps(spec))
     assert main(["synth", "--spec", str(workdir / "synth.json"),
@@ -505,6 +512,19 @@ def test_malformed_synth_spec_exits_2(workdir, capsys, spec, key):
     err = capsys.readouterr().err
     assert key in err and "unexpected" not in err
     assert not (workdir / "data").exists()
+
+
+def test_synth_fm_ids_with_dots_load_back(workdir):
+    # Only an id that is empty, holds a separator or repeats is refused.
+    fm_ids = [".", "..", ".hid-s2", "x.y-s2"]
+    (workdir / "synth.json").write_text(json.dumps({"n_chips": 40, "dim": 4, "fm_ids": fm_ids}))
+    data = workdir / "data"
+    assert main(["synth", "--spec", str(workdir / "synth.json"), "--out-dir", str(data)]) == 0
+    assert sorted(p.name for p in (data / "embeddings").iterdir()) == sorted(
+        f"{fm}{ext}" for fm in fm_ids for ext in (".emb", ".idx"))
+    from probeforge.ingest import load_dataset_dir
+
+    assert sorted(load_dataset_dir(data)) == sorted(fm_ids)
 
 
 #: JSON nested deeper than the parser's recursion limit

@@ -11,16 +11,20 @@ embedding rule is covered by ``tests/test_core.py`` instead.
 """
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import shutil
 import struct
 
 import pytest
 
 from probeforge.cli import SEED_ENV, main
+from probeforge.ingest import load_dataset_dir
+from probeforge.runner import GridSpec, parse_results_file, run_grid
 
 SYNTH_SPEC = {"n_chips": 400, "dim": 8, "n_aois": 3, "fm_ids": ["a-s2"],
               "link": "linear", "noise_sigma": 0.3}
@@ -239,3 +243,39 @@ def test_data_the_grid_does_not_read_leaves_the_results_unchanged(tmp_path, monk
     assert main(["run", "--grid", str(tmp_path / "grid.json"),
                  "--data-dir", str(data), "--out", str(out)]) == 0
     assert _digest(out) == GOLDEN["run/results.csv"]
+
+
+def test_a_failed_rename_in_the_canonical_rewrite_keeps_the_streamed_file(tmp_path, monkeypatch):
+    """The rename that ends the canonical rewrite fails: the streamed rows stay
+    whole, no temporary file is left, and a resume writes the golden bytes."""
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    (tmp_path / "synth.json").write_text(json.dumps(SYNTH_SPEC))
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", str(tmp_path / "synth.json"),
+                 "--out-dir", str(data)]) == 0
+    grid, datasets = GridSpec.from_dict(GRID), load_dataset_dir(data)
+    out = tmp_path / "results.csv"
+    renames = []
+
+    def failing_replace(src, dst):
+        renames.append((os.fspath(src), os.fspath(dst)))
+        raise OSError(errno.EIO, "rename failed")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            run_grid(grid, datasets, out)
+    [(src, dst)] = renames
+    assert dst == str(out) and src.startswith(f"{out}.") and src.endswith(".tmp")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "results.csv", "synth.json"]
+    assert not list(data.rglob("*.tmp"))
+    assert out.read_bytes().endswith(b"\n")
+    streamed = parse_results_file(out)
+    assert all(r.wall_ms > 0.0 for r in streamed)  # the rows as streamed, not rewritten
+    want = run_grid(grid, datasets, tmp_path / "fresh.csv")
+    assert sorted(r.spec.key() for r in streamed) == sorted(r.spec.key() for r in want)
+
+    resumed = run_grid(grid, datasets, out, resume=True)
+    assert [r.spec.key() for r in resumed] == [r.spec.key() for r in want]
+    assert _digest(out) == GOLDEN["run/results.csv"]
+    assert not list(tmp_path.glob("*.tmp"))

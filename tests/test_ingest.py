@@ -1394,22 +1394,20 @@ def test_dataset_dir_bad_index_of_a_later_model_is_named_before_an_earlier_paylo
 @pytest.mark.parametrize("fms", [None, {"beta-s2"}], ids=["all-read", "one-read"])
 def test_dataset_dir_loads_the_chip_table_once_and_each_emb_once_through_ingest(
         tmp_path, small_synth, rng, monkeypatch, fms):
-    # The benchmark's tracer times load_chip_table by rebinding it in ingest,
-    # and reads the path from the leading positional argument. Each payload
-    # is opened once, on the calling thread; its blocks are filled on lanes,
-    # which call nothing the tracer rebinds, so load_embeddings is not called.
+    # The benchmark's tracer times load_chip_table and load_embeddings by
+    # rebinding them in ingest, and reads the paths from the leading
+    # positional arguments. Each model is loaded once, on the calling thread;
+    # its blocks are filled on lanes, which call nothing the tracer rebinds.
     root = tmp_path / "data"
     write_dataset_dir(small_synth, root)
     _add_model(root, "gamma-s2", small_synth.table.chip_ids[::-1], rng)
     calls = []
-    load_table, open_payload = ingest_mod.load_chip_table, ingest_mod._open_payload
+    load_table, load_emb = ingest_mod.load_chip_table, ingest_mod.load_embeddings
     monkeypatch.setattr(ingest_mod, "load_chip_table", lambda *args, **kwargs: (
         calls.append(("table", args, kwargs)) or load_table(*args, **kwargs)))
     monkeypatch.setattr(ingest_mod, "load_embeddings", lambda *args, **kwargs: (
-        calls.append(("load_embeddings",))))
-    monkeypatch.setattr(ingest_mod, "_open_payload", lambda fh, *args: (
         calls.append(("emb", args[:2], threading.current_thread()))
-        or open_payload(fh, *args)))
+        or load_emb(*args, **kwargs)))
     emb = root / "embeddings"
     for _ in range(2):
         calls.clear()
@@ -1448,19 +1446,19 @@ def test_dataset_dir_frees_the_chip_table_before_reading_a_payload(
 
     write_dataset_dir(small_synth, tmp_path / "data")
     tables, freed = [], []
-    load_table, open_payload = ingest_mod.load_chip_table, ingest_mod._open_payload
+    load_table, load_emb = ingest_mod.load_chip_table, ingest_mod.load_embeddings
 
     def spy_table(path):
         table = load_table(path)
         tables.append(weakref.ref(table))
         return table
 
-    def spy_open(*args):
+    def spy_emb(*args):
         freed.append(tables[0]() is None)
-        return open_payload(*args)
+        return load_emb(*args)
 
     monkeypatch.setattr(ingest_mod, "load_chip_table", spy_table)
-    monkeypatch.setattr(ingest_mod, "_open_payload", spy_open)
+    monkeypatch.setattr(ingest_mod, "load_embeddings", spy_emb)
     load_dataset_dir(tmp_path / "data", {"alpha-s1"}, aois)
     assert freed == [True, True]
 
@@ -1736,15 +1734,20 @@ def test_a_payload_cut_short_after_its_open_is_named(tmp_path, small_synth, rng,
     got = load_dataset_dir(root, None, {"aoi-01"})
     assert all(got[fm].matrix.tobytes() == want[fm].matrix.tobytes() for fm in want)
     beta = root / "embeddings" / "beta-s2.emb"
-    open_payload = ingest_mod._open_payload
+    load_emb, in_lanes = ingest_mod.load_embeddings, ingest_mod._in_lanes
+    loading = []
 
-    def cut_beta(fh, data_path, *rest):
-        opened = open_payload(fh, data_path, *rest)
-        if data_path == beta:
+    def spy_emb(data_path, *rest):
+        loading.append(data_path)
+        return load_emb(data_path, *rest)
+
+    def cut_beta(*args):  # beta's fill starts once its header is checked
+        if loading[-1:] == [beta]:
             os.truncate(beta, 16 + 4 * 16 * 100)  # within its third block of 48 rows
-        return opened
+        return in_lanes(*args)
 
-    monkeypatch.setattr(ingest_mod, "_open_payload", cut_beta)
+    monkeypatch.setattr(ingest_mod, "load_embeddings", spy_emb)
+    monkeypatch.setattr(ingest_mod, "_in_lanes", cut_beta)
     before = threading.enumerate()
     with pytest.raises(DataFormatError) as info:
         load_dataset_dir(root, None, {"aoi-01"})
