@@ -144,6 +144,25 @@ def _read_json(path: str, build):
             raise DataFormatError(f"{path}: {exc}") from exc
 
 
+def _refuse_an_input_as_out(args: argparse.Namespace) -> None:
+    """Refuse an existing ``--out`` that is one of the run's inputs.
+
+    Those are the grid, the chip table, its column cache and every file under
+    ``embeddings/``; a results file elsewhere in the data directory is fine.
+    """
+    if not os.path.exists(args.out):
+        return
+    chips = Path(args.data_dir, "chips.jsonl")
+    embeddings = Path(args.data_dir, "embeddings")
+    inputs = [Path(args.grid), chips, Path(f"{chips}.cols")]
+    if embeddings.is_dir():
+        inputs += sorted(embeddings.iterdir())
+    for path in inputs:
+        if path.exists() and os.path.samefile(args.out, path):
+            raise DataFormatError(
+                f"--out {args.out} is {path}, an input of this run; write the results elsewhere")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -192,6 +211,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from . import ingest  # noqa: F401
     from .runner import GridSpec, enumerate_grid, grid_reads
 
+    _refuse_an_input_as_out(args)
     grid = _read_json(args.grid, GridSpec.from_dict)
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:

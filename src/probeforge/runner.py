@@ -17,13 +17,15 @@ spec keys its train draw by its *train key* (model, train AOI, sampler,
 train size) and its test draw by its *test key* (model, target AOI, test
 size), each of which names only what that draw reads. Specs that share a
 train key (for target-split, the draw key) therefore train on the same
-chips in every repetition; the runner runs them as one *run unit*, which
-draws and factorizes each training matrix once, draws each test set once,
-and solves per class. The runner streams one CSV row per finished spec
-(appendable; a crash can tear at most the final row, which a resume drops)
-and then rewrites the file in canonical enumeration order with wall times
-zeroed, making completed result files byte-comparable across parallelism
-levels.
+chips in every repetition; the runner runs them as one *run unit*. A unit
+makes every repetition's draws first, each test set and the train set once,
+keeping only their chip positions (repetitions x (sum of the test sizes +
+train size) x 8 bytes). Then, repetition by repetition, it factorizes the
+training matrix once and solves per class. The runner streams one CSV row
+per finished spec (appendable; a crash can tear at most the final row, which
+a resume drops) and then rewrites the file in canonical enumeration order
+with wall times zeroed, making completed result files byte-comparable across
+parallelism levels.
 Wall-clock measurements still reach the log and the streaming rows; they
 are deliberately absent from the canonical artifact. The spec, its record
 and the results file itself are defined in ``schema``.
@@ -209,16 +211,20 @@ class SpecRuns:
 
 
 def _run_unit(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[SpecRuns]:
-    """Run specs that share one train key, repetition by repetition.
+    """Run specs that share one train key: every draw first, then the fits.
 
-    Each repetition draws the train set once and factorizes it once. Then,
-    per test key among the specs (a target AOI and test size; a
-    target-split unit has one), it draws and gathers the test set once,
-    and every spec of that test key fits, predicts and scores its own
-    class. Specs whose sizes the AOIs cannot supply are infeasible and
-    draw nothing; repetitions whose test-side variance vanishes are
-    counted degenerate and excluded. Each spec's ``wall_ms`` is an equal
-    share of the unit's wall time.
+    The draw phase makes, for every repetition, one test draw per test key
+    among the specs (a target AOI and test size; a target-split unit has
+    one) and one train draw, and keeps only the chip positions:
+    repetitions x (sum of the test sizes + train size) x 8 bytes. The fit
+    phase then, repetition by repetition, factorizes the train set once,
+    gathers each test set once, and has every spec of that test key fit,
+    predict and score its own class. A draw reads the repetition only
+    through its seed, so a draw that fails, fails at repetition 0, before
+    any fit. Specs whose sizes the AOIs cannot supply are infeasible and
+    draw nothing; repetitions whose test-side variance vanishes are counted
+    degenerate and excluded. Each spec's ``wall_ms`` is an equal share of
+    the unit's wall time.
     """
     t0 = time.perf_counter()
     shares = [SpecRuns(infeasible=not _feasible(s, dataset)) for s in specs]
@@ -234,6 +240,9 @@ def _run_unit(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[SpecRun
         train_pos_all = dataset.aoi_positions[spec.train_aoi or spec.target_aoi]
         aux = _aux_for(spec.sampler, dataset, train_pos_all)
         targets = [dataset.fractions[:, s.class_id.value] for s in specs]
+        # Every draw before any fit: on 500x64 fits, the draws made back to
+        # back took 11 ms of a grid where, between factorizations, they took 19.
+        draws = []
         for r in range(spec.repetitions):
             seeds = [h.draw_seeds(r) for h in heads]  # one train seed across the unit
             tests = [draw(SampleRequest(dataset.aoi_positions[h.target_aoi], h.n_test,
@@ -248,6 +257,8 @@ def _run_unit(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[SpecRun
                 train = split_target(
                     train_pos_all, tests[0], spec.n_train, spec.sampler, train_seed, **aux,
                 )
+            draws.append((tests, train))
+        for tests, train in draws:
             train_svd = factorize(dataset.matrix[train])
             for members, test in zip(by_test.values(), tests):
                 test_matrix = dataset.matrix[test].astype(np.float64)
@@ -347,11 +358,17 @@ def _check_resumed_row(path: Path, line: int, kept: AggregateRecord,
 def _drop_torn_row(path: Path) -> int:
     """Cut a final line that lacks its newline: a row cut short by a crash.
 
-    Returns the byte length that remains.
+    Only a file that starts with the results header, or is a prefix of it (a
+    header torn by a crash), is cut; any other file is left for the results
+    reader to refuse. Returns the byte length that remains.
     """
+    header = csv_text([CSV_COLUMNS]).encode()
     with open(path, "rb+") as fh:
         data = fh.read()
         if data.endswith(b"\n") or not data:
+            return len(data)
+        line, newline, _ = data.partition(b"\n")
+        if line.rstrip(b"\r") + newline != header and not header.startswith(data):
             return len(data)
         keep = data.rfind(b"\n") + 1
         logger.warning("%s: dropping torn final line %r",

@@ -132,6 +132,52 @@ def test_run_resume_starts_over_on_empty_or_torn_header(workdir, left):
     assert path.read_bytes() == fresh
 
 
+@pytest.mark.parametrize("left", [b"not,a,results,file\nlast line", b'{"fms": ["tiny-s1"]}'],
+                         ids=["two-lines", "one-line"])
+def test_run_resume_cuts_nothing_from_a_file_it_refuses(workdir, capsys, left):
+    synth(workdir)
+    path = workdir / "results.csv"
+    path.write_bytes(left)  # no trailing newline, and no results header
+    assert run(workdir, "--resume") == 2
+    assert "unexpected results header" in capsys.readouterr().err
+    assert path.read_bytes() == left
+
+
+def _tree(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("resume", [[], ["--resume"]], ids=["fresh", "resume"])
+@pytest.mark.parametrize("out", ["grid.json", "data/chips.jsonl", "data/chips.jsonl.cols",
+                                 "data/embeddings/tiny-s1.emb", "data/embeddings/tiny-s1.idx",
+                                 "link-to-chips"])
+def test_run_refuses_an_out_that_is_one_of_its_inputs(workdir, capsys, out, resume):
+    synth(workdir)
+    assert run(workdir) == 0  # and writes the chip column cache
+    os.link(workdir / "data" / "chips.jsonl", workdir / "link-to-chips")
+    before = _tree(workdir)
+    assert workdir / "data" / "chips.jsonl.cols" in before
+    code = main(["run", "--grid", str(workdir / "grid.json"), "--data-dir", str(workdir / "data"),
+                 "--out", str(workdir / out), *resume])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--out {workdir / out} is " in err
+    named = "data/chips.jsonl" if out == "link-to-chips" else out
+    assert f"is {workdir / named}, an input of this run" in err
+    assert _tree(workdir) == before
+
+
+def test_run_writes_results_beside_its_inputs_in_the_data_directory(workdir):
+    synth(workdir)
+    out = workdir / "data" / "results.csv"
+    args = ["run", "--grid", str(workdir / "grid.json"), "--data-dir", str(workdir / "data"),
+            "--out", str(out)]
+    assert main(args) == 0
+    first = out.read_bytes()
+    assert main(args) == 0 and main(args + ["--resume"]) == 0
+    assert out.read_bytes() == first
+
+
 def _resume_after_keeping_two_rows(workdir, data_b_seed=None, edit_r_mean=None):
     """Run a 4-spec grid, keep the header and 2 rows, resume (optionally on other data)."""
     grid = {**GRID, "classes": ["tree-cover", "builtup"],

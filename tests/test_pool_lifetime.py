@@ -19,6 +19,7 @@ import pytest
 
 from probeforge.cli import SEED_ENV, main
 from probeforge.ingest import load_chip_table
+from probeforge.schema import CSV_COLUMNS, csv_text
 from test_golden import GOLDEN, GRID, SYNTH_SPEC
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -156,6 +157,12 @@ def test_pool_workers_die_with_a_killed_run_and_resume_gives_the_golden_bytes(
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+    assert_no_worker_outlives_the_run(pids)
+    assert_resumes_to_the_golden_bytes(golden_dir, out)
+
+
+def assert_no_worker_outlives_the_run(pids):
+    """The workers whose pids are in directory ``pids`` all end within 5 s."""
     workers = [int(name) for name in os.listdir(pids)]
     deadline = time.monotonic() + 5
     while (left := [w for w in workers if alive(w)]) and time.monotonic() < deadline:
@@ -164,6 +171,9 @@ def test_pool_workers_die_with_a_killed_run_and_resume_gives_the_golden_bytes(
         os.kill(w, signal.SIGKILL)
     assert left == [], "pool workers outlived their killed run"
 
+
+def assert_resumes_to_the_golden_bytes(golden_dir, out):
+    """``run --resume`` on copies of ``out`` writes the golden bytes at 1 and 2 threads."""
     kept = out.read_bytes()
     for threads in ("1", "2"):
         resumed = golden_dir / f"resumed-{threads}.csv"
@@ -171,3 +181,52 @@ def test_pool_workers_die_with_a_killed_run_and_resume_gives_the_golden_bytes(
         assert main(run_args(golden_dir, resumed, "--threads", threads, "--resume")) == 0
         assert hashlib.sha256(resumed.read_bytes()).hexdigest() == GOLDEN["run/results.csv"]
     assert out.read_bytes() == kept
+
+
+# Runs cli.main with two rebindings: each pool worker writes its pid into
+# directory argv[1] once the pool has set it up, and runner.record_to_row,
+# which only ``run`` itself calls, kills ``run`` with SIGKILL as it is about
+# to stream its first row. The kill waits, 10 s at most, until argv[2]
+# workers have written their pids, so each of them can be seen to end with it.
+KILL_BEFORE_FIRST_ROW = """
+import os, signal, sys, time
+from pathlib import Path
+from probeforge import cli, runner
+
+pids, workers = Path(sys.argv[1]), int(sys.argv[2])
+real_init = runner._init_pool
+
+
+def init_pool(*args):
+    real_init(*args)
+    (pids / str(os.getpid())).touch()
+
+
+def record_to_row(*args, **kwargs):
+    deadline = time.monotonic() + 10
+    while len(os.listdir(pids)) < workers and time.monotonic() < deadline:
+        time.sleep(0.01)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+runner._init_pool = init_pool
+runner.record_to_row = record_to_row
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_run_killed_before_its_first_row_resumes_to_the_golden_bytes(golden_dir, threads):
+    out, pids = golden_dir / "results.csv", golden_dir / "pids"
+    pids.mkdir()
+    workers = 0 if threads == 1 else threads  # a serial run starts no pool
+    with open(golden_dir / "stderr.txt", "w") as err:
+        proc = subprocess.run(
+            [sys.executable, "-c", KILL_BEFORE_FIRST_ROW, str(pids), str(workers),
+             *run_args(golden_dir, out, "--threads", str(threads))],
+            env=python_env(), stdout=subprocess.DEVNULL, stderr=err, timeout=120)
+    assert proc.returncode == -signal.SIGKILL, (golden_dir / "stderr.txt").read_text()
+    assert len(os.listdir(pids)) == workers
+    assert_no_worker_outlives_the_run(pids)
+    assert out.read_bytes() == csv_text([CSV_COLUMNS]).encode()  # the header alone
+    assert_resumes_to_the_golden_bytes(golden_dir, out)

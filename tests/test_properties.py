@@ -265,6 +265,32 @@ def test_a_spec_row_does_not_depend_on_which_specs_of_its_run_unit_run(
         assert record_to_row(alone, zero_wall=True) == record_to_row(full[i], zero_wall=True)
 
 
+def _some(values, max_size=None):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=max_size,
+                    unique=True).map(tuple)
+
+
+#: Grids over the small dataset's four AOIs of 100 chips each, with sizes that
+#: some AOIs cannot supply, so some units hold infeasible specs.
+_unit_grids = st.builds(
+    GridSpec, fms=st.just(("alpha-s1",)), classes=_some(list(ClassId), 2),
+    samplers=_some(list(SamplerKind)), regimes=_some([REGIME_EXTERNAL, REGIME_TARGET_SPLIT]),
+    target_aois=_some(["aoi-00", "aoi-01", "aoi-02"]),
+    external_aois=_some(["aoi-00", "aoi-01", "aoi-03"], 2),
+    n_train_external=_some([10, 40, 120], 2), n_train_target=_some([10, 40, 90], 2),
+    n_test_target=_some([5, 15, 60], 2), repetitions=st.integers(2, 3), base_seed=seeds,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=_unit_grids)
+def test_every_grouped_row_equals_its_spec_run_alone(tmp_path_factory, small_datasets, grid):
+    records = run_grid(grid, small_datasets, tmp_path_factory.mktemp("grid") / "r.csv")
+    for rec in records:
+        alone = run_experiment(rec.spec, small_datasets[rec.spec.fm_id])
+        assert record_to_row(alone, zero_wall=True) == record_to_row(rec, zero_wall=True)
+
+
 _labels = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)),
                   min_size=1, max_size=8)
 _values = st.floats(allow_nan=True, allow_infinity=True)

@@ -441,6 +441,33 @@ def test_one_train_draw_per_train_key_and_repetition(tmp_path, monkeypatch, smal
     assert len(drawn) - len(train_draws) == test_draws
 
 
+def test_a_run_unit_draws_every_repetition_before_its_first_factorization(
+        tmp_path, monkeypatch, small_datasets):
+    # each external unit tests on two targets; each target-split unit draws through split_target
+    grid = dataclasses.replace(THREE_TARGETS, samplers=tuple(SamplerKind))
+    units = []
+    for name in ("_run_unit", "draw", "split_target", "factorize"):
+        real = getattr(runner_mod, name)
+
+        def spy(*args, real=real, name=name, **kwargs):
+            if name == "_run_unit":
+                units.append([])
+            else:
+                units[-1].append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(runner_mod, name, spy)
+    records = run_grid(grid, small_datasets, tmp_path / "r.csv")
+    assert not any(r.infeasible for r in records)
+    assert len(units) == len({s.train_key() for s in enumerate_grid(grid)})
+    shapes = set()
+    for calls in units:
+        assert set(calls[calls.index("factorize"):]) == {"factorize"}
+        assert calls.count("factorize") == grid.repetitions
+        shapes.add((calls.count("draw"), calls.count("split_target")))
+    # per repetition, external: two test draws and a train draw; target-split: a test draw and a split
+    assert shapes == {(3 * grid.repetitions, 0), (grid.repetitions, grid.repetitions)}
+
+
 # ---------------------------------------------------------------------------
 # rows and files
 
