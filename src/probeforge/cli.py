@@ -144,23 +144,15 @@ def _read_json(path: str, build):
             raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def _refuse_an_input_as_out(args: argparse.Namespace) -> None:
-    """Refuse an existing ``--out`` that is one of the run's inputs.
-
-    Those are the grid, the chip table, its column cache and every file under
-    ``embeddings/``; a results file elsewhere in the data directory is fine.
-    """
-    if not os.path.exists(args.out):
+def _refuse_an_input_as_out(out: str | None, inputs: list[Path]) -> None:
+    """Refuse an existing ``out`` that is one of ``inputs``, a hard link or
+    symlink to one included, before anything is read or written."""
+    if out is None or not os.path.exists(out):
         return
-    chips = Path(args.data_dir, "chips.jsonl")
-    embeddings = Path(args.data_dir, "embeddings")
-    inputs = [Path(args.grid), chips, Path(f"{chips}.cols")]
-    if embeddings.is_dir():
-        inputs += sorted(embeddings.iterdir())
     for path in inputs:
-        if path.exists() and os.path.samefile(args.out, path):
+        if path.exists() and os.path.samefile(out, path):
             raise DataFormatError(
-                f"--out {args.out} is {path}, an input of this run; write the results elsewhere")
+                f"--out {out} is {path}, an input of this run; write the output elsewhere")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -211,7 +203,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from . import ingest  # noqa: F401
     from .runner import GridSpec, enumerate_grid, grid_reads
 
-    _refuse_an_input_as_out(args)
+    # the run's inputs; a results file elsewhere in the data directory is none
+    chips = Path(args.data_dir, "chips.jsonl")
+    embeddings = Path(args.data_dir, "embeddings")
+    inputs = [Path(args.grid), chips, Path(f"{chips}.cols")]
+    if embeddings.is_dir():
+        inputs += sorted(embeddings.iterdir())
+    _refuse_an_input_as_out(args.out, inputs)
     grid = _read_json(args.grid, GridSpec.from_dict)
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
@@ -232,6 +230,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report_heatmap(args: argparse.Namespace) -> int:
+    _refuse_an_input_as_out(args.out, [Path(args.results)])
     records = parse_results_file(args.results)
     matrix = heatmap_matrix(
         records,
@@ -245,6 +244,7 @@ def _cmd_report_heatmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_report_scatter(args: argparse.Namespace) -> int:
+    _refuse_an_input_as_out(args.out, [Path(args.results)])
     records = parse_results_file(args.results)
     picked = ablation_scatter(
         records,
@@ -264,6 +264,7 @@ def _cmd_report_select(args: argparse.Namespace) -> int:
             rule=args.criterion, r_min=args.r_min, std_max=args.std_max)
     except ValueError as exc:
         raise UsageError(f"probeforge report-select: {exc}") from exc
+    _refuse_an_input_as_out(args.out, [Path(args.results)])
     rows = selection_table(parse_results_file(args.results), criterion)
     render = selection_csv if args.out_format == "csv" else selection_text
     _emit(render(rows), args.out)

@@ -42,10 +42,11 @@ same layouts for users):
   ``\r``, so an index id may hold any other character, U+2028 included;
   ``save_embeddings`` refuses an id with a line end or a lone surrogate.
 
-Lanes: ``_in_lanes`` starts every thread of the package, from 4 MiB of
-work up, one per CPU the process may use and item of work at most, and
-joins them all before it returns, so no thread is alive when ``run
---threads N`` forks its workers.
+Lanes: ``_in_lanes`` runs a loop's items on threads, from 4 MiB of work
+up, one per CPU the process may use and item at most, and returns or raises
+what the loop would. It starts every thread of the package and joins them
+all before it returns, so no thread is alive when ``run --threads N`` forks
+its workers.
 
 The synthetic generator plants a known linear signal in random embeddings
 so probe recovery is checkable against closed-form targets.
@@ -139,32 +140,35 @@ def _usable_cpus() -> int:
 
 def _in_lanes(items: Sequence, nbytes: int, run: Callable[[Any, np.ndarray], Any],
               buffer_bytes: int = 0) -> list:
-    """What ``run(item, buffer)`` returns for each of ``items``, in order, or
-    the exception it raised. Each lane gets a ``buffer`` of ``buffer_bytes``
-    bytes of its own, made here on the calling thread.
+    """``[run(item, buffer) for item in items]``, on lanes: what ``run``
+    returns for each item, in order, or else the first exception in item order,
+    raised once every lane has ended. A lane runs no further item once one of
+    its calls raises. Each lane gets a ``buffer`` of ``buffer_bytes`` bytes of
+    its own, made here on the calling thread.
 
     This is the one place the package starts a thread. From
     ``_HASH_THREAD_BYTES`` of work (``nbytes``) up, the items are split into
     contiguous runs, one per lane, on as many lanes as there are items or CPUs
     this process may use, whichever is fewer: the first run here, and the
     longer one when the items do not split evenly, each other on a thread of
-    its own. Every thread is joined before this returns or
-    raises, so none is alive when ``run --threads N`` forks its workers.
-    Below the floor, or with one CPU, every item runs here and no thread
-    starts. ``run`` must call nothing that perfbench's tracer rebinds: its
-    span stack is one per process.
+    its own. Every thread is joined before this returns or raises, so none is
+    alive when ``run --threads N`` forks its workers. Below the floor, or with
+    one CPU, every item runs here and no thread starts. ``run`` must call
+    nothing that perfbench's tracer rebinds: its span stack is one per process.
     """
     lanes = 1 if nbytes < _HASH_THREAD_BYTES else max(1, min(len(items), _usable_cpus()))
     bounds = [-(-len(items) * k // lanes) for k in range(lanes + 1)]
     buffers = [np.empty(buffer_bytes, dtype=np.uint8) for _ in range(lanes)]
     done: list = [None] * len(items)
+    raised: dict[int, Exception] = {}  # item position: what its call raised
 
     def lane(k: int) -> None:
         for i in range(bounds[k], bounds[k + 1]):
             try:
                 done[i] = run(items[i], buffers[k])
-            except Exception as exc:  # the caller raises it, in item order
-                done[i] = exc
+            except Exception as exc:  # raised below, once every lane has ended
+                raised[i] = exc
+                return
 
     started = []
     try:
@@ -176,6 +180,8 @@ def _in_lanes(items: Sequence, nbytes: int, run: Callable[[Any, np.ndarray], Any
     finally:
         for thread in started:
             thread.join()
+    if raised:
+        raise raised[min(raised)]
     return done
 
 
@@ -192,19 +198,18 @@ def load_chip_table(path: str | Path) -> ChipTable:
 
     When ``<path>.cols`` exists, the file is hashed through a read-only
     mapping; from ``_HASH_THREAD_BYTES`` up, on a second lane (``_in_lanes``)
-    while this thread decodes the cache. The lane is joined before anything
-    is returned or raised, and an error it meets is raised here. When the cache holds
-    the columns of exactly these bytes (see the module docstring), the table
-    comes from there, and the file is never copied into memory nor any chip
-    record parsed; otherwise the file is read whole and parsed. A parse
-    that passes every check, the fraction range that ``load_dataset_dir``
-    refuses included, rewrites the cache, keyed by the digest of the bytes
-    it parsed.
+    while this thread decodes the cache. When the cache holds the columns of
+    exactly these bytes (see the module docstring), the table comes from
+    there, and the file is never copied into memory nor any chip record
+    parsed; otherwise the file is read whole and parsed. A parse that passes
+    every check, the fraction range that ``load_dataset_dir`` refuses
+    included, rewrites the cache, keyed by the digest of the bytes it parsed.
     """
     cache = Path(f"{os.fspath(path)}.cols")
     with open(path, "rb") as fh:
         if cache.exists():
-            cached, digest = _columns_and_digest(cache, fh)
+            cached, digest = _in_lanes((partial(_read_columns, cache), partial(_digest, fh)),
+                                       os.fstat(fh.fileno()).st_size, lambda task, buffer: task())
             if cached is not None and cached[0] == digest:
                 return cached[1]
             fh.seek(0)
@@ -213,18 +218,6 @@ def load_chip_table(path: str | Path) -> ChipTable:
     if not fraction_out_of_range(table.fractions).any():
         _write_columns(cache, hashlib.sha256(blob).digest(), table)
     return table
-
-
-def _columns_and_digest(cache: Path, fh: BinaryIO) -> tuple[tuple[bytes, ChipTable] | None, bytes]:
-    """``_read_columns(cache)`` and ``_digest(fh)``, side by side on two lanes
-    (``_in_lanes``) from ``_HASH_THREAD_BYTES`` of chip file up."""
-    done = _in_lanes((partial(_read_columns, cache), partial(_digest, fh)),
-                     os.fstat(fh.fileno()).st_size, lambda task, buffer: task())
-    for got in done:
-        if isinstance(got, Exception):
-            raise got
-    cached, digest = done
-    return cached, digest
 
 
 def _digest(fh: BinaryIO) -> bytes:
@@ -536,11 +529,14 @@ def load_embeddings(
     The header is checked against the file's size and the index, then the
     payload is read once, in blocks of ``_BLOCK_BYTES``, on lanes
     (``_in_lanes``) from ``_HASH_THREAD_BYTES`` of payload up; every row is
-    checked whatever the set keeps. Without ``join`` the set holds every row
-    in file order. ``join`` is the index already read and joined by the
-    caller (``_join_index``), and the set holds the rows it keeps, in the
-    order of the chips it was joined to: ``load_dataset_dir`` joins each
-    distinct index once, and loads each model through this call.
+    checked whatever the set keeps. Each block raises its own error, naming
+    the chip of its first non-finite row, and the load raises the earliest
+    block's, as a read of one block after another would. Without ``join``
+    the set holds every row in file order. ``join`` is the index already
+    read and joined by the caller (``_join_index``), and the set holds the
+    rows it keeps, in the order of the chips it was joined to:
+    ``load_dataset_dir`` joins each distinct index once, and loads each
+    model through this call.
     """
     data_path, index_path = Path(data_path), Path(index_path)
     with open(data_path, "rb", buffering=0) as fh:
@@ -563,10 +559,10 @@ def load_embeddings(
         dest = join.dest
         step = max(1, _BLOCK_BYTES // max(4 * dim, 1))  # rows per block, at least one
 
-        def fill(start: int, buffer: np.ndarray) -> int | None:
+        def fill(start: int, buffer: np.ndarray) -> None:
             """Read the block of rows from ``start``, check that it is finite,
-            and put its kept rows in the matrix; the first non-finite row, if
-            any. Without a row map the block is read straight into the
+            naming its first non-finite row, and put its kept rows in the
+            matrix. Without a row map the block is read straight into the
             matrix; with one, into ``buffer``, whose kept rows are then copied."""
             n = min(step, count - start)
             rows = matrix[start:start + n] if dest is None else (
@@ -575,24 +571,19 @@ def load_embeddings(
                 raise DataFormatError(f"{data_path}: payload shrank while being read")
             # one flat test per block; the bad row is looked for only on failure
             if not np.isfinite(rows).all():
-                return start + int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+                bad = start + int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+                raise DataFormatError(
+                    f"{data_path}: non-finite values, first offending row {bad}"
+                    f" (chip {join.ids(index_path)[bad]!r})"
+                )
             if dest is not None:
                 to = dest[start:start + n]
                 mine = to >= 0
                 matrix[to[mine]] = rows[mine]
-            return None
 
         nbytes = size - 16
-        blocks = _in_lanes(range(0, count if nbytes else 0, step), nbytes, fill,
-                           0 if dest is None else 4 * min(count, step) * dim)
-    for got in blocks:
-        if isinstance(got, Exception):
-            raise got
-        if got is not None:
-            raise DataFormatError(
-                f"{data_path}: non-finite values, first offending row {got}"
-                f" (chip {join.ids(index_path)[got]!r})"
-            )
+        _in_lanes(range(0, count if nbytes else 0, step), nbytes, fill,
+                  0 if dest is None else 4 * min(count, step) * dim)
     matrix.setflags(write=False)
     # A zero width is reported before a repeated id, as EmbeddingSet checks it
     # first. A repeated id is the index's fault: name its line, not the matrix file.
@@ -904,8 +895,14 @@ def _linear_link(raw: np.ndarray, base: float = 0.1, margin: float = 1e-3) -> np
 
 
 def write_dataset_dir(result: SynthResult, out_dir: str | Path) -> None:
-    """Lay out chips.jsonl, embeddings/<fm>.emb|.idx, and planted.json."""
+    """Lay out chips.jsonl, embeddings/<fm>.emb|.idx, and planted.json. An
+    ``.emb`` or ``.idx`` of another model in ``embeddings/``, which a load would
+    join to these chips, is refused first, and left as it is."""
     out = Path(out_dir)
+    for path in sorted(out.glob("embeddings/*")):
+        if path.suffix in (".emb", ".idx") and path.stem not in result.embeddings:
+            raise DataFormatError(f"{path}: a model this dataset does not write; remove it"
+                                  " or write the dataset elsewhere")
     (out / "embeddings").mkdir(parents=True, exist_ok=True)
     save_chip_table(result.table, out / "chips.jsonl")
     for fm_id, emb in result.embeddings.items():

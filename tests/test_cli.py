@@ -167,6 +167,42 @@ def test_run_refuses_an_out_that_is_one_of_its_inputs(workdir, capsys, out, resu
     assert _tree(workdir) == before
 
 
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "hard-link"])
+@pytest.mark.parametrize("command", [["report-select"], ["report-scatter"],
+                                     ["report-heatmap", "--class", "tree-cover"]],
+                         ids=lambda command: command[0])
+def test_reports_refuse_an_out_that_is_their_results(workdir, capsys, command, link):
+    synth(workdir)
+    assert run(workdir) == 0
+    results = workdir / "results.csv"
+    out = results
+    if link:
+        out = workdir / "link-to-results"
+        os.link(results, out)
+    before = results.read_bytes()
+    code = main([command[0], "--results", str(results), *command[1:], "--out", str(out)])
+    assert code == 2
+    assert f"--out {out} is {results}, an input of this run" in capsys.readouterr().err
+    assert results.read_bytes() == before
+    assert main(["report-select", "--results", str(results)]) == 0
+
+
+def test_synth_refuses_a_directory_holding_a_model_it_does_not_write(workdir, capsys):
+    spec = workdir / "synth.json"
+    out_dir = workdir / "data"
+    args = ["synth", "--spec", str(spec), "--out-dir", str(out_dir)]
+    spec.write_text(json.dumps(dict(SYNTH_SPEC, fm_ids=["a-s2", "b-s2"])))
+    assert main(args) == 0
+    before = _tree(out_dir)
+    assert main(args) == 0  # the same models again
+    assert _tree(out_dir) == before
+    spec.write_text(json.dumps(dict(SYNTH_SPEC, fm_ids=["c-s2"])))
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{out_dir / 'embeddings' / 'a-s2.emb'}: a model this dataset does not write" in err
+    assert _tree(out_dir) == before
+
+
 def test_run_writes_results_beside_its_inputs_in_the_data_directory(workdir):
     synth(workdir)
     out = workdir / "data" / "results.csv"

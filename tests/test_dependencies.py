@@ -112,6 +112,36 @@ def test_only_the_lane_helper_starts_threads_and_only_run_grid_starts_workers():
         assert loose == [], (path.name, loose)
 
 
+#: Names of the classes a handler of every error catches.
+_BROAD = {"Exception", "BaseException"}
+
+
+def _is_broad(node):
+    """Whether an except clause's type, None for a bare one, or the class
+    argument of ``isinstance`` names a broad class."""
+    if node is None:
+        return True
+    return any(isinstance(n, ast.Name) and n.id in _BROAD
+               for n in (node.elts if isinstance(node, ast.Tuple) else [node]))
+
+
+def test_only_the_lane_helper_main_and_the_atomic_write_handle_every_error():
+    # A broad handler passes a fault of the program off as one of its input. The
+    # lanes hand what a lane raised back to the caller's thread, main maps
+    # what is left to exit code 3, and write_atomic removes its temporary
+    # file on any error before it re-raises.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.ExceptHandler) and _is_broad(node.type)) or (
+                        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                        and len(node.args) == 2 and _is_broad(node.args[1])):
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    assert found == {("ingest.py", "_in_lanes"), ("cli.py", "main"),
+                     ("schema.py", "write_atomic")}, sorted(found)
+
+
 def _names_read(node):
     """Each name that the code under ``node`` reads, bare or as an attribute."""
     for sub in ast.walk(node):

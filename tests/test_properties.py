@@ -1,6 +1,6 @@
 """Property-based checks: samplers, target splits, the probe, the metrics, result rows,
-run units, chip tables and their column cache, the chip-to-embedding join and the dataset
-loader."""
+run units, resume from a results file cut at any byte, chip tables and their column cache,
+the chip-to-embedding join and the dataset loader."""
 
 import json
 import math
@@ -13,12 +13,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from probeforge import ingest, sampling  # noqa: E402
+from probeforge import ingest, runner, sampling  # noqa: E402
 from probeforge.core import ChipTable, ClassId, EmbeddingSet, assemble_dataset  # noqa: E402
 from probeforge.errors import (  # noqa: E402
     AlignmentError,
     DataFormatError,
     DegenerateVarianceError,
+    ProbeforgeError,
 )
 from probeforge.ingest import load_chip_table, save_chip_table, save_embeddings  # noqa: E402
 from probeforge.metrics import DEGENERATE_STD, pearson, rmse  # noqa: E402
@@ -289,6 +290,64 @@ def test_every_grouped_row_equals_its_spec_run_alone(tmp_path_factory, small_dat
     for rec in records:
         alone = run_experiment(rec.spec, small_datasets[rec.spec.fm_id])
         assert record_to_row(alone, zero_wall=True) == record_to_row(rec, zero_wall=True)
+
+
+#: Eight run units of two specs each, over both regimes. A unit's two specs
+#: are four apart in enumeration order, so a streamed file's unit order is
+#: not the canonical order.
+_STREAM_GRID = GridSpec(
+    fms=("alpha-s1",), classes=(ClassId.TREE_COVER, ClassId.BUILTUP),
+    samplers=(SamplerKind.RANDOM, SamplerKind.SRTM), target_aois=("aoi-00", "aoi-01"),
+    external_aois=("aoi-00", "aoi-01"), n_train_external=(20,), n_train_target=(20,),
+    n_test_target=(15,), repetitions=2, base_seed=9,
+)
+
+
+@pytest.fixture(scope="module")
+def streamed_and_full(tmp_path_factory, small_datasets):
+    """The file a serial run streams before it stops in its sixth run unit,
+    and the bytes an uninterrupted run writes."""
+    root = tmp_path_factory.mktemp("stream")
+    run_grid(_STREAM_GRID, small_datasets, root / "full.csv")
+    real, calls = runner.run_experiment, []
+
+    def stop_after_five_units(spec, dataset, share=None):
+        calls.append(spec)
+        if len(calls) > 10:
+            raise RuntimeError("stopped")
+        return real(spec, dataset, share)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "run_experiment", stop_after_five_units)
+        with pytest.raises(RuntimeError, match="stopped"):
+            run_grid(_STREAM_GRID, small_datasets, root / "streamed.csv")
+    streamed = (root / "streamed.csv").read_bytes()
+    kept = parse_results_file(root / "streamed.csv")
+    canonical = [s.key() for s in enumerate_grid(_STREAM_GRID)]
+    order = [canonical.index(rec.spec.key()) for rec in kept]
+    assert len(kept) == 10 and order != sorted(order) and all(rec.wall_ms > 0 for rec in kept)
+    return streamed, (root / "full.csv").read_bytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(canonical=st.booleans(), data=st.data())
+def test_a_results_file_cut_at_any_byte_resumes_to_the_full_bytes_or_is_named(
+        tmp_path_factory, small_datasets, streamed_and_full, canonical, data):
+    streamed, full = streamed_and_full
+    whole = full if canonical else streamed
+    ends = [i + 1 for i, byte in enumerate(whole) if byte == ord("\n")]
+    cut = data.draw(st.one_of(
+        st.integers(0, len(whole)),
+        st.sampled_from(ends).flatmap(lambda end: st.integers(end - 1, min(end + 1, len(whole))))),
+        label="cut")
+    path = tmp_path_factory.mktemp("cut") / "r.csv"
+    path.write_bytes(whole[:cut])
+    try:
+        run_grid(_STREAM_GRID, small_datasets, path, resume=True)
+    except (ProbeforgeError, OSError, ValueError, KeyError) as exc:  # what main exits 2 on
+        assert str(path) in str(exc)
+    else:
+        assert path.read_bytes() == full
 
 
 _labels = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)),
