@@ -37,7 +37,7 @@ from .report import (
     selection_table,
     selection_text,
 )
-from .schema import CLASS_LABELS, REGIMES, ClassId, SamplerKind, parse_results_file
+from .schema import CLASS_LABELS, REGIMES, ClassId, SamplerKind, parse_results_file, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -159,7 +159,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        write_atomic(out, text.encode("utf-8"))
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:

@@ -23,20 +23,20 @@ same layouts for users):
   while the cache decodes. The table is served from the cache only when
   magic, version and both digests match; otherwise the chip file is
   parsed and the cache rewritten. A chip file truncated in place while it
-  is hashed ends the process with SIGBUS, so replace it by rename. The
-  cache is safe to delete, and a directory that cannot be written is no
-  error.
+  is hashed ends the process with SIGBUS, so replace it by rename, as
+  ``write_dataset_dir`` does. The cache is safe to delete, and a directory
+  that cannot be written is no error.
 * Embeddings: magic ``EMB1`` | dim u32 | count u64 | count*dim f32 values,
   row-major, read in blocks of 1 MiB. A sibling text index holds one chip_id
   per line; line i names row i. An index whose bytes list exactly the chip
   table's ids, each ended by ``\n``, is joined without being decoded.
 * Dataset directory: ``chips.jsonl`` and ``embeddings/<fm_id>.emb`` with its
-  ``.idx``. ``load_dataset_dir`` reads the table and every index, and frees
-  the table before it reads any payload. Then it loads one model after
-  another, in sorted order, through ``load_embeddings``, the call a
-  one-model load makes: it checks the header, fills the blocks on lanes
-  (from 4 MiB of payload up) and finishes the set, so a directory load
-  raises what a load of each model in turn raises.
+  ``.idx``, each renamed into place as the cache is. ``load_dataset_dir``
+  reads the table and every index, and frees the table before it reads any
+  payload. Then it loads one model after another, in sorted order, through
+  ``load_embeddings``, the call a one-model load makes: it checks the
+  header, fills the blocks on lanes (from 4 MiB of payload up) and finishes
+  the set, so a directory load raises what loading each model in turn does.
 * Text files (the chip table, each index) are UTF-8, refused at a bad byte
   with the file and 1-based line. Lines end only at ``\n``, ``\r\n`` or
   ``\r``, so an index id may hold any other character, U+2028 included;
@@ -62,7 +62,7 @@ import os
 import struct
 import threading
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import compress
 from pathlib import Path
@@ -394,19 +394,18 @@ def _parse_chip(line: str) -> tuple[str, str, list[float]]:
 
 def save_chip_table(table: ChipTable, path: str | Path) -> None:
     columns = (table.aois, table.lon, table.lat, table.fractions, table.elevations)
-    with open(path, "w", encoding="utf-8") as fh:
+    text = "".join(
+        json.dumps({
+            "chip_id": chip_id,
+            "aoi": aoi,
+            "lon": lon,
+            "lat": lat,
+            "fractions": dict(zip(CLASS_LABELS, fractions)),
+            "elevation_m": elevation,
+        }) + "\n"
         for chip_id, aoi, lon, lat, fractions, elevation in zip(
-            table.chip_ids, *(c.tolist() for c in columns)
-        ):
-            rec = {
-                "chip_id": chip_id,
-                "aoi": aoi,
-                "lon": lon,
-                "lat": lat,
-                "fractions": dict(zip(CLASS_LABELS, fractions)),
-                "elevation_m": elevation,
-            }
-            fh.write(json.dumps(rec) + "\n")
+            table.chip_ids, *(c.tolist() for c in columns)))
+    write_atomic(path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +417,7 @@ def save_embeddings(emb: EmbeddingSet, data_path: str | Path, index_path: str | 
 
     An id the index cannot hold, one with a line end or one that is not
     encodable as UTF-8 (a lone surrogate), is refused before either file is
-    opened.
+    written.
     """
     index = []
     for cid in emb.chip_ids:
@@ -432,12 +431,8 @@ def save_embeddings(emb: EmbeddingSet, data_path: str | Path, index_path: str | 
             raise DataFormatError(f"{index_path}: chip id {cid!r} holds a line end")
         index.append(line + b"\n")
     m = np.ascontiguousarray(emb.matrix, dtype="<f4")
-    with open(data_path, "wb") as fh:
-        fh.write(_EMB_MAGIC)
-        fh.write(struct.pack("<IQ", m.shape[1], len(emb)))
-        fh.write(m.tobytes())
-    with open(index_path, "wb") as fh:
-        fh.write(b"".join(index))
+    write_atomic(data_path, _EMB_MAGIC, struct.pack("<IQ", m.shape[1], len(emb)), m.data)
+    write_atomic(index_path, b"".join(index))
 
 
 @dataclass(frozen=True, eq=False)
@@ -788,8 +783,8 @@ class SynthSpec:
 class SynthResult:
     spec: SynthSpec
     table: ChipTable
-    embeddings: dict[str, EmbeddingSet] = field(default_factory=dict)
-    planted: np.ndarray = field(default_factory=lambda: np.zeros((N_CLASSES, 0)))
+    embeddings: dict[str, EmbeddingSet]
+    planted: np.ndarray
 
     def dataset(self, fm_id: str | None = None) -> Dataset:
         fm_id = fm_id or self.spec.fm_ids[0]
@@ -867,13 +862,14 @@ def synthesize_dataset(spec: SynthSpec) -> SynthResult:
     return SynthResult(spec=spec, table=table, embeddings=embeddings, planted=weights)
 
 
-def _linear_link(raw: np.ndarray, base: float = 0.1, margin: float = 1e-3) -> np.ndarray:
+def _linear_link(raw: np.ndarray) -> np.ndarray:
     """Affine map raw -> base + scale * raw with invariant-safe scale.
 
     The scale is the largest value <= 0.02 keeping every fraction inside
     [margin, 1 - margin] and every chip's sum under 1 - margin, computed
     from the realized raw matrix so the map stays deterministic and exact.
     """
+    base, margin = 0.1, 1e-3
     lo = float(raw.min())
     hi = float(raw.max())
     row_sum_hi = float(raw.sum(axis=1).max())
@@ -915,9 +911,7 @@ def write_dataset_dir(result: SynthResult, out_dir: str | Path) -> None:
         "spec": asdict(result.spec),
         "weights": result.planted.tolist(),
     }
-    with open(out / "planted.json", "w", encoding="utf-8") as fh:
-        json.dump(planted, fh, indent=2)
-        fh.write("\n")
+    write_atomic(out / "planted.json", (json.dumps(planted, indent=2) + "\n").encode("utf-8"))
 
 
 def load_dataset_dir(data_dir: str | Path, fms: Collection[str] | None = None,

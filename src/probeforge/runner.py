@@ -33,6 +33,7 @@ and the results file itself are defined in ``schema``.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import logging
 import os
@@ -104,6 +105,10 @@ class GridSpec:
         for name in ("target_aois", "external_aois"):
             if "" in getattr(self, name):  # a results row reads "" as no AOI
                 raise GridError(f"axis {name} holds an empty AOI name")
+            # nor can the results reader take a field over csv's size limit
+            if any(len(a) > csv.field_size_limit() for a in getattr(self, name)):
+                raise GridError(f"axis {name} holds an AOI name longer than"
+                                f" {csv.field_size_limit()} characters")
         for name in ("n_test_target", "n_train_external", "n_train_target"):
             small = [v for v in getattr(self, name) if v < 2]
             if small:

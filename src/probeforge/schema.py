@@ -2,8 +2,8 @@
 
 Land-cover classes, model modalities, sampler kinds, training regimes, the
 experiment spec and its aggregated record, and the results CSV that holds
-one record per row: its columns, how a record becomes a row and back, and
-the one CSV writer every file and report of the package goes through.
+one record per row: its columns, how a record becomes a row and back, the
+one CSV writer, and ``write_atomic``, the one way a file is written whole.
 
 This module, like ``report`` and ``seeds``, imports only the standard
 library and the package's other stdlib-only modules, so the report
@@ -270,12 +270,15 @@ def write_results_file(path: str | Path, records: Sequence[AggregateRecord]) -> 
     write_atomic(path, text.encode("utf-8"))
 
 
-def write_atomic(path: str | Path, *chunks: bytes) -> None:
+def write_atomic(path: str | Path, *chunks: bytes | memoryview) -> None:
     """Write ``chunks`` to a uniquely named file beside ``path`` and rename it
-    over ``path``: a reader sees the old file or the new one, never part of
-    one, and a failed write leaves neither a change nor a temporary file. The
-    mode passes through the umask, as open()'s does."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    over ``path``: a reader sees the old file or the new one, a hard link to
+    it keeps the old, a symlink there is replaced, and a failed write leaves
+    neither a change nor a temporary file. The mode passes through the umask.
+    The temporary name is the target's with its last 13 characters, a byte or
+    more each, replaced by 13 bytes: it fits wherever the target's fits."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f"{name[:-13]}.{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -288,18 +291,34 @@ def write_atomic(path: str | Path, *chunks: bytes) -> None:
 
 
 def parse_results_file(path: str | Path) -> list[AggregateRecord]:
+    """The records of results file ``path``. A refusal names the file and,
+    past the header, the 1-based line of the file (a row's last, as a quoted
+    field may span lines): a bad row, a byte that is not UTF-8, or a field
+    over csv's size limit."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty results file") from None
-        if tuple(header) != CSV_COLUMNS:
-            raise DataFormatError(f"{path}: unexpected results header {header}")
-        out = []
-        for i, row in enumerate(reader, start=2):
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: empty results file")
+            if tuple(header) != CSV_COLUMNS:
+                raise DataFormatError(f"{path}: unexpected results header {header}")
+            out = []
+            for row in reader:
+                try:
+                    out.append(record_from_row(row))
+                except (DataFormatError, ValueError) as exc:
+                    raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError:
+            # the text layer decodes ahead of the rows, so find the byte in the file
+            blob = Path(path).read_bytes()
             try:
-                out.append(record_from_row(row))
-            except (DataFormatError, ValueError) as exc:
-                raise DataFormatError(f"{path}: line {i}: {exc}") from exc
+                str(blob, "utf-8")
+            except UnicodeDecodeError as exc:
+                line = len((blob[:exc.start] + b".").splitlines())
+                raise DataFormatError(f"{path}: line {line}: not valid UTF-8"
+                                      f" (byte 0x{blob[exc.start]:02x}: {exc.reason})") from None
+            raise
     return out

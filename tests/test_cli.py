@@ -1,8 +1,11 @@
 """End-to-end command line behavior, driven in-process through main()."""
 
+import csv
+import errno
 import json
 import multiprocessing
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -14,7 +17,7 @@ import pytest
 from conftest import make_record
 from probeforge.cli import SEED_ENV, main
 from probeforge.runner import parse_results_file
-from probeforge.schema import write_results_file
+from probeforge.schema import write_atomic, write_results_file
 
 SYNTH_SPEC = {
     "n_chips": 200, "dim": 8, "noise_sigma": 0.3,
@@ -187,6 +190,116 @@ def test_reports_refuse_an_out_that_is_their_results(workdir, capsys, command, l
     assert main(["report-select", "--results", str(results)]) == 0
 
 
+@pytest.mark.parametrize("fault, message", [
+    (lambda line: line[:3] + b"\xff" + line[3:],
+     "not valid UTF-8 (byte 0xff: invalid start byte)"),
+    (lambda line: b"x" * (csv.field_size_limit() + 1) + line,
+     f"field larger than field limit ({csv.field_size_limit()})"),
+], ids=["bad-utf8", "field-over-the-limit"])
+@pytest.mark.parametrize("command", ["report-select", "run-resume"])
+def test_a_bad_results_file_exits_2_naming_the_file_and_line(workdir, capsys, fault, message,
+                                                             command):
+    # The bad line sits past the reader's first block, which a text layer decodes ahead.
+    synth(workdir)
+    assert run(workdir) == 0
+    path = workdir / "results.csv"
+    header, row = path.read_bytes().splitlines(keepends=True)
+    rows = [row] * 199
+    rows[148] = fault(row)
+    path.write_bytes(header + b"".join(rows))
+    before = path.read_bytes()
+    if command == "run-resume":
+        assert run(workdir, "--resume") == 2
+    else:
+        assert main(["report-select", "--results", str(path)]) == 2
+    assert f"{path}: line 150: {message}" in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
+def test_synth_into_a_hard_linked_copy_leaves_the_original_as_it_was(workdir):
+    synth(workdir)
+    original, copy = workdir / "data", workdir / "copy"
+    shutil.copytree(original, copy, copy_function=os.link)
+    before = _tree(original)
+    assert len(before) == 4  # chips.jsonl, planted.json, the .emb and the .idx
+    (workdir / "synth.json").write_text(json.dumps(dict(SYNTH_SPEC, n_chips=150, data_seed=9)))
+    assert main(["synth", "--spec", str(workdir / "synth.json"), "--out-dir", str(copy)]) == 0
+    assert _tree(original) == before
+    rewritten = {path.relative_to(copy): data for path, data in _tree(copy).items()}
+    assert all(rewritten[path.relative_to(original)] != data for path, data in before.items())
+
+
+def test_outputs_with_names_of_250_bytes_or_more(workdir):
+    # Each temporary name is no longer than its target's, so a name that fits is written.
+    fm_id = "m-s1-" + "\u00e9" * 122  # "embeddings/<fm_id>.emb": a name of 253 bytes
+    (workdir / "synth.json").write_text(json.dumps(dict(SYNTH_SPEC, fm_ids=[fm_id])))
+    (workdir / "grid.json").write_text(json.dumps(dict(GRID, fms=[fm_id])))
+    synth(workdir)
+    assert len(os.fsencode(f"{fm_id}.emb")) == 253
+    results = workdir / ("\u00e9" * 125 + ".csv")  # 254 bytes
+    selection = workdir / ("s" * 250 + ".txt")
+    args = ["run", "--grid", str(workdir / "grid.json"), "--data-dir", str(workdir / "data"),
+            "--out", str(results)]
+    assert main(args) == 0
+    first = results.read_bytes()
+    assert main(args + ["--resume"]) == 0
+    assert results.read_bytes() == first
+    assert main(["report-select", "--results", str(results), "--out", str(selection)]) == 0
+    assert selection.read_text().startswith("target_aoi,class,status")
+    assert not list(workdir.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("name", ["r", "results.csv", "x" * 13, "y" * 255, "\u00e9" * 127,
+                                  "\U0001f600" * 63], ids=lambda name: f"{len(name.encode())}B")
+def test_a_temporary_name_is_no_longer_than_its_target_or_13_bytes(tmp_path, monkeypatch, name):
+    renames = []
+    monkeypatch.setattr(os, "replace", lambda src, dst: renames.append((src, dst)))
+    write_atomic(tmp_path / name, b"")
+    [(tmp, dst)] = renames
+    assert dst == tmp_path / name and os.path.dirname(tmp) == str(tmp_path)
+    tmp_name = os.path.basename(tmp)
+    assert tmp_name.endswith(".tmp") and tmp_name != name
+    assert len(os.fsencode(tmp_name)) <= max(len(os.fsencode(name)), 13)
+    os.unlink(tmp)
+
+
+@pytest.mark.parametrize("command", [["report-select"], ["report-scatter"],
+                                     ["report-heatmap", "--class", "tree-cover"]],
+                         ids=lambda command: command[0])
+def test_a_failed_rename_of_a_report_out_keeps_the_old_file(workdir, capsys, monkeypatch,
+                                                            command):
+    synth(workdir)
+    (workdir / "grid.json").write_text(json.dumps(dict(
+        GRID, regimes=["external"], external_aois=["aoi-01"], n_train_external=[40])))
+    assert run(workdir) == 0
+    out = workdir / "report.csv"
+    out.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError(errno.EIO, "rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    code = main([command[0], "--results", str(workdir / "results.csv"), *command[1:],
+                 "--out", str(out)])
+    assert code == 2
+    assert "rename failed" in capsys.readouterr().err
+    assert out.read_text() == "old\n"
+    assert not list(workdir.rglob("*.tmp"))
+
+
+def test_a_report_out_that_is_a_symlink_is_replaced_not_followed(workdir):
+    synth(workdir)
+    assert run(workdir) == 0
+    elsewhere, out = workdir / "elsewhere.txt", workdir / "select.csv"
+    elsewhere.write_text("kept\n")
+    out.symlink_to(elsewhere)
+    assert main(["report-select", "--results", str(workdir / "results.csv"),
+                 "--out", str(out)]) == 0
+    assert not out.is_symlink()
+    assert out.read_text().startswith("target_aoi,class,status")
+    assert elsewhere.read_text() == "kept\n"
+
+
 def test_synth_refuses_a_directory_holding_a_model_it_does_not_write(workdir, capsys):
     spec = workdir / "synth.json"
     out_dir = workdir / "data"
@@ -296,6 +409,33 @@ def test_run_refuses_an_empty_aoi_name(workdir, capsys, axis, grid):
     assert run(workdir) == 2
     assert f"axis {axis} holds an empty AOI name" in capsys.readouterr().err
     assert not (workdir / "results.csv").exists()
+
+
+@pytest.mark.parametrize("axis, grid", [
+    ("external_aois", {"regimes": ["external"], "target_aois": ["aoi-01"],
+                       "n_train_external": [40]}),
+    ("target_aois", {}),
+], ids=["external_aois", "target_aois"])
+def test_run_refuses_an_aoi_name_over_the_csv_field_limit(workdir, capsys, axis, grid):
+    # Such a run wrote rows that neither --resume nor report-select could read back.
+    synth(workdir)
+    chips = workdir / "data" / "chips.jsonl"
+    first, rest = chips.read_text().split("\n", 1)
+    limit = csv.field_size_limit()
+
+    def first_chip_and_grid_in(aoi):
+        chips.write_text(json.dumps(dict(json.loads(first), aoi=aoi)) + "\n" + rest)
+        (workdir / "grid.json").write_text(json.dumps({**GRID, **grid, axis: [aoi]}))
+
+    first_chip_and_grid_in("a" * (limit + 1))
+    assert run(workdir) == 2
+    assert f"axis {axis} holds an AOI name longer than {limit} characters" in (
+        capsys.readouterr().err)
+    assert not (workdir / "results.csv").exists()
+    first_chip_and_grid_in("a" * limit)  # a name at the limit is written and read back
+    assert run(workdir) == 0
+    assert run(workdir, "--resume") == 0
+    assert main(["report-select", "--results", str(workdir / "results.csv")]) == 0
 
 
 def test_run_zero_width_embeddings_exits_2(workdir):

@@ -168,3 +168,45 @@ def test_every_private_function_and_class_is_used_in_the_package():
                 if everywhere == own:
                     unused.append(f"{name}: {node.name}")
     assert not unused, unused
+
+
+#: A mode of open() that writes, and the os.open flags that do.
+_WRITE_MODE = re.compile(r"[wax+]")
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"}
+
+
+def _writes_a_file(call):
+    """Whether ``call`` may create, truncate or replace a file: open() or
+    fdopen() with a mode that writes (or one not written out), os.open with a
+    write flag, os.replace or os.rename, .write_text or .write_bytes."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    of_os = isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+    if name in ("write_text", "write_bytes") or (of_os and name in ("replace", "rename")):
+        return True
+    if of_os and name == "open":
+        flags = call.args[1:2] or [k.value for k in call.keywords if k.arg == "flags"]
+        return any(getattr(n, "attr", None) in _WRITE_FLAGS for f in flags for n in ast.walk(f))
+    if name in ("open", "fdopen"):
+        # Path.open takes the mode first; open() and os.fdopen take it second
+        at = 0 if isinstance(func, ast.Attribute) and not of_os else 1
+        mode = call.args[at:at + 1] or [k.value for k in call.keywords if k.arg == "mode"]
+        if not mode:
+            return False
+        texts = [n.value for n in ast.walk(mode[0]) if isinstance(n, ast.Constant)]
+        return not texts or any(_WRITE_MODE.search(str(t)) for t in texts)
+    return False
+
+
+def test_only_the_atomic_write_the_results_stream_and_its_torn_row_cut_write_files():
+    # One writer: write_atomic writes each file whole and renames it into
+    # place. run_grid streams rows into the results file as they finish, and
+    # _drop_torn_row cuts a row torn by a crash from it, both in place.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _writes_a_file(node):
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    assert found == {("schema.py", "write_atomic"), ("runner.py", "run_grid"),
+                     ("runner.py", "_drop_torn_row")}, sorted(found)

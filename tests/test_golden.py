@@ -266,7 +266,7 @@ def test_a_failed_rename_in_the_canonical_rewrite_keeps_the_streamed_file(tmp_pa
         with pytest.raises(OSError, match="rename failed"):
             run_grid(grid, datasets, out)
     [(src, dst)] = renames
-    assert dst == str(out) and src.startswith(f"{out}.") and src.endswith(".tmp")
+    assert dst == str(out) and os.path.dirname(src) == str(tmp_path) and src.endswith(".tmp")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "results.csv", "synth.json"]
     assert not list(data.rglob("*.tmp"))
     assert out.read_bytes().endswith(b"\n")

@@ -557,6 +557,15 @@ def test_parse_results_file_errors(tmp_path):
     good.write_text("\n".join(broken) + "\n")
     with pytest.raises(DataFormatError, match="line 2"):
         parse_results_file(good)
+    # a line of the file, not a row: an AOI that holds a line end spans two
+    write_results_file(good, [AggregateRecord(spec=make_spec(target_aoi=f"a\nb{n}"))
+                              for n in range(2)])
+    good.write_text(good.read_text().replace("random", "census", 2))
+    with pytest.raises(DataFormatError, match="line 3: "):
+        parse_results_file(good)
+    good.write_text(good.read_text().replace("census", "random", 1))
+    with pytest.raises(DataFormatError, match="line 5: "):
+        parse_results_file(good)
 
 
 @pytest.mark.parametrize("column, bad", [
