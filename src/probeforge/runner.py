@@ -21,14 +21,14 @@ chips in every repetition; the runner runs them as one *run unit*. A unit
 makes every repetition's draws first, each test set and the train set once,
 keeping only their chip positions (repetitions x (sum of the test sizes +
 train size) x 8 bytes). Then, repetition by repetition, it factorizes the
-training matrix once and solves per class. The runner streams one CSV row
-per finished spec (appendable; a crash can tear at most the final row, which
-a resume drops) and then rewrites the file in canonical enumeration order
-with wall times zeroed, making completed result files byte-comparable across
-parallelism levels.
-Wall-clock measurements still reach the log and the streaming rows; they
-are deliberately absent from the canonical artifact. The spec, its record
-and the results file itself are defined in ``schema``.
+training matrix once and solves per class. The run unit is also what the
+runner times, streams and logs: as each unit finishes, its rows, already
+the canonical rows, are appended with one write and one flush (a crash can
+tear at most the final line, which a resume drops), and one log line gives
+its row count and wall time. On completion the file is rewritten in
+canonical enumeration order, making completed result files byte-comparable
+across parallelism levels. No wall time enters a results row. The spec, its
+record and the results file itself are defined in ``schema``.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ from .schema import (
     ExperimentSpec,
     SamplerKind,
     csv_text,
-    fmt_float,
-    parse_results_file,
+    parse_numbered_results,
     record_to_row,
     write_results_file,
 )
@@ -212,7 +211,6 @@ class SpecRuns:
     runs: list[RunMetrics] = field(default_factory=list)
     degenerate: int = 0
     infeasible: bool = False
-    wall_ms: float = 0.0
 
 
 def _run_unit(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[SpecRuns]:
@@ -228,10 +226,8 @@ def _run_unit(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[SpecRun
     through its seed, so a draw that fails, fails at repetition 0, before
     any fit. Specs whose sizes the AOIs cannot supply are infeasible and
     draw nothing; repetitions whose test-side variance vanishes are counted
-    degenerate and excluded. Each spec's ``wall_ms`` is an equal share of
-    the unit's wall time.
+    degenerate and excluded.
     """
-    t0 = time.perf_counter()
     shares = [SpecRuns(infeasible=not _feasible(s, dataset)) for s in specs]
     by_test: dict[str, list[int]] = {}
     for i, s in enumerate(specs):
@@ -277,10 +273,6 @@ def _run_unit(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[SpecRun
                         shares[i].degenerate += 1
                         continue
                     shares[i].runs.append(RunMetrics(pearson_r=r_val, rmse=rmse(pred, truth)))
-
-    wall = (time.perf_counter() - t0) * 1000.0 / len(specs)
-    for share in shares:
-        share.wall_ms = wall
     return shares
 
 
@@ -298,12 +290,16 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset,
         share = _run_unit([spec], dataset)[0]
     metrics = asdict(aggregate(share.runs)) if len(share.runs) >= 2 else {}
     return AggregateRecord(spec=spec, degenerate_runs=share.degenerate,
-                           infeasible=share.infeasible, wall_ms=share.wall_ms, **metrics)
+                           infeasible=share.infeasible, **metrics)
 
 
-def _unit_records(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[AggregateRecord]:
+def _unit_records(specs: Sequence[ExperimentSpec],
+                  dataset: Dataset) -> tuple[float, list[AggregateRecord]]:
+    """A run unit's wall time in ms and its records: the one clock the package reads."""
+    t0 = time.perf_counter()
     shares = _run_unit(specs, dataset)
-    return [run_experiment(s, dataset, share) for s, share in zip(specs, shares)]
+    records = [run_experiment(s, dataset, share) for s, share in zip(specs, shares)]
+    return (time.perf_counter() - t0) * 1000.0, records
 
 
 # Worker-process state, installed once per worker by the pool initializer so
@@ -345,7 +341,7 @@ def _die_with(parent: int) -> None:
         os._exit(1)
 
 
-def _run_one(specs: list[ExperimentSpec]) -> list[AggregateRecord]:
+def _run_one(specs: list[ExperimentSpec]) -> tuple[float, list[AggregateRecord]]:
     return _unit_records(specs, _POOL_DATA[specs[0].fm_id])
 
 
@@ -353,7 +349,7 @@ def _check_resumed_row(path: Path, line: int, kept: AggregateRecord,
                        dataset: Dataset) -> None:
     """Re-run a kept row's spec; a row these inputs do not reproduce stops the resume."""
     again = run_experiment(kept.spec, dataset)
-    if record_to_row(again, zero_wall=True) != record_to_row(kept, zero_wall=True):
+    if record_to_row(again) != record_to_row(kept):
         raise DataFormatError(
             f"{path}: line {line}: kept row is not reproduced by re-running its spec"
             f" on this data ({kept.spec.key()}); rerun without --resume"
@@ -400,12 +396,13 @@ def run_grid(
     with a fresh header. Per regime, the first kept feasible row in
     canonical order is re-run first (with any infeasible kept rows before
     it), and a mismatch (other data, or another seed scheme) raises
-    ``DataFormatError``. While running, finished rows are appended
-    immediately with measured wall times; on completion the whole file is
-    rewritten in enumeration order with wall times zeroed, so the final
-    bytes depend only on grid and data. The first failing unit stops the
-    run, and no further unit starts; rows streamed before it stay for a
-    later resume. Returns records in canonical order.
+    ``DataFormatError``, naming the row's file line. As each unit finishes,
+    its canonical rows are appended and flushed together, and one INFO line
+    gives the unit's train key, row count and wall time; on completion the
+    whole file is rewritten in enumeration order, so the final bytes depend
+    only on grid and data. The first failing unit stops the run, and no
+    further unit starts; rows streamed before it stay for a later resume.
+    Returns records in canonical order.
     """
     specs = enumerate_grid(grid)
     fms, aois = grid_reads(specs)
@@ -421,7 +418,7 @@ def run_grid(
     lines: dict[str, int] = {}
     append = resume and out_path.exists() and _drop_torn_row(out_path) > 0
     if append:
-        for line, rec in enumerate(parse_results_file(out_path), start=2):
+        for line, rec in parse_numbered_results(out_path):
             if rec.spec.base_seed != grid.base_seed:
                 logger.warning(
                     "ignoring resumed row with foreign base_seed %d: %s",
@@ -465,19 +462,16 @@ def run_grid(
 
         progress = itertools.count(1)
 
-        def _collect(recs: list[AggregateRecord]) -> None:
-            for rec in recs:
-                done[rec.spec.key()] = rec
-                stream_fh.write(csv_text([record_to_row(rec)]))
-                stream_fh.flush()
-                logger.info(
-                    "[%d/%d] %s r_mean=%s wall=%.1fms", next(progress), len(todo),
-                    rec.spec.key(), fmt_float(rec.r_mean), rec.wall_ms,
-                )
+        def _collect(unit_ms: float, recs: list[AggregateRecord]) -> None:
+            done.update((rec.spec.key(), rec) for rec in recs)
+            stream_fh.write(csv_text(map(record_to_row, recs)))
+            stream_fh.flush()
+            logger.info("unit %d/%d %s: %d rows in %.1f ms", next(progress), len(units),
+                        recs[0].spec.train_key(), len(recs), unit_ms)
 
         if workers == 1:
             for unit in units.values():
-                _collect(_unit_records(unit, datasets[unit[0].fm_id]))
+                _collect(*_unit_records(unit, datasets[unit[0].fm_id]))
         else:
             import multiprocessing
             from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -498,7 +492,7 @@ def run_grid(
                     while running:
                         finished, running = wait(running, return_when=FIRST_COMPLETED)
                         for fut in finished:
-                            _collect(fut.result())
+                            _collect(*fut.result())
                             running.update(pool.submit(_run_one, g)
                                            for g in itertools.islice(queued, 1))
             except BrokenProcessPool as exc:

@@ -17,7 +17,7 @@ import csv
 import io
 import os
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -186,8 +186,8 @@ class ExperimentSpec:
 class AggregateRecord:
     """One results row: the spec echoed plus aggregated metrics.
 
-    ``wall_ms`` is measurement noise, not a result, so it is excluded from
-    equality and zeroed in canonical files.
+    It holds results only: the row's ``wall_ms`` column is always ``0``,
+    and the runner logs each run unit's wall time instead.
     """
 
     spec: ExperimentSpec
@@ -197,7 +197,6 @@ class AggregateRecord:
     rmse_std: float = float("nan")
     degenerate_runs: int = 0
     infeasible: bool = False
-    wall_ms: float = field(default=0.0, compare=False)
 
     @property
     def total_elements(self) -> int:
@@ -216,7 +215,9 @@ def _flag(text: str) -> bool:
 
 #: The results file, column by column: (column, the ExperimentSpec or else
 #: AggregateRecord field it holds, field to text, text to field). Nothing in
-#: an AggregateRecord beyond these fields enters the results file.
+#: an AggregateRecord beyond these fields enters the results file. The
+#: ``wall_ms`` column holds no field: it is written as ``0``, and what is read
+#: from it must be a number, as rows streamed by older versions hold a time.
 _RESULTS_SCHEMA = (
     ("fm_id", "fm_id", str, str),
     ("class", "class_id", lambda c: c.label, ClassId.from_label),
@@ -233,18 +234,16 @@ _RESULTS_SCHEMA = (
     ("rmse_std", "rmse_std", fmt_float, float),
     ("degenerate_runs", "degenerate_runs", str, int),
     ("infeasible", "infeasible", lambda b: "true" if b else "false", _flag),
-    ("wall_ms", "wall_ms", fmt_float, float),
+    ("wall_ms", None, lambda _: "0", float),
     ("base_seed", "base_seed", str, int),
 )
 CSV_COLUMNS = tuple(column for column, *_ in _RESULTS_SCHEMA)
 _SPEC_FIELDS = tuple(f.name for f in fields(ExperimentSpec))
 
 
-def record_to_row(rec: AggregateRecord, zero_wall: bool = False) -> list[str]:
+def record_to_row(rec: AggregateRecord) -> list[str]:
     values = {**vars(rec.spec), **vars(rec)}
-    if zero_wall:
-        values["wall_ms"] = 0.0
-    return [write(values[name]) for _, name, write, _ in _RESULTS_SCHEMA]
+    return [write(values.get(name)) for _, name, write, _ in _RESULTS_SCHEMA]
 
 
 def record_from_row(row: Sequence[str]) -> AggregateRecord:
@@ -253,6 +252,7 @@ def record_from_row(row: Sequence[str]) -> AggregateRecord:
             f"results row has {len(row)} fields, expected {len(CSV_COLUMNS)}"
         )
     values = {name: read(text) for (_, name, _, read), text in zip(_RESULTS_SCHEMA, row)}
+    del values[None]  # wall_ms
     spec = ExperimentSpec(**{name: values.pop(name) for name in _SPEC_FIELDS})
     return AggregateRecord(spec=spec, **values)
 
@@ -266,7 +266,7 @@ def csv_text(rows: Iterable[Sequence[str]]) -> str:
 
 def write_results_file(path: str | Path, records: Sequence[AggregateRecord]) -> None:
     """Write the canonical results CSV (record order is the file order)."""
-    text = csv_text([CSV_COLUMNS, *(record_to_row(r, zero_wall=True) for r in records)])
+    text = csv_text([CSV_COLUMNS, *map(record_to_row, records)])
     write_atomic(path, text.encode("utf-8"))
 
 
@@ -291,10 +291,15 @@ def write_atomic(path: str | Path, *chunks: bytes | memoryview) -> None:
 
 
 def parse_results_file(path: str | Path) -> list[AggregateRecord]:
-    """The records of results file ``path``. A refusal names the file and,
-    past the header, the 1-based line of the file (a row's last, as a quoted
-    field may span lines): a bad row, a byte that is not UTF-8, or a field
-    over csv's size limit."""
+    """The records of results file ``path`` (see ``parse_numbered_results``)."""
+    return [rec for _, rec in parse_numbered_results(path)]
+
+
+def parse_numbered_results(path: str | Path) -> list[tuple[int, AggregateRecord]]:
+    """Each record of results file ``path`` with the 1-based line of the file
+    its row ends on (a quoted field may span lines). A refusal names the file
+    and, past the header, that line: a bad row, a byte that is not UTF-8, or a
+    field over csv's size limit."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -306,7 +311,7 @@ def parse_results_file(path: str | Path) -> list[AggregateRecord]:
             out = []
             for row in reader:
                 try:
-                    out.append(record_from_row(row))
+                    out.append((reader.line_num, record_from_row(row)))
                 except (DataFormatError, ValueError) as exc:
                     raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
         except csv.Error as exc:

@@ -16,8 +16,7 @@ import pytest
 
 from conftest import make_record
 from probeforge.cli import SEED_ENV, main
-from probeforge.runner import parse_results_file
-from probeforge.schema import write_atomic, write_results_file
+from probeforge.schema import parse_results_file, write_atomic, write_results_file
 
 SYNTH_SPEC = {
     "n_chips": 200, "dim": 8, "noise_sigma": 0.3,
@@ -393,6 +392,34 @@ def test_run_resume_checks_the_first_feasible_row_of_each_regime(workdir, capsys
     assert run(workdir, "--resume") == 2
     err = capsys.readouterr().err
     assert f"results.csv: line {line}: kept row is not reproduced" in err
+    assert path.read_bytes() == before
+
+
+def test_run_resume_names_the_file_line_of_a_kept_row_after_a_two_line_row(workdir, capsys):
+    # The a\nb row spans lines 2 and 3, so the aoi-01 row is on line 4, not row 3.
+    synth(workdir)
+    chips_path = workdir / "data" / "chips.jsonl"
+    chips = [json.loads(line) for line in chips_path.read_text().splitlines()]
+    renamed = [c for c in chips if c["aoi"] == "aoi-00"][:10]
+    for chip in renamed:
+        chip["aoi"] = "a\nb"
+    chips_path.write_text("".join(json.dumps(c) + "\n" for c in chips))
+    grid = {**GRID, "target_aois": ["a\nb", "aoi-01"], "n_train_target": [20]}
+    (workdir / "grid.json").write_text(json.dumps(grid))
+    assert run(workdir) == 0
+    path = workdir / "results.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == 4 and lines[1].startswith('tiny-s1,tree-cover,target-split,,"a')
+    assert lines[2].startswith('b",random,20,20,3,nan,') and ",true," in lines[2]  # 10 chips
+    fields = lines[3].split(",")
+    assert fields[4] == "aoi-01"
+    fields[9] = "0.5"  # r_mean
+    lines[3] = ",".join(fields)
+    path.write_text("".join(lines))
+    before = path.read_bytes()
+    capsys.readouterr()
+    assert run(workdir, "--resume") == 2
+    assert "results.csv: line 4: kept row is not reproduced" in capsys.readouterr().err
     assert path.read_bytes() == before
 
 

@@ -210,3 +210,33 @@ def test_only_the_atomic_write_the_results_stream_and_its_torn_row_cut_write_fil
                     found.add((path.name, getattr(top, "name", "<module>")))
     assert found == {("schema.py", "write_atomic"), ("runner.py", "run_grid"),
                      ("runner.py", "_drop_torn_row")}, sorted(found)
+
+
+#: The clocks of the ``time`` module.
+_CLOCKS = {"time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns",
+           "process_time", "process_time_ns", "thread_time", "thread_time_ns",
+           "clock_gettime", "clock_gettime_ns"}
+
+
+def _reads_a_clock(call, clocks):
+    """Whether ``call`` is ``time.<clock>()`` or a clock imported by name from ``time``."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return getattr(func.value, "id", None) == "time" and func.attr in _CLOCKS
+    return getattr(func, "id", None) in clocks
+
+
+def test_only_the_run_unit_reads_a_clock():
+    # One timing path: runner._unit_records times each run unit, and the run
+    # logs that time; no result and no other code reads a clock.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        clocks = {alias.asname or alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module == "time"
+                  for alias in node.names if alias.name in _CLOCKS}
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _reads_a_clock(node, clocks):
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    assert found == {("runner.py", "_unit_records")}, sorted(found)

@@ -3,7 +3,7 @@
 These hashes define "same behaviour" for the package. A refactor must keep
 every one of them. A change that alters output on purpose updates the
 affected hashes in the same commit and says why in CHANGES.md; a failing
-case prints the new digest to copy into ``GOLDEN``.
+case prints the new digest to copy into ``GOLDEN`` or ``PATHS_GOLDEN``.
 
 The ``validate`` table carries one violation of each rule the command can
 reach: the embedding loader refuses non-finite values, so the non-finite
@@ -20,11 +20,15 @@ import os
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
+from probeforge import probe
 from probeforge.cli import SEED_ENV, main
-from probeforge.ingest import load_dataset_dir
-from probeforge.runner import GridSpec, parse_results_file, run_grid
+from probeforge.core import EmbeddingSet
+from probeforge.ingest import load_dataset_dir, load_embeddings, save_embeddings
+from probeforge.runner import GridSpec, run_grid
+from probeforge.schema import parse_results_file
 
 SYNTH_SPEC = {"n_chips": 400, "dim": 8, "n_aois": 3, "fm_ids": ["a-s2"],
               "link": "linear", "noise_sigma": 0.3}
@@ -168,6 +172,114 @@ def test_golden_bytes(outputs, name):
     assert outputs[name] == GOLDEN[name], f"{name}: new digest {outputs[name]}"
 
 
+# The grid above factorizes only tall, well-conditioned training sets (d = 8).
+# This one reaches every path of ``probe.factorize``, one model each:
+#   wide-s2  d = 64 above every n_train: the wide Gram path;
+#   ill-s2   E diag((j+1)^-2) Q, d = 48, kappa > 1e3 at n_train 60: the SVD;
+#   dup-s2   d = 16, each row shared by two chips of an AOI: the tall Gram
+#            path at n_train 60, and at 10 the SVD whenever a draw holds
+#            both chips of a pair, where the DEFAULT_RCOND cut-off sets the rank.
+PATHS_SYNTH_SPEC = {"n_chips": 300, "dim": 64, "n_aois": 3, "fm_ids": ["wide-s2"],
+                    "link": "linear", "noise_sigma": 0.3}
+
+PATHS_GRID = {
+    "fms": ["dup-s2", "ill-s2", "wide-s2"],
+    "classes": ["tree-cover", "builtup"],
+    "samplers": ["random", "srtm"],
+    "regimes": ["external", "target-split"],
+    "external_aois": ["aoi-00", "aoi-01"],
+    "target_aois": ["aoi-00", "aoi-01", "aoi-02"],
+    "n_train_external": [10, 60], "n_train_target": [10, 60],
+    "n_test_target": [20], "repetitions": 3, "base_seed": 17,
+}
+
+PATHS_GOLDEN = {
+    "paths/results.csv":
+        "787eb1ac9be3cd388e5a7bf2218b375295fb9d14627e2744aff88b03b7d6898d",
+    "paths-threads-2/results.csv":
+        "787eb1ac9be3cd388e5a7bf2218b375295fb9d14627e2744aff88b03b7d6898d",
+    "paths/report-scatter":
+        "1c8f1fa604e410910957862111489f61713881e9b4c16ac61bbdb20490981ece",
+}
+
+
+def _write_paths_data(root):
+    """The synth dataset plus the ill-conditioned and duplicate-row models."""
+    (root / "synth.json").write_text(json.dumps(PATHS_SYNTH_SPEC))
+    data = root / "data"
+    assert main(["synth", "--spec", str(root / "synth.json"), "--out-dir", str(data)]) == 0
+    emb = data / "embeddings"
+    wide = load_embeddings(emb / "wide-s2.emb", emb / "wide-s2.idx", "wide-s2")
+    E = wide.matrix.astype(np.float64)
+    d = 48
+    Q = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))[0]
+    ill = E[:, :d] @ np.diag(np.arange(1, d + 1, dtype=np.float64) ** -2.0) @ Q
+    pairs = np.arange(len(E)) // 6 * 6  # chips 6k..6k+5: two in each of the 3 AOIs
+    for fm_id, matrix in (("ill-s2", ill), ("dup-s2", E[pairs, :16])):
+        save_embeddings(EmbeddingSet(fm_id=fm_id, chip_ids=wide.chip_ids,
+                                     matrix=matrix.astype(np.float32)),
+                        emb / f"{fm_id}.emb", emb / f"{fm_id}.idx")
+    return data
+
+
+@pytest.fixture(scope="module")
+def paths_outputs(tmp_path_factory):
+    """The digests of the paths grid's outputs, and the path each serial
+    factorization took: ("tall" | "wide", n, d) for the Gram path, and
+    ("svd", n, d, rank, full rank, kappa) for the SVD."""
+    root = tmp_path_factory.mktemp("paths")
+    taken = []
+    real = probe._gram_factors
+
+    def spy(Xc):
+        got = real(Xc)
+        n, d = Xc.shape
+        if got is not None:
+            taken.append(("wide" if n <= d else "tall", n, d))
+        else:
+            s = np.linalg.svd(Xc, compute_uv=False)
+            rank = int((s > probe.DEFAULT_RCOND * s[0]).sum())
+            taken.append(("svd", n, d, rank, min(n - 1, d), s[0] / s[rank - 1]))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(SEED_ENV, raising=False)
+        data = _write_paths_data(root)
+        (root / "grid.json").write_text(json.dumps(PATHS_GRID))
+        out = {}
+        for label, extra in (("paths", []), ("paths-threads-2", ["--threads", "2"])):
+            path = root / f"{label}.csv"
+            with mp.context() as spied:
+                if not extra:
+                    spied.setattr(probe, "_gram_factors", spy)
+                assert main(["run", "--grid", str(root / "grid.json"),
+                             "--data-dir", str(data), "--out", str(path), *extra]) == 0
+            out[f"{label}/results.csv"] = _digest(path)
+        dest = root / "report-scatter.out"
+        assert main(["report-scatter", "--results", str(root / "paths.csv"),
+                     "--out", str(dest)]) == 0
+        out["paths/report-scatter"] = _digest(dest)
+    return out, taken
+
+
+@pytest.mark.parametrize("name", sorted(PATHS_GOLDEN))
+def test_factorization_paths_golden_bytes(paths_outputs, name):
+    digests, _ = paths_outputs
+    assert digests[name] == PATHS_GOLDEN[name], f"{name}: new digest {digests[name]}"
+
+
+def test_the_paths_grid_takes_every_factorization_path(paths_outputs):
+    _, taken = paths_outputs
+    assert len(taken) == 60 * 3  # 24 external and 36 target-split units, 3 repetitions
+    assert any(t[0] == "tall" for t in taken)
+    assert any(t[0] == "wide" for t in taken)
+    svd = [t for t in taken if t[0] == "svd"]
+    # the fallback for a full-rank training set too ill-conditioned for the Gram path
+    assert any(rank == full and kappa > 1e3 for _, _, _, rank, full, kappa in svd)
+    # and for a rank-deficient one, whose rank the cut-off decides
+    assert any(rank < full for _, _, _, rank, full, _ in svd)
+
+
 def test_results_are_golden_with_and_without_the_chip_table_cache(tmp_path, monkeypatch):
     monkeypatch.delenv(SEED_ENV, raising=False)
     (tmp_path / "synth.json").write_text(json.dumps(SYNTH_SPEC))
@@ -270,10 +382,11 @@ def test_a_failed_rename_in_the_canonical_rewrite_keeps_the_streamed_file(tmp_pa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "results.csv", "synth.json"]
     assert not list(data.rglob("*.tmp"))
     assert out.read_bytes().endswith(b"\n")
-    streamed = parse_results_file(out)
-    assert all(r.wall_ms > 0.0 for r in streamed)  # the rows as streamed, not rewritten
+    streamed = [r.spec.key() for r in parse_results_file(out)]
     want = run_grid(grid, datasets, tmp_path / "fresh.csv")
-    assert sorted(r.spec.key() for r in streamed) == sorted(r.spec.key() for r in want)
+    # the rows as streamed, in run-unit order, not rewritten in enumeration order
+    assert streamed != [r.spec.key() for r in want]
+    assert sorted(streamed) == sorted(r.spec.key() for r in want)
 
     resumed = run_grid(grid, datasets, out, resume=True)
     assert [r.spec.key() for r in resumed] == [r.spec.key() for r in want]

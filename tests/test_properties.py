@@ -1,7 +1,9 @@
 """Property-based checks: samplers, target splits, the probe, the metrics, result rows,
-run units, resume from a results file cut at any byte, chip tables and their column cache,
-the chip-to-embedding join and the dataset loader."""
+run units, streamed rows, resume from a results file cut at any byte and from whole run
+histories, chip tables and their column cache, the chip-to-embedding join and the dataset
+loader."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -223,9 +225,7 @@ def test_results_rows_round_trip(tmp_path_factory, recs):
         assert record_to_row(back) == row
     path = tmp_path_factory.mktemp("rows") / "r.csv"
     write_results_file(path, recs)
-    assert [record_to_row(r, zero_wall=True) for r in parse_results_file(path)] == [
-        record_to_row(r, zero_wall=True) for r in recs
-    ]
+    assert [record_to_row(r) for r in parse_results_file(path)] == list(map(record_to_row, recs))
 
 
 #: One train AOI and two samplers: two run units, which test on the same two
@@ -263,7 +263,7 @@ def test_a_spec_row_does_not_depend_on_which_specs_of_its_run_unit_run(
     full = parse_results_file(path)
     for i in subset:
         alone = run_experiment(specs[i], small_datasets["alpha-s1"])
-        assert record_to_row(alone, zero_wall=True) == record_to_row(full[i], zero_wall=True)
+        assert record_to_row(alone) == record_to_row(full[i])
 
 
 def _some(values, max_size=None):
@@ -289,7 +289,7 @@ def test_every_grouped_row_equals_its_spec_run_alone(tmp_path_factory, small_dat
     records = run_grid(grid, small_datasets, tmp_path_factory.mktemp("grid") / "r.csv")
     for rec in records:
         alone = run_experiment(rec.spec, small_datasets[rec.spec.fm_id])
-        assert record_to_row(alone, zero_wall=True) == record_to_row(rec, zero_wall=True)
+        assert record_to_row(alone) == record_to_row(rec)
 
 
 #: Eight run units of two specs each, over both regimes. A unit's two specs
@@ -325,7 +325,7 @@ def streamed_and_full(tmp_path_factory, small_datasets):
     kept = parse_results_file(root / "streamed.csv")
     canonical = [s.key() for s in enumerate_grid(_STREAM_GRID)]
     order = [canonical.index(rec.spec.key()) for rec in kept]
-    assert len(kept) == 10 and order != sorted(order) and all(rec.wall_ms > 0 for rec in kept)
+    assert len(kept) == 10 and order != sorted(order)  # streamed, not rewritten
     return streamed, (root / "full.csv").read_bytes()
 
 
@@ -348,6 +348,108 @@ def test_a_results_file_cut_at_any_byte_resumes_to_the_full_bytes_or_is_named(
         assert str(path) in str(exc)
     else:
         assert path.read_bytes() == full
+
+
+def _stop_after(units):
+    """A ``runner._run_unit`` that raises on its call number ``units + 1`` in a
+    process: a run stopped after some units. Forked workers inherit it, and each
+    counts its own calls."""
+    real, calls = runner._run_unit, []
+
+    def run_unit(specs, dataset):
+        calls.append(specs)
+        if len(calls) > units:
+            raise RuntimeError("stopped")
+        return real(specs, dataset)
+
+    return run_unit
+
+
+@settings(max_examples=25, deadline=None)
+@given(stop=st.one_of(st.none(), st.integers(0, 7)), threads=st.sampled_from([1, 2]))
+def test_streamed_rows_are_the_canonical_rows(
+        tmp_path_factory, small_datasets, streamed_and_full, stop, threads):
+    # A run stopped after some units, or one that runs through and is stopped
+    # only before its rewrite: sorted into enumeration order, its streamed rows
+    # are those specs' rows of the canonical file.
+    _, full = streamed_and_full
+    header, *canonical = full.splitlines(keepends=True)
+    path = tmp_path_factory.mktemp("streamed") / "r.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runner, "write_results_file", lambda path, records: None)
+        if stop is not None:
+            mp.setattr(runner, "_run_unit", _stop_after(stop))
+        try:
+            run_grid(_STREAM_GRID, small_datasets, path, threads=threads)
+        except RuntimeError as exc:
+            assert stop is not None and str(exc) == "stopped"
+    streamed_header, *rows = path.read_bytes().splitlines(keepends=True)
+    assert streamed_header == header
+    at = {row: i for i, row in enumerate(canonical)}
+    assert all(row in at for row in rows) and len(set(rows)) == len(rows)
+    if threads == 1:  # units of two specs each
+        assert len(rows) == 2 * (8 if stop is None else stop)
+    if stop is None:
+        assert header + b"".join(sorted(rows, key=at.get)) == full
+
+
+#: A history's grids: a small one, a grown one (another model, class, sampler
+#: and test size) and the grown one under another base seed.
+_SMALL_HISTORY_GRID = GridSpec(
+    fms=("alpha-s1",), classes=(ClassId.TREE_COVER,), samplers=(SamplerKind.RANDOM,),
+    target_aois=("aoi-00", "aoi-01"), external_aois=("aoi-00", "aoi-01"),
+    n_train_external=(20,), n_train_target=(20,), n_test_target=(15,), repetitions=2,
+    base_seed=3,
+)
+_GROWN_HISTORY_GRID = dataclasses.replace(
+    _SMALL_HISTORY_GRID, fms=("alpha-s1", "beta-s2"),
+    classes=(ClassId.TREE_COVER, ClassId.BUILTUP),
+    samplers=(SamplerKind.RANDOM, SamplerKind.SRTM), n_test_target=(15, 30))
+_HISTORY_GRIDS = (_SMALL_HISTORY_GRID, _GROWN_HISTORY_GRID,
+                  dataclasses.replace(_GROWN_HISTORY_GRID, base_seed=4))
+
+
+@pytest.fixture(scope="module")
+def history_fresh_bytes(tmp_path_factory, small_datasets):
+    root = tmp_path_factory.mktemp("fresh")
+    out = []
+    for i, grid in enumerate(_HISTORY_GRIDS):
+        run_grid(grid, small_datasets, root / f"{i}.csv")
+        out.append((root / f"{i}.csv").read_bytes())
+    return out
+
+
+_attempts = st.tuples(
+    st.sampled_from(range(len(_HISTORY_GRIDS))), st.sampled_from([1, 2]),
+    st.one_of(st.none(), st.integers(0, 12)), st.booleans(),
+).map(lambda t: dict(zip(("grid", "threads", "stop", "cut"), t)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(attempts=st.lists(_attempts, min_size=1, max_size=4),
+       last=st.sampled_from(range(len(_HISTORY_GRIDS))), threads=st.sampled_from([1, 2]),
+       data=st.data())
+def test_any_run_history_resumes_to_a_fresh_run_s_bytes(
+        tmp_path_factory, small_datasets, history_fresh_bytes, attempts, last, threads, data):
+    # The determinism contract over whole histories: runs stopped after some
+    # units (inside a forked worker too), files cut at any byte, grids grown,
+    # shrunk and reseeded, at one thread or two. A final resume writes a fresh
+    # run's bytes of its grid. Every cut leaves the header or a torn prefix of
+    # it, and every kept row is reproduced, so no attempt is refused.
+    path = tmp_path_factory.mktemp("history") / "r.csv"
+    for attempt in [*attempts, dict(grid=last, threads=threads, stop=None, cut=False)]:
+        if attempt["cut"] and path.exists():
+            whole = path.read_bytes()
+            path.write_bytes(whole[:data.draw(st.integers(0, len(whole)), label="cut")])
+        with pytest.MonkeyPatch.context() as mp:
+            if attempt["stop"] is not None:
+                mp.setattr(runner, "_run_unit", _stop_after(attempt["stop"]))
+            try:
+                run_grid(_HISTORY_GRIDS[attempt["grid"]], small_datasets, path,
+                         threads=attempt["threads"], resume=True)
+            except RuntimeError as exc:
+                assert attempt["stop"] is not None and str(exc) == "stopped"
+    assert path.read_bytes() == history_fresh_bytes[last]
 
 
 _labels = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)),

@@ -1,6 +1,8 @@
 """Grid enumeration, single-spec execution, and results-file determinism."""
 
+import csv
 import dataclasses
+import re
 import gc
 import itertools
 import os
@@ -29,14 +31,13 @@ from probeforge.runner import (
     REGIME_TARGET_SPLIT,
     enumerate_grid,
     grid_reads,
-    parse_results_file,
     record_to_row,
     run_experiment,
     run_grid,
     write_results_file,
 )
 from probeforge.sampling import SamplerKind
-from probeforge.schema import record_from_row
+from probeforge.schema import csv_text, parse_results_file, record_from_row
 from probeforge.seeds import derive_seed
 
 
@@ -298,8 +299,8 @@ def test_run_experiment_is_deterministic(small_datasets):
     spec = make_spec(sampler=SamplerKind.FPS)
     a = run_experiment(spec, ds)
     b = run_experiment(spec, ds)
-    assert a == b  # wall_ms is excluded from equality
-    assert record_to_row(a, zero_wall=True) == record_to_row(b, zero_wall=True)
+    assert a == b
+    assert record_to_row(a) == record_to_row(b)
     assert np.isfinite(a.r_mean)
 
 
@@ -320,9 +321,9 @@ def test_run_experiment_marks_oversized_specs_infeasible(small_datasets):
     rec = run_experiment(make_spec(n_train=150, n_test=100), ds)
     assert rec.infeasible
     assert np.isnan(rec.r_mean)
-    assert rec.wall_ms > 0.0
     row = record_to_row(rec)
     assert row[CSV_COLUMNS.index("infeasible")] == "true"
+    assert row[CSV_COLUMNS.index("wall_ms")] == "0"  # the unit's time goes to the log
 
     ext = make_spec(regime=REGIME_EXTERNAL, train_aoi="aoi-01", n_train=101)
     assert run_experiment(ext, ds).infeasible
@@ -386,13 +387,12 @@ def test_class_rows_do_not_depend_on_the_other_classes(tmp_path, small_datasets)
         dataclasses.replace(grid, classes=(ClassId.TREE_COVER, ClassId.CROPLAND,
                                            ClassId.BUILTUP)),
         small_datasets, tmp_path / "together.csv")
-    want = [record_to_row(r, zero_wall=True) for r in together
-            if r.spec.class_id is ClassId.BUILTUP]
-    assert [record_to_row(r, zero_wall=True) for r in alone] == want
+    want = [record_to_row(r) for r in together if r.spec.class_id is ClassId.BUILTUP]
+    assert [record_to_row(r) for r in alone] == want
     assert all(np.isfinite(r.r_mean) for r in alone)
     for rec in alone[::5]:  # and run_experiment alone gives the grouped record
         single = run_experiment(rec.spec, small_datasets[rec.spec.fm_id])
-        assert record_to_row(single, zero_wall=True) == record_to_row(rec, zero_wall=True)
+        assert record_to_row(single) == record_to_row(rec)
 
 
 def _spy(monkeypatch, name, record):
@@ -482,13 +482,24 @@ def test_record_row_round_trip_external():
 
 
 def test_record_row_round_trip_nan_and_infeasible():
-    rec = AggregateRecord(spec=make_spec(), infeasible=True, wall_ms=12.5)
+    rec = AggregateRecord(spec=make_spec(), infeasible=True)
     row = record_to_row(rec)
     assert row[CSV_COLUMNS.index("train_aoi")] == ""
     assert row[CSV_COLUMNS.index("r_mean")] == "nan"
     back = record_from_row(row)
     assert back.infeasible and np.isnan(back.r_mean)
     assert back.spec == rec.spec
+
+
+def test_a_row_s_wall_ms_is_written_as_0_and_read_only_as_a_number():
+    # rows streamed by older versions hold a measured time: read, then dropped
+    rec = AggregateRecord(spec=make_spec(), r_mean=0.5, r_std=0.25,
+                          rmse_mean=0.125, rmse_std=0.0625)
+    row = record_to_row(rec)
+    assert row[CSV_COLUMNS.index("wall_ms")] == "0"
+    row[CSV_COLUMNS.index("wall_ms")] = "12.5"
+    assert record_from_row(row) == rec
+    assert record_to_row(record_from_row(row)) == record_to_row(rec)
 
 
 def test_row_formatting_is_idempotent(rng):
@@ -498,8 +509,8 @@ def test_row_formatting_is_idempotent(rng):
         assert format(float(once), ".6g") == once
     rec = AggregateRecord(spec=make_spec(), r_mean=1 / 3, r_std=2 / 3,
                           rmse_mean=np.pi, rmse_std=1e-7)
-    row = record_to_row(rec, zero_wall=True)
-    again = record_to_row(record_from_row(row), zero_wall=True)
+    row = record_to_row(rec)
+    again = record_to_row(record_from_row(row))
     assert again == row
 
 
@@ -650,17 +661,84 @@ def test_run_grid_bytes_identical_across_workers(tmp_path, small_datasets):
     assert p1.read_bytes() == p4.read_bytes()
     records = parse_results_file(p1)
     assert [r.spec.key() for r in records] == [s.key() for s in enumerate_grid(SMALL_GRID)]
-    assert all(r.wall_ms == 0.0 for r in records)
+    with open(p1, newline="") as fh:  # no measured time in the canonical file
+        assert {row[CSV_COLUMNS.index("wall_ms")] for row in list(csv.reader(fh))[1:]} == {"0"}
 
 
-def test_run_grid_streams_each_row_with_its_wall_time(tmp_path, monkeypatch, small_datasets):
+class _CallLog:
+    """A file object that logs each write and flush made through it."""
+
+    def __init__(self, fh, calls):
+        self.fh, self.calls = fh, calls
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, text):
+        self.calls.append(("write", text))
+        return self.fh.write(text)
+
+    def flush(self):
+        self.calls.append(("flush",))
+        self.fh.flush()
+
+
+def test_run_grid_streams_each_unit_as_canonical_rows(tmp_path, monkeypatch, small_datasets):
+    calls = []
+    monkeypatch.setattr(runner_mod, "open", lambda *a, **k: _CallLog(open(*a, **k), calls),
+                        raising=False)
     monkeypatch.setattr(runner_mod, "write_results_file", lambda path, records: None)
     path = tmp_path / "r.csv"
     records = run_grid(SMALL_GRID, small_datasets, path, threads=1)
-    streamed = parse_results_file(path)  # as a crash before the rewrite leaves it
-    assert sorted(r.spec.key() for r in streamed) == sorted(r.spec.key() for r in records)
-    assert all(r.wall_ms > 0.0 for r in streamed)
-    assert path.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+    # the file as a crash before the rewrite leaves it: in unit order, not canonical
+    header, *streamed = path.read_text().splitlines(keepends=True)
+    assert header == csv_text([CSV_COLUMNS])
+    canonical = [csv_text([record_to_row(r)]) for r in records]
+    assert streamed != canonical and sorted(streamed) == sorted(canonical)
+    # one write and one flush per unit, of the unit's canonical rows
+    units = {}
+    for rec, row in zip(records, canonical):
+        units.setdefault(rec.spec.train_key(), []).append(row)
+    assert len(units) == 4
+    assert calls == [("write", header), ("flush",)] + [
+        call for rows in units.values() for call in (("write", "".join(rows)), ("flush",))]
+    assert "".join(streamed) == "".join(row for rows in units.values() for row in rows)
+
+
+_UNIT_LINE = re.compile(r"unit (\d+)/(\d+) (.+): (\d+) rows in (\d+\.\d) ms")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_grid_logs_one_line_per_unit(tmp_path, small_datasets, caplog, threads):
+    # a train size no AOI holds: those units hold infeasible specs alone, and log too
+    grid = dataclasses.replace(SMALL_GRID, n_train_target=(20, 95))
+    specs = enumerate_grid(grid)
+    sizes = {}
+    for s in specs:
+        sizes[s.train_key()] = sizes.get(s.train_key(), 0) + 1
+    assert len(sizes) == 6
+    with caplog.at_level("INFO", logger="probeforge.runner"):
+        records = run_grid(grid, small_datasets, tmp_path / "r.csv", threads=threads)
+    assert sum(r.infeasible for r in records) == 4
+    lines = [_UNIT_LINE.fullmatch(r.getMessage()) for r in caplog.records
+             if r.getMessage().startswith("unit ")]
+    assert all(lines) and len(lines) == 6
+    assert [(int(m[1]), int(m[2])) for m in lines] == [(i, 6) for i in range(1, 7)]
+    assert {m[3]: int(m[4]) for m in lines} == sizes
+    assert all(float(m[5]) > 0 for m in lines if "n_train=20;" in m[3])  # they fit
+    # a resume logs only the units it runs, numbered among themselves
+    path = tmp_path / "r.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    kept = [row for row, s in zip(rows, specs) if s.train_key() != specs[0].train_key()]
+    path.write_text(header + "".join(kept))
+    caplog.clear()
+    with caplog.at_level("INFO", logger="probeforge.runner"):
+        run_grid(grid, small_datasets, path, threads=threads, resume=True)
+    [line] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("unit ")]
+    assert _UNIT_LINE.fullmatch(line).groups()[:4] == ("1", "1", specs[0].train_key(), "2")
 
 
 def test_run_grid_resume_completes_partial_file(tmp_path, small_datasets):
