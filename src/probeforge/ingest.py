@@ -765,10 +765,13 @@ class SynthSpec:
         if self.link not in ("logistic", "linear"):
             raise ValueError(f"unknown link {self.link!r}")
         object.__setattr__(self, "fm_ids", tuple(self.fm_ids))
-        # Each id names embeddings/<fm_id>.emb, a file of its own in that directory.
+        # Each id names embeddings/<fm_id>.emb, a file of its own in that directory,
+        # and a grid axis, which refuses a ";".
         for fm_id in self.fm_ids:
             if not fm_id or any(c in fm_id for c in ("/", "\0", os.sep, os.altsep) if c):
                 raise ValueError(f"fm_ids: {fm_id!r} does not name a file in embeddings/")
+            if ";" in fm_id:
+                raise ValueError(f"fm_ids: {fm_id!r}: a model id may not contain ';'")
         if len(set(self.fm_ids)) < len(self.fm_ids):
             raise ValueError(f"fm_ids: {self.fm_ids[first_repeat(self.fm_ids)]!r} is repeated")
 

@@ -1,15 +1,17 @@
-"""Per-run metrics and across-repetition aggregation.
+"""Per-run scores and their aggregation across repetitions.
 
-The headline metric is the Pearson correlation between probe predictions
-and targets; a configuration is considered practically useful when the
-correlation mean over repeated resampling exceeds 0.7 and its standard
-deviation stays below 0.05 (``report.R_THRESHOLD`` and
-``report.STD_THRESHOLD``, applied by ``report.SelectionCriterion``).
+Each repetition's fit is scored by two floats, the Pearson correlation
+between probe predictions and targets and their RMSE; ``aggregate`` turns
+the usable repetitions' scores into a results row's four metric fields.
+The correlation is the headline metric: a configuration is considered
+practically useful when the correlation mean over repeated resampling
+exceeds 0.7 and its standard deviation stays below 0.05
+(``report.R_THRESHOLD`` and ``report.STD_THRESHOLD``, applied by
+``report.SelectionCriterion``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,24 +21,6 @@ from .errors import DegenerateVarianceError
 #: A vector whose standard deviation is at or below this carries no
 #: correlation information; such runs are excluded (and counted) upstream.
 DEGENERATE_STD = 1e-12
-
-
-@dataclass(frozen=True)
-class RunMetrics:
-    """Metrics of a single fit/predict repetition."""
-
-    pearson_r: float
-    rmse: float
-
-
-@dataclass(frozen=True)
-class AggregateMetrics:
-    """Mean/std over the usable repetitions of one experiment."""
-
-    r_mean: float
-    r_std: float
-    rmse_mean: float
-    rmse_std: float
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -83,18 +67,22 @@ def rmse(a, b) -> float:
     return float(np.sqrt(np.add.reduce(d * d) / n))
 
 
-def aggregate(runs: Sequence[RunMetrics]) -> AggregateMetrics:
+def aggregate(r: Sequence[float], rmse: Sequence[float]) -> dict[str, float]:
     """Mean and sample standard deviation (n-1 denominator) over usable runs.
 
-    ``runs`` must hold the non-degenerate repetitions only.
+    ``r`` and ``rmse`` hold the Pearson r and the RMSE of the
+    non-degenerate repetitions only, one of each per repetition. Returns
+    the record fields ``r_mean``, ``r_std``, ``rmse_mean`` and ``rmse_std``.
     """
-    if len(runs) < 2:
-        raise ValueError(f"need at least 2 usable runs, got {len(runs)}")
-    rs = np.array([m.pearson_r for m in runs], dtype=np.float64)
-    es = np.array([m.rmse for m in runs], dtype=np.float64)
-    return AggregateMetrics(
-        r_mean=float(rs.mean()),
-        r_std=float(rs.std(ddof=1)),
-        rmse_mean=float(es.mean()),
-        rmse_std=float(es.std(ddof=1)),
-    )
+    if len(r) != len(rmse):
+        raise ValueError(f"{len(r)} r values but {len(rmse)} rmse values")
+    if len(r) < 2:
+        raise ValueError(f"need at least 2 usable runs, got {len(r)}")
+    rs = np.array(r, dtype=np.float64)
+    es = np.array(rmse, dtype=np.float64)
+    return {
+        "r_mean": float(rs.mean()),
+        "r_std": float(rs.std(ddof=1)),
+        "rmse_mean": float(es.mean()),
+        "rmse_std": float(es.std(ddof=1)),
+    }

@@ -15,20 +15,25 @@ execution order and of how many workers run. A target-split spec keys both
 draws by its *draw key*, its canonical key without the class. An external
 spec keys its train draw by its *train key* (model, train AOI, sampler,
 train size) and its test draw by its *test key* (model, target AOI, test
-size), each of which names only what that draw reads. Specs that share a
-train key (for target-split, the draw key) therefore train on the same
-chips in every repetition; the runner runs them as one *run unit*. A unit
-makes every repetition's draws first, each test set and the train set once,
-keeping only their chip positions (repetitions x (sum of the test sizes +
-train size) x 8 bytes). Then, repetition by repetition, it factorizes the
-training matrix once and solves per class. The run unit is also what the
-runner times, streams and logs: as each unit finishes, its rows, already
-the canonical rows, are appended with one write and one flush (a crash can
-tear at most the final line, which a resume drops), and one log line gives
-its row count and wall time. On completion the file is rewritten in
-canonical enumeration order, making completed result files byte-comparable
-across parallelism levels. No wall time enters a results row. The spec, its
-record and the results file itself are defined in ``schema``.
+size), each of which names only what that draw reads. A grid refuses a
+model id or AOI name holding ``;``, the separator of a key's fields, so no
+two of its specs share a key. Specs that share a train key (for
+target-split, the draw key) therefore train on the same chips in every
+repetition; the runner runs them as one *run unit*. A unit makes every
+repetition's draws first, each test set and the train set once, keeping
+only their chip positions (repetitions x (sum of the test sizes + train
+size) x 8 bytes). Then, repetition by repetition, it factorizes the
+training matrix once and solves per class. Each spec keeps its usable
+repetitions' Pearson r and RMSE as two lists of floats, which
+``metrics.aggregate`` turns into its record's four metric fields. The run
+unit is also what the runner times, streams and logs: as each unit
+finishes, its rows, already the canonical rows, are appended with one
+write and one flush (a crash can tear at most the final line, which a
+resume drops), and one log line gives its row count and wall time. On
+completion the file is rewritten in canonical enumeration order, making
+completed result files byte-comparable across parallelism levels. No wall
+time enters a results row. The spec, its record and the results file
+itself are defined in ``schema``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import os
 import signal
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -48,7 +53,7 @@ import numpy as np
 
 from .core import Dataset, check_json_fields
 from .errors import DataFormatError, DegenerateVarianceError, GridError
-from .metrics import RunMetrics, aggregate, pearson, rmse
+from .metrics import aggregate, pearson, rmse
 from .probe import factorize, fit, predict
 from .sampling import SampleRequest, draw, split_target
 from .schema import (
@@ -101,6 +106,12 @@ class GridSpec:
             if len(set(values)) != len(values):
                 raise GridError(f"duplicate values in axis {name}: {list(values)}")
             object.__setattr__(self, name, values)
+        for name in ("fms", "external_aois", "target_aois"):
+            # ExperimentSpec.key joins its fields with ";": a name holding one
+            # could give two specs one key
+            semi = [v for v in getattr(self, name) if ";" in v]
+            if semi:
+                raise GridError(f"axis {name} holds {semi[0]!r}: a name may not contain ';'")
         for name in ("target_aois", "external_aois"):
             if "" in getattr(self, name):  # a results row reads "" as no AOI
                 raise GridError(f"axis {name} holds an empty AOI name")
@@ -206,9 +217,10 @@ def _feasible(spec: ExperimentSpec, dataset: Dataset) -> bool:
 
 @dataclass
 class SpecRuns:
-    """One spec's share of a run unit: what its record aggregates."""
+    """One spec's share of a run unit: each usable repetition's Pearson r and RMSE."""
 
-    runs: list[RunMetrics] = field(default_factory=list)
+    r: list[float] = field(default_factory=list)
+    rmse: list[float] = field(default_factory=list)
     degenerate: int = 0
     infeasible: bool = False
 
@@ -272,7 +284,8 @@ def _run_unit(specs: Sequence[ExperimentSpec], dataset: Dataset) -> list[SpecRun
                     except DegenerateVarianceError:
                         shares[i].degenerate += 1
                         continue
-                    shares[i].runs.append(RunMetrics(pearson_r=r_val, rmse=rmse(pred, truth)))
+                    shares[i].r.append(r_val)
+                    shares[i].rmse.append(rmse(pred, truth))
     return shares
 
 
@@ -288,7 +301,7 @@ def run_experiment(spec: ExperimentSpec, dataset: Dataset,
     """
     if share is None:
         share = _run_unit([spec], dataset)[0]
-    metrics = asdict(aggregate(share.runs)) if len(share.runs) >= 2 else {}
+    metrics = aggregate(share.r, share.rmse) if len(share.r) >= 2 else {}
     return AggregateRecord(spec=spec, degenerate_runs=share.degenerate,
                            infeasible=share.infeasible, **metrics)
 

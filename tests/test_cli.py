@@ -423,6 +423,28 @@ def test_run_resume_names_the_file_line_of_a_kept_row_after_a_two_line_row(workd
     assert path.read_bytes() == before
 
 
+def test_run_refuses_a_grid_name_holding_a_semicolon(workdir, capsys):
+    # A spec key joins its fields with ";". Trained on a and tested on
+    # "b;target=c", and trained on "a;target=b" and tested on c, two specs
+    # had one key: the results file held one row twice and lost the other.
+    (workdir / "synth.json").write_text(json.dumps(
+        {"n_chips": 400, "dim": 8, "fm_ids": ["m-s2"], "link": "linear"}))
+    synth(workdir)
+    chips_path = workdir / "data" / "chips.jsonl"
+    names = ["a", "c", "a;target=b", "b;target=c"]
+    chips = [json.loads(line) for line in chips_path.read_text().splitlines()]
+    chips_path.write_text("".join(json.dumps(dict(c, aoi=names[i % 4])) + "\n"
+                                  for i, c in enumerate(chips)))
+    (workdir / "grid.json").write_text(json.dumps({
+        **GRID, "fms": ["m-s2"], "regimes": ["external"],
+        "external_aois": ["a", "a;target=b"], "target_aois": ["c", "b;target=c"],
+        "n_train_external": [20], "n_test_target": [20],
+    }))
+    assert run(workdir) == 2
+    assert "axis external_aois holds 'a;target=b'" in capsys.readouterr().err
+    assert not (workdir / "results.csv").exists()
+
+
 @pytest.mark.parametrize("axis, grid", [
     ("external_aois", {"regimes": ["external"], "external_aois": [""],
                        "target_aois": ["aoi-01"], "n_train_external": [40]}),
@@ -750,10 +772,11 @@ def test_malformed_grid_exits_2(workdir, capsys, grid, key):
     ({"n_chips": 40, "dim": 4, "fm_ids": ["ok-s2", "a/b-s2"]}, "fm_ids"),
     ({"n_chips": 40, "dim": 4, "fm_ids": ["a-s2", "b-s2", "a-s2"]}, "fm_ids"),
     ({"n_chips": 40, "dim": 4, "fm_ids": ["ok-s2", "a\0b-s2"]}, "fm_ids"),
+    ({"n_chips": 40, "dim": 4, "fm_ids": ["ok-s2", "a;b-s2"]}, "'a;b-s2'"),
 ], ids=["string-fm-ids", "number-fm-id", "string-int", "fractional-int", "bool-int",
         "string-float", "nan-float", "number-string", "missing-key", "unknown-key",
         "empty-fm-id", "fm-id-escapes", "fm-id-with-slash", "repeated-fm-id",
-        "fm-id-with-nul"])
+        "fm-id-with-nul", "fm-id-with-semicolon"])
 def test_malformed_synth_spec_exits_2(workdir, capsys, spec, key):
     (workdir / "synth.json").write_text(json.dumps(spec))
     assert main(["synth", "--spec", str(workdir / "synth.json"),

@@ -1,10 +1,14 @@
 """The package's runtime dependencies, the stdlib and numpy, who may derive seeds, which
-names one module may import from another, and the oldest Python its sources must parse on."""
+names one module may import from another, the oldest Python its sources must parse on, and
+which grid axes must refuse the spec key's separator."""
 
 import ast
+import dataclasses
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "probeforge"
 ALLOWED = sys.stdlib_module_names | {"numpy", "probeforge"}
@@ -240,3 +244,23 @@ def test_only_the_run_unit_reads_a_clock():
                 if isinstance(node, ast.Call) and _reads_a_clock(node, clocks):
                     found.add((path.name, getattr(top, "name", "<module>")))
     assert found == {("runner.py", "_unit_records")}, sorted(found)
+
+
+def test_every_free_text_key_field_refuses_the_key_separator():
+    # ExperimentSpec.key joins its fields with ";", so a grid axis that fills
+    # a str field of a spec must refuse a name holding one, or two specs can
+    # share a key. This finds those axes, a new one too, from the enumeration.
+    from probeforge.errors import GridError
+    from probeforge.runner import _REGIME_AXES, GridSpec
+    from probeforge.schema import ClassId, ExperimentSpec, SamplerKind
+
+    free_text = {f.name for f in dataclasses.fields(ExperimentSpec)
+                 if "str" in re.findall(r"\w+", f.type)}
+    axes = {axis for pairs in _REGIME_AXES.values() for name, axis in pairs if name in free_text}
+    assert axes >= {"fms", "target_aois", "external_aois"}, sorted(axes)
+    grid = GridSpec(fms=("m",), classes=(ClassId.TREE_COVER,), samplers=(SamplerKind.RANDOM,),
+                    target_aois=("t",), n_test_target=(5,), external_aois=("e",),
+                    n_train_external=(5,), n_train_target=(5,), repetitions=2)
+    for axis in sorted(axes):
+        with pytest.raises(GridError, match=f"axis {axis} holds 'x;y'"):
+            dataclasses.replace(grid, **{axis: (*getattr(grid, axis), "x;y")})

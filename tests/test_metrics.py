@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from probeforge.errors import DegenerateVarianceError
-from probeforge.metrics import RunMetrics, aggregate, pearson, rmse
-
-
-def run(r, e=0.1):
-    return RunMetrics(pearson_r=r, rmse=e)
+from probeforge.metrics import aggregate, pearson, rmse
 
 
 def test_pearson_matches_corrcoef(rng):
@@ -72,36 +68,52 @@ def test_rmse_known_values():
 
 
 def test_aggregate_constant_runs():
-    agg = aggregate([run(0.8) for _ in range(20)])
-    assert np.isclose(agg.r_mean, 0.8, rtol=0, atol=1e-12)
-    assert agg.r_std < 1e-12
+    agg = aggregate([0.8] * 20, [0.1] * 20)
+    assert np.isclose(agg["r_mean"], 0.8, rtol=0, atol=1e-12)
+    assert agg["r_std"] < 1e-12
+    assert np.isclose(agg["rmse_mean"], 0.1, rtol=0, atol=1e-12)
+    assert agg["rmse_std"] < 1e-12
 
 
 def test_aggregate_two_point_std():
-    agg = aggregate([run(0.7), run(0.9)])
-    assert np.isclose(agg.r_mean, 0.8)
-    assert np.isclose(agg.r_std, 0.14142135623730953)
+    agg = aggregate([0.7, 0.9], [0.1, 0.1])
+    assert np.isclose(agg["r_mean"], 0.8)
+    assert np.isclose(agg["r_std"], 0.14142135623730953)
 
 
 def test_aggregate_table_style_values():
     # mean 0.814, std 0.048, as quoted in a results table
     d = 0.048 / np.sqrt(2.0)
-    agg = aggregate([run(0.814 - d), run(0.814 + d)])
-    assert np.isclose(agg.r_mean, 0.814)
-    assert np.isclose(agg.r_std, 0.048)
+    agg = aggregate([0.814 - d, 0.814 + d], [0.1, 0.1])
+    assert np.isclose(agg["r_mean"], 0.814)
+    assert np.isclose(agg["r_std"], 0.048)
+
+
+def test_aggregate_returns_the_record_s_four_metric_fields():
+    agg = aggregate([0.7, 0.9], [0.2, 0.4])
+    assert list(agg) == ["r_mean", "r_std", "rmse_mean", "rmse_std"]
+    assert np.isclose(agg["rmse_mean"], 0.3)
+    assert np.isclose(agg["rmse_std"], 0.14142135623730953)
 
 
 def test_aggregate_requires_two_usable_runs():
-    with pytest.raises(ValueError):
-        aggregate([run(0.5)])
-    with pytest.raises(ValueError):
-        aggregate([])
+    with pytest.raises(ValueError, match="need at least 2 usable runs, got 1"):
+        aggregate([0.5], [0.1])
+    with pytest.raises(ValueError, match="need at least 2 usable runs, got 0"):
+        aggregate([], [])
+
+
+def test_aggregate_refuses_lists_of_unequal_length():
+    with pytest.raises(ValueError, match="^3 r values but 2 rmse values$"):
+        aggregate([0.5, 0.6, 0.7], [0.1, 0.2])
+    with pytest.raises(ValueError, match="^1 r values but 2 rmse values$"):
+        aggregate([0.5], [0.1, 0.2])
 
 
 def test_aggregate_permutation_invariant(rng):
-    runs = [run(float(r), float(e)) for r, e in rng.random((15, 2))]
-    a = aggregate(runs)
+    runs = rng.random((15, 2))
+    a = aggregate(list(runs[:, 0]), list(runs[:, 1]))
     order = rng.permutation(15)
-    b = aggregate([runs[i] for i in order])
+    b = aggregate(list(runs[order, 0]), list(runs[order, 1]))
     for name in ("r_mean", "r_std", "rmse_mean", "rmse_std"):
-        assert np.isclose(getattr(a, name), getattr(b, name), rtol=1e-12)
+        assert np.isclose(a[name], b[name], rtol=1e-12)

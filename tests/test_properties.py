@@ -1,9 +1,10 @@
 """Property-based checks: samplers, target splits, the probe, the metrics, result rows,
-run units, streamed rows, resume from a results file cut at any byte and from whole run
-histories, chip tables and their column cache, the chip-to-embedding join and the dataset
-loader."""
+spec keys, run units, streamed rows, resume from a results file cut at any byte and from
+whole run histories, chip tables and their column cache, the chip-to-embedding join and
+the dataset loader."""
 
 import dataclasses
+import itertools
 import json
 import math
 import struct
@@ -226,6 +227,65 @@ def test_results_rows_round_trip(tmp_path_factory, recs):
     path = tmp_path_factory.mktemp("rows") / "r.csv"
     write_results_file(path, recs)
     assert [record_to_row(r) for r in parse_results_file(path)] == list(map(record_to_row, recs))
+
+
+#: Names that hold everything a key is built of but its ";" separator, a name
+#: that looks like one of its fields among them.
+_key_names = st.text(alphabet="ab=-,\" \n", min_size=1, max_size=4) | st.sampled_from(
+    ["-", "train=a", "target=b", "a\ntarget=b"])
+
+
+@st.composite
+def _key_specs(draw):
+    """Specs over a few names, sizes and classes, so that some share fields."""
+    names = draw(st.lists(_key_names, min_size=2, max_size=3, unique=True))
+    specs = []
+    for _ in range(draw(st.integers(2, 8))):
+        external = draw(st.booleans())
+        target = draw(st.sampled_from(names))
+        specs.append(ExperimentSpec(
+            fm_id=draw(st.sampled_from(names)),
+            class_id=draw(st.sampled_from(list(ClassId)[:2])),
+            regime=REGIME_EXTERNAL if external else REGIME_TARGET_SPLIT,
+            target_aoi=target,
+            train_aoi=draw(st.sampled_from([a for a in names if a != target]))
+            if external else None,
+            sampler=draw(st.sampled_from(list(SamplerKind)[:2])),
+            n_train=draw(st.integers(1, 2)), n_test=draw(st.integers(1, 2)),
+            repetitions=draw(st.integers(2, 3)), base_seed=0,
+        ))
+    return specs
+
+
+def _fields_of(spec, *names):
+    return tuple(getattr(spec, name) for name in names)
+
+
+_KEYED = ("regime", "fm_id", "class_id", "train_aoi", "target_aoi", "sampler", "n_train",
+          "n_test", "repetitions")
+_TRAIN_KEYED = ("fm_id", "train_aoi", "sampler", "n_train", "repetitions")
+_TEST_KEYED = ("fm_id", "target_aoi", "n_test", "repetitions")
+
+
+@PROPERTY
+@given(specs=_key_specs())
+def test_spec_keys_are_injective(specs):
+    # A key names every field but the base seed, a draw key every field but
+    # the class too: specs share one exactly when they share those fields.
+    for spec in specs:  # and a key splits back into those fields
+        assert [part.partition("=")[2] for part in spec.key().split(";")] == [
+            spec.regime, spec.fm_id, spec.class_id.label, spec.train_aoi or "-",
+            spec.target_aoi, spec.sampler.value, str(spec.n_train), str(spec.n_test),
+            str(spec.repetitions)]
+    drawn = tuple(f for f in _KEYED if f != "class_id")
+    for a, b in itertools.combinations(specs, 2):
+        assert (a.key() == b.key()) == (_fields_of(a, *_KEYED) == _fields_of(b, *_KEYED))
+        assert (a.draw_key() == b.draw_key()) == (_fields_of(a, *drawn) == _fields_of(b, *drawn))
+        if a.regime == b.regime == REGIME_EXTERNAL:
+            assert (a.train_key() == b.train_key()) == (
+                _fields_of(a, *_TRAIN_KEYED) == _fields_of(b, *_TRAIN_KEYED))
+            assert (a.test_key() == b.test_key()) == (
+                _fields_of(a, *_TEST_KEYED) == _fields_of(b, *_TEST_KEYED))
 
 
 #: One train AOI and two samplers: two run units, which test on the same two
