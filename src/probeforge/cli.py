@@ -155,6 +155,24 @@ def _refuse_an_input_as_out(out: str | None, inputs: list[Path]) -> None:
                 f"--out {out} is {path}, an input of this run; write the output elsewhere")
 
 
+def _refuse_a_dataset_file_as_out(out: str, data_dir: str) -> None:
+    """Refuse an ``out`` where the dataset directory keeps files that a run
+    writes or reads, whether it exists yet or not: ``chips.jsonl.cols`` in
+    ``data_dir``, or a name ending in ``.emb`` or ``.idx`` in its
+    ``embeddings/``, where the loader takes every ``*.emb`` for a model."""
+    where, name = os.path.split(out)
+    if name == "chips.jsonl.cols":
+        owner, kept = data_dir, "chip column cache"
+    elif name.endswith((".emb", ".idx")):
+        owner, kept = os.path.join(data_dir, "embeddings"), "models"
+    else:
+        return
+    where = where or "."
+    if os.path.isdir(where) and os.path.isdir(owner) and os.path.samefile(where, owner):
+        raise DataFormatError(f"--out {out} is where dataset {data_dir} keeps its {kept};"
+                              " write the output elsewhere")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -210,6 +228,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if embeddings.is_dir():
         inputs += sorted(embeddings.iterdir())
     _refuse_an_input_as_out(args.out, inputs)
+    _refuse_a_dataset_file_as_out(args.out, args.data_dir)
     grid = _read_json(args.grid, GridSpec.from_dict)
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:

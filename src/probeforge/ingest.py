@@ -37,10 +37,11 @@ same layouts for users):
   ``load_embeddings``, the call a one-model load makes: it checks the
   header, fills the blocks on lanes (from 4 MiB of payload up) and finishes
   the set, so a directory load raises what loading each model in turn does.
-* Text files (the chip table, each index) are UTF-8, refused at a bad byte
-  with the file and 1-based line. Lines end only at ``\n``, ``\r\n`` or
-  ``\r``, so an index id may hold any other character, U+2028 included;
-  ``save_embeddings`` refuses an id with a line end or a lone surrogate.
+* Text files (the chip table, each index) are UTF-8, read through
+  ``schema.text_lines``, which refuses a bad byte with the file and 1-based
+  line. Lines end only at ``\n``, ``\r\n`` or ``\r``, so an index id may
+  hold any other character, U+2028 included; ``save_embeddings`` refuses an
+  id with a line end or a lone surrogate.
 
 Lanes: ``_in_lanes`` runs a loop's items on threads, from 4 MiB of work
 up, one per CPU the process may use and item at most, and returns or raises
@@ -66,7 +67,7 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import compress
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Collection, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -85,7 +86,7 @@ from .core import (
     match_ids,
 )
 from .errors import AlignmentError, DataFormatError
-from .schema import CLASS_LABELS, N_CLASSES, ClassId, write_atomic
+from .schema import CLASS_LABELS, N_CLASSES, ClassId, text_lines, write_atomic
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -107,8 +108,6 @@ _BLOCK_BYTES = 1 << 20
 #: treats the process as multi-threaded for good once one thread has run, and
 #: a loop of 500x64 Gram fits then ran 2-3% slower.
 _HASH_THREAD_BYTES = 1 << 22
-#: Bytes of a text file decoded at a time, up to the next "\n": open()'s chunk size.
-_TEXT_BLOCK = 1 << 13
 
 #: Class codes of the upstream land-cover product (eleven classes) and the
 #: no-data sentinel. Only seven of the eleven are regression targets.
@@ -238,7 +237,7 @@ def _parse_chips(path: str | Path, blob: bytes) -> ChipTable:
     aois: list[str] = []
     values: list[float] = []
     seen: set[str] = set()
-    for lineno, line in enumerate(_text_lines(path, blob), start=1):
+    for lineno, line in enumerate(text_lines(path, blob), start=1):
         if not line.strip():
             continue
         try:
@@ -322,40 +321,6 @@ def _write_columns(path: Path, digest: bytes, table: ChipTable) -> None:
         write_atomic(path, head, payload)
     except OSError as exc:
         logger.debug("chip column cache %s not written: %s", path, exc)
-
-
-def _text_lines(path: str | Path, blob: bytes) -> Iterator[str]:
-    r"""The lines of ``blob``, the bytes of text file ``path``, without their ends.
-
-    Lines end only at ``\n``, ``\r\n`` and ``\r``, not at U+2028 and the like.
-    Bad UTF-8 raises ``DataFormatError`` naming ``path`` and the 1-based line,
-    once every line ahead of that one has been yielded.
-    """
-    start = done = 0  # done: the lines yielded so far
-    while start < len(blob):
-        # a block ends just past a "\n", so no "\r\n" spans two blocks
-        end = blob.find(b"\n", start + _TEXT_BLOCK) + 1 or len(blob)
-        try:
-            text, reason = str(blob[start:end], "utf-8"), None
-        except UnicodeDecodeError as exc:
-            # keep the valid text ahead of the bad byte, which now sits at end
-            end = start + exc.start
-            text, reason = str(blob[start:end], "utf-8"), exc.reason
-        if "\r" in text:  # a search is far cheaper than a replace that finds nothing
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        lines = text.split("\n")
-        if reason is not None:
-            # The complete lines ahead of the bad byte come first, so that a
-            # fault the caller finds on one of them is reported ahead of it;
-            # the last, cut short by the bad byte, is the bad byte's line.
-            yield from lines[:-1]
-            raise DataFormatError(f"{path}: line {done + len(lines)}: not valid UTF-8"
-                                  f" (byte 0x{blob[end]:02x}: {reason})")
-        if not lines[-1]:  # the block ends with a line end, not a line
-            lines.pop()
-        yield from lines
-        done += len(lines)
-        start = end
 
 
 _LABEL_SET = frozenset(CLASS_LABELS)
@@ -456,7 +421,7 @@ class _IndexJoin:
 
     def ids(self, index_path: str | Path) -> list[str]:
         """The index's chip ids, line by line, decoded from its bytes again."""
-        return list(_text_lines(index_path, self.blob))
+        return list(text_lines(index_path, self.blob))
 
     def keeping_none(self) -> _IndexJoin:  # for a load that only checks the payload
         return _IndexJoin(self.blob, self.count, self.repeated, self.matched,
@@ -477,7 +442,7 @@ def _join_index(index_path: str | Path, blob: bytes, chips: Sequence[str] | None
         count, repeated = len(chips), False
         found, src = np.ones(count, dtype=bool), np.arange(count)
     else:
-        ids = tuple(_text_lines(index_path, blob))
+        ids = tuple(text_lines(index_path, blob))
         # The index is hashed once, for both the join and the repeat check.
         index = id_positions(ids)
         chips = ids if chips is None else chips
@@ -765,11 +730,15 @@ class SynthSpec:
         if self.link not in ("logistic", "linear"):
             raise ValueError(f"unknown link {self.link!r}")
         object.__setattr__(self, "fm_ids", tuple(self.fm_ids))
-        # Each id names embeddings/<fm_id>.emb, a file of its own in that directory,
-        # and a grid axis, which refuses a ";".
+        # Each id names embeddings/<fm_id>.emb, a file of its own in that directory
+        # whose name fits in 255 bytes, and a grid axis, which refuses a ";".
         for fm_id in self.fm_ids:
             if not fm_id or any(c in fm_id for c in ("/", "\0", os.sep, os.altsep) if c):
                 raise ValueError(f"fm_ids: {fm_id!r} does not name a file in embeddings/")
+            size = len(os.fsencode(f"{fm_id}.emb"))
+            if size > 255:
+                raise ValueError(f"fm_ids: {fm_id!r} is too long: its .emb file name"
+                                 f" would be {size} bytes, over 255")
             if ";" in fm_id:
                 raise ValueError(f"fm_ids: {fm_id!r}: a model id may not contain ';'")
         if len(set(self.fm_ids)) < len(self.fm_ids):

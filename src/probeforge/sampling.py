@@ -216,28 +216,15 @@ def draw(req: SampleRequest) -> np.ndarray:
     return _SAMPLERS[req.kind](req)
 
 
-def split_target(
-    candidates,
-    test: np.ndarray,
-    n_train: int,
-    train_kind: SamplerKind,
-    seed: int,
-    fractions: np.ndarray | None = None,
-    embeddings: np.ndarray | None = None,
-    elevations: np.ndarray | None = None,
-) -> np.ndarray:
+def split_target(candidates, test: np.ndarray, n_train: int, train_kind: SamplerKind,
+                 seed: int, **aux: np.ndarray | None) -> np.ndarray:
     """The train side of a target-AOI split, disjoint from its ``test`` set.
 
     ``train_kind`` draws ``n_train`` positions from the candidates not in
-    ``test``; the auxiliary rows, aligned with ``candidates``, follow them.
+    ``test``. Each array in ``aux``, aligned with ``candidates``, follows them
+    to the request under its ``SampleRequest`` field name; a None stays None.
     """
     cand = np.asarray(candidates, dtype=np.intp)
     rest = np.flatnonzero(~np.isin(cand, test))
-
-    def _rows(a: np.ndarray | None) -> np.ndarray | None:
-        return None if a is None else np.asarray(a)[rest]
-
-    return draw(SampleRequest(
-        cand[rest], n_train, seed, train_kind, fractions=_rows(fractions),
-        embeddings=_rows(embeddings), elevations=_rows(elevations),
-    ))
+    aux = {name: None if a is None else np.asarray(a)[rest] for name, a in aux.items()}
+    return draw(SampleRequest(cand[rest], n_train, seed, train_kind, **aux))

@@ -4,6 +4,9 @@ Land-cover classes, model modalities, sampler kinds, training regimes, the
 experiment spec and its aggregated record, and the results CSV that holds
 one record per row: its columns, how a record becomes a row and back, the
 one CSV writer, and ``write_atomic``, the one way a file is written whole.
+It also holds ``text_lines``, the one line reader that names the line of a
+bad UTF-8 byte, for every text input: the chip table, each embedding index
+and, through ``parse_numbered_results``, a results file.
 
 This module, like ``report`` and ``seeds``, imports only the standard
 library and the package's other stdlib-only modules, so the report
@@ -20,7 +23,7 @@ import re
 from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DataFormatError
 from .seeds import derive_seed
@@ -290,6 +293,44 @@ def write_atomic(path: str | Path, *chunks: bytes | memoryview) -> None:
         raise
 
 
+#: Bytes of a text file decoded at a time, up to the next "\n": open()'s chunk size.
+_TEXT_BLOCK = 1 << 13
+
+
+def text_lines(path: str | Path, blob: bytes) -> Iterator[str]:
+    r"""The lines of ``blob``, the bytes of text file ``path``, without their ends.
+
+    Lines end only at ``\n``, ``\r\n`` and ``\r``, not at U+2028 and the like.
+    Bad UTF-8 raises ``DataFormatError`` naming ``path`` and the 1-based line,
+    once every line ahead of that one has been yielded.
+    """
+    start = done = 0  # done: the lines yielded so far
+    while start < len(blob):
+        # a block ends just past a "\n", so no "\r\n" spans two blocks
+        end = blob.find(b"\n", start + _TEXT_BLOCK) + 1 or len(blob)
+        try:
+            text, reason = str(blob[start:end], "utf-8"), None
+        except UnicodeDecodeError as exc:
+            # keep the valid text ahead of the bad byte, which now sits at end
+            end = start + exc.start
+            text, reason = str(blob[start:end], "utf-8"), exc.reason
+        if "\r" in text:  # a search is far cheaper than a replace that finds nothing
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        lines = text.split("\n")
+        if reason is not None:
+            # The complete lines ahead of the bad byte come first, so that a
+            # fault the caller finds on one of them is reported ahead of it;
+            # the last, cut short by the bad byte, is the bad byte's line.
+            yield from lines[:-1]
+            raise DataFormatError(f"{path}: line {done + len(lines)}: not valid UTF-8"
+                                  f" (byte 0x{blob[end]:02x}: {reason})")
+        if not lines[-1]:  # the block ends with a line end, not a line
+            lines.pop()
+        yield from lines
+        done += len(lines)
+        start = end
+
+
 def parse_results_file(path: str | Path) -> list[AggregateRecord]:
     """The records of results file ``path`` (see ``parse_numbered_results``)."""
     return [rec for _, rec in parse_numbered_results(path)]
@@ -318,12 +359,7 @@ def parse_numbered_results(path: str | Path) -> list[tuple[int, AggregateRecord]
             raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError:
             # the text layer decodes ahead of the rows, so find the byte in the file
-            blob = Path(path).read_bytes()
-            try:
-                str(blob, "utf-8")
-            except UnicodeDecodeError as exc:
-                line = len((blob[:exc.start] + b".").splitlines())
-                raise DataFormatError(f"{path}: line {line}: not valid UTF-8"
-                                      f" (byte 0x{blob[exc.start]:02x}: {exc.reason})") from None
+            for _ in text_lines(path, Path(path).read_bytes()):
+                pass
             raise
     return out

@@ -169,6 +169,26 @@ def test_run_refuses_an_out_that_is_one_of_its_inputs(workdir, capsys, out, resu
     assert _tree(workdir) == before
 
 
+@pytest.mark.parametrize("resume", [[], ["--resume"]], ids=["fresh", "resume"])
+@pytest.mark.parametrize("out, kept", [("data/chips.jsonl.cols", "chip column cache"),
+                                       ("data/embeddings/r.emb", "models"),
+                                       ("data/embeddings/r.idx", "models"),
+                                       ("data/embeddings/.emb", "models")])
+def test_run_refuses_an_out_where_the_dataset_keeps_files_it_has_not_yet(workdir, capsys, out,
+                                                                         kept, resume):
+    # A results file there would be overwritten by the next run's chip cache,
+    # or loaded as a model by every later run.
+    synth(workdir)  # writes no chip column cache
+    before = _tree(workdir)
+    assert not (workdir / out).exists()
+    code = main(["run", "--grid", str(workdir / "grid.json"), "--data-dir", str(workdir / "data"),
+                 "--out", str(workdir / out), *resume])
+    assert code == 2
+    assert (f"--out {workdir / out} is where dataset {workdir / 'data'} keeps its {kept}"
+            in capsys.readouterr().err)
+    assert _tree(workdir) == before
+
+
 @pytest.mark.parametrize("link", [False, True], ids=["same-path", "hard-link"])
 @pytest.mark.parametrize("command", [["report-select"], ["report-scatter"],
                                      ["report-heatmap", "--class", "tree-cover"]],
@@ -773,10 +793,15 @@ def test_malformed_grid_exits_2(workdir, capsys, grid, key):
     ({"n_chips": 40, "dim": 4, "fm_ids": ["a-s2", "b-s2", "a-s2"]}, "fm_ids"),
     ({"n_chips": 40, "dim": 4, "fm_ids": ["ok-s2", "a\0b-s2"]}, "fm_ids"),
     ({"n_chips": 40, "dim": 4, "fm_ids": ["ok-s2", "a;b-s2"]}, "'a;b-s2'"),
+    ({"n_chips": 40, "dim": 4, "fm_ids": ["ok-s2", "m" * 249 + "-s2"]},
+     f"'{'m' * 249}-s2' is too long: its .emb file name would be 256 bytes"),
+    ({"n_chips": 40, "dim": 4, "fm_ids": ["ok-s2", "\u00e9" * 126]},
+     f"'{chr(0xe9) * 126}' is too long: its .emb file name would be 256 bytes"),
 ], ids=["string-fm-ids", "number-fm-id", "string-int", "fractional-int", "bool-int",
         "string-float", "nan-float", "number-string", "missing-key", "unknown-key",
         "empty-fm-id", "fm-id-escapes", "fm-id-with-slash", "repeated-fm-id",
-        "fm-id-with-nul", "fm-id-with-semicolon"])
+        "fm-id-with-nul", "fm-id-with-semicolon", "fm-id-over-255-bytes",
+        "two-byte-fm-id-over-255-bytes"])
 def test_malformed_synth_spec_exits_2(workdir, capsys, spec, key):
     (workdir / "synth.json").write_text(json.dumps(spec))
     assert main(["synth", "--spec", str(workdir / "synth.json"),
@@ -784,6 +809,16 @@ def test_malformed_synth_spec_exits_2(workdir, capsys, spec, key):
     err = capsys.readouterr().err
     assert key in err and "unexpected" not in err
     assert not (workdir / "data").exists()
+
+
+def test_synth_fm_id_whose_file_name_is_255_bytes_loads_back(workdir):
+    fm_id = "m" * 248 + "-s2"  # embeddings/<fm_id>.emb is 255 bytes, the most a name holds
+    (workdir / "synth.json").write_text(json.dumps({"n_chips": 40, "dim": 4, "fm_ids": [fm_id]}))
+    data = workdir / "data"
+    assert main(["synth", "--spec", str(workdir / "synth.json"), "--out-dir", str(data)]) == 0
+    from probeforge.ingest import load_dataset_dir
+
+    assert list(load_dataset_dir(data)) == [fm_id]
 
 
 def test_synth_fm_ids_with_dots_load_back(workdir):

@@ -264,3 +264,36 @@ def test_every_free_text_key_field_refuses_the_key_separator():
     for axis in sorted(axes):
         with pytest.raises(GridError, match=f"axis {axis} holds 'x;y'"):
             dataclasses.replace(grid, **{axis: (*getattr(grid, axis), "x;y")})
+
+
+#: The csv module's writers and readers.
+_CSV_WRITERS = {"writer", "DictWriter"}
+_CSV_READERS = {"reader", "DictReader"}
+
+
+def _csv_calls(kinds):
+    """(module, top-level name) of each call in src to ``csv.<kind>`` or to a
+    kind imported by name from ``csv``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module == "csv"
+                 for alias in node.names if alias.name in kinds}
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if (isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "csv"
+                        and func.attr in kinds) or getattr(func, "id", None) in named:
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_one_csv_writer_and_one_results_reader():
+    # One CSV writer: schema.csv_text writes the streamed rows, the canonical
+    # file and every report. One reader: parse_numbered_results reads every
+    # results file back, for the reports and for a resume.
+    assert _csv_calls(_CSV_WRITERS) == {("schema.py", "csv_text")}
+    assert _csv_calls(_CSV_READERS) == {("schema.py", "parse_numbered_results")}

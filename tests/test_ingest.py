@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import probeforge.ingest as ingest_mod
+import probeforge.schema as schema
 from probeforge.core import ClassId, validate_dataset
 from probeforge.errors import AlignmentError, DataFormatError
 from probeforge.ingest import (
@@ -539,7 +540,7 @@ def test_chip_table_fault_in_the_block_of_bad_utf8_is_reported_first(tmp_path):
     lines[1] = "{not json"
     blob = "\n".join(lines).encode()
     at = len("\n".join(lines[:19])) + 5  # line 20, in the same decoded block as line 2
-    assert at < ingest_mod._TEXT_BLOCK
+    assert at < schema._TEXT_BLOCK
     p = tmp_path / "chips.jsonl"
     p.write_bytes(blob[:at] + b"\xff" + blob[at:])
     with pytest.raises(DataFormatError, match=r"chips\.jsonl: line 2: Expecting"):
@@ -552,18 +553,18 @@ def _file_lines(blob, errors="strict"):
     return [line.rstrip("\n") for line in text]
 
 
-@pytest.mark.parametrize("block", [0, 1, 3, ingest_mod._TEXT_BLOCK])
+@pytest.mark.parametrize("block", [0, 1, 3, schema._TEXT_BLOCK])
 def test_text_lines_split_as_a_text_file_does(monkeypatch, block):
-    monkeypatch.setattr(ingest_mod, "_TEXT_BLOCK", block)
+    monkeypatch.setattr(schema, "_TEXT_BLOCK", block)
     for n in range(6):
         for pieces in itertools.product(["a", "\u00e9", "\r", "\n", "\u2028"], repeat=n):
             blob = "".join(pieces).encode()
-            assert list(ingest_mod._text_lines("f", blob)) == _file_lines(blob), blob
+            assert list(ingest_mod.text_lines("f", blob)) == _file_lines(blob), blob
 
 
-@pytest.mark.parametrize("block", [0, 1, 3, ingest_mod._TEXT_BLOCK])
+@pytest.mark.parametrize("block", [0, 1, 3, schema._TEXT_BLOCK])
 def test_text_lines_name_the_line_of_a_bad_byte(monkeypatch, block):
-    monkeypatch.setattr(ingest_mod, "_TEXT_BLOCK", block)
+    monkeypatch.setattr(schema, "_TEXT_BLOCK", block)
     for n in range(5):
         for pieces in itertools.product(["a", "\u00e9", "\r", "\n"], repeat=n):
             for cut in range(n + 1):
@@ -571,14 +572,14 @@ def test_text_lines_name_the_line_of_a_bad_byte(monkeypatch, block):
                 lines = _file_lines(blob, errors="surrogateescape")
                 want = next(i for i, line in enumerate(lines, 1) if "\udcff" in line)
                 with pytest.raises(DataFormatError) as info:
-                    list(ingest_mod._text_lines("f", blob))
+                    list(ingest_mod.text_lines("f", blob))
                 assert str(info.value) == (
                     f"f: line {want}: not valid UTF-8 (byte 0xff: invalid start byte)")
 
 
-@pytest.mark.parametrize("block", [0, 1, 3, ingest_mod._TEXT_BLOCK])
+@pytest.mark.parametrize("block", [0, 1, 3, schema._TEXT_BLOCK])
 def test_text_lines_yield_every_line_ahead_of_a_bad_byte(monkeypatch, block):
-    monkeypatch.setattr(ingest_mod, "_TEXT_BLOCK", block)
+    monkeypatch.setattr(schema, "_TEXT_BLOCK", block)
     for n in range(5):
         for pieces in itertools.product(["a", "\u00e9", "\r", "\n"], repeat=n):
             for cut in range(n + 1):
@@ -587,7 +588,7 @@ def test_text_lines_yield_every_line_ahead_of_a_bad_byte(monkeypatch, block):
                 want = next(i for i, line in enumerate(lines, 1) if "\udcff" in line)
                 got = []
                 with pytest.raises(DataFormatError):
-                    got.extend(ingest_mod._text_lines("f", blob))
+                    got.extend(ingest_mod.text_lines("f", blob))
                 assert got == lines[:want - 1], blob
 
 
@@ -903,6 +904,34 @@ def test_embeddings_repeated_id_outside_the_kept_chips_is_refused(tmp_path, rng)
 def test_label_grid_rejects_unknown_codes():
     with pytest.raises(ValueError, match="15"):
         LabelGrid(codes=np.array([[10, 15]], dtype=np.int32))
+
+
+def _chips_with_list_fractions(tmp_path):
+    bad = {**json.loads(CHIP_LINE), "chip_id": "c2", "fractions": [0.6, 0.4]}
+    (tmp_path / "chips.jsonl").write_text(f"{CHIP_LINE}\n{json.dumps(bad)}\n")
+    load_chip_table(tmp_path / "chips.jsonl")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_chips_with_list_fractions, DataFormatError,
+     "{tmp}/chips.jsonl: line 2: fractions must be an object keyed by class label"),
+    (lambda tmp: LabelGrid(codes=np.zeros(3, dtype=np.int32)), ValueError,
+     "label grid must be 2-D, got shape (3,)"),
+    (lambda tmp: ImageStack(dates=("2021-01-01",), values=np.zeros((1, 2, 2))), ValueError,
+     "stack values must be 4-D, got shape (1, 2, 2)"),
+    (lambda tmp: ImageStack(dates=("2021-01-01",), values=np.zeros((2, 1, 2, 2))), ValueError,
+     "1 dates do not match 2 value slabs"),
+    (lambda tmp: SynthSpec(n_chips=10, dim=2, n_aois=0), ValueError, "n_aois must be positive"),
+    (lambda tmp: SynthSpec(n_chips=10, dim=2, n_classes=6), ValueError,
+     "class count is fixed at 7"),
+    (lambda tmp: SynthSpec(n_chips=10, dim=2, fm_ids=()), ValueError,
+     "at least one fm_id required"),
+], ids=["fractions-not-an-object", "label-grid-1-d", "stack-3-d", "stack-dates-mismatch",
+        "synth-no-aoi", "synth-six-classes", "synth-no-fm-id"])
+def test_ingest_refuses_a_malformed_input_naming_the_fault(tmp_path, call, error, message):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert str(info.value) == message.format(tmp=tmp_path)
 
 
 def test_fractions_single_class_grid():
@@ -1481,10 +1510,10 @@ def test_dataset_dir_reads_each_index_once_and_joins_identical_ones_once(
     load_chip_table(root / "chips.jsonl")  # writes the column cache
     read, decoded, hashed = [], [], []
     read_bytes = pathlib.Path.read_bytes
-    text_lines, id_positions = ingest_mod._text_lines, ingest_mod.id_positions
+    text_lines, id_positions = ingest_mod.text_lines, ingest_mod.id_positions
     monkeypatch.setattr(pathlib.Path, "read_bytes",
                         lambda path: read.append(path.stem) or read_bytes(path))
-    monkeypatch.setattr(ingest_mod, "_text_lines",
+    monkeypatch.setattr(ingest_mod, "text_lines",
                         lambda path, blob: decoded.append(path.stem) or text_lines(path, blob))
     monkeypatch.setattr(ingest_mod, "id_positions",
                         lambda ids: hashed.append(len(ids)) or id_positions(ids))
@@ -1542,8 +1571,8 @@ def test_dataset_dir_index_that_is_not_the_tables_listing_is_decoded_and_joined(
     assert load_chip_table(root / "chips.jsonl") == table  # and writes the cache
     emb, idx = _write_index_model(root, "alpha-s1", index(list(table.chip_ids)), rng)
     decoded = []
-    text_lines = ingest_mod._text_lines
-    monkeypatch.setattr(ingest_mod, "_text_lines",
+    text_lines = ingest_mod.text_lines
+    monkeypatch.setattr(ingest_mod, "text_lines",
                         lambda path, blob: decoded.append(path.name) or text_lines(path, blob))
     if case == "lone-surrogate":
         want = f"{idx}: line 2: not valid UTF-8 (byte 0xed: invalid continuation byte)"

@@ -52,6 +52,18 @@ def test_pearson_length_mismatch():
         pearson(np.zeros(3), np.zeros(4))
 
 
+@pytest.mark.parametrize("score, a, b, message", [
+    (pearson, np.zeros((3, 2)), np.zeros(3), r"a must be 1-D, got shape \(3, 2\)"),
+    (rmse, np.zeros(3), np.zeros((3, 1)), r"b must be 1-D, got shape \(3, 1\)"),
+    (pearson, [1.0], [2.0], "pearson needs at least 2 points"),
+    (rmse, np.zeros(3), np.zeros(4), "length mismatch: 3 vs 4"),
+    (rmse, [], [], "rmse needs at least 1 point"),
+], ids=["pearson-2-d", "rmse-2-d", "pearson-one-point", "rmse-lengths", "rmse-empty"])
+def test_scores_refuse_inputs_they_cannot_score(score, a, b, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        score(a, b)
+
+
 def test_rmse_matches_loop_oracle(rng):
     for _ in range(300):
         n = int(rng.integers(1, 100))

@@ -126,6 +126,16 @@ def test_predict_dimension_check(rng):
         predict(p, rng.standard_normal((5, 4)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: factorize(np.zeros((5, 0))), "X must have at least one column"),
+    (lambda: predict(fit(np.eye(3), np.arange(3.0)), np.zeros(3)),
+     r"X must be 2-D, got shape \(3,\)"),
+], ids=["factorize-no-column", "predict-1-d"])
+def test_probe_refuses_a_matrix_of_the_wrong_shape(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def assert_same_bits(a, b):
     assert a.weights.tobytes() == b.weights.tobytes()
     assert struct.pack("<d", a.intercept) == struct.pack("<d", b.intercept)

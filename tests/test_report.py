@@ -75,6 +75,14 @@ def test_heatmap_orders_s1_rows_before_s2():
     assert hm.fm_ids == ("mm-s1", "zz-s1", "aa-s2")
 
 
+def test_heatmap_puts_a_model_of_no_known_modality_last_with_an_empty_modality():
+    records = [ext("p", "q", fm="aa-optical"), ext("p", "q", fm="zz-s2"),
+               ext("p", "q", fm="mm-s1")]
+    hm = heatmap_matrix(records, ClassId.TREE_COVER)
+    assert hm.fm_ids == ("mm-s1", "zz-s2", "aa-optical")
+    assert hm.to_csv().splitlines()[1:] == ["mm-s1,S1,0.5", "zz-s2,S2,0.5", "aa-optical,,0.5"]
+
+
 def test_heatmap_missing_and_nan_cells_render_empty():
     records = [
         ext("p", "q", fm="alpha-s1", r_mean=0.5),

@@ -599,6 +599,15 @@ def test_each_typed_results_column_refuses_a_bad_value(tmp_path, column, bad):
         parse_results_file(path)
 
 
+def test_a_results_row_with_n_train_0_is_refused_naming_its_line(tmp_path):
+    path = tmp_path / "r.csv"
+    write_results_file(path, [AggregateRecord(spec=make_spec(n_train=n)) for n in (31, 37)])
+    path.write_text(path.read_text().replace(",37,", ",0,"))
+    with pytest.raises(DataFormatError) as info:
+        parse_results_file(path)
+    assert str(info.value) == f"{path}: line 3: n_train and n_test must be positive"
+
+
 # ---------------------------------------------------------------------------
 # whole-grid runs
 

@@ -44,6 +44,20 @@ def test_missing_auxiliary_data_is_an_error():
         srtm_sample(req)
 
 
+@pytest.mark.parametrize("kind, aux, message", [
+    (SamplerKind.SRTM, {"elevations": np.zeros(4)},
+     r"elevations rows \(4\) must match candidate count \(5\)"),
+    (SamplerKind.ESAWC, {"fractions": np.zeros((5, 3))},
+     r"fractions must be \(n, 7\), got \(5, 3\)"),
+    (SamplerKind.FPS, {"embeddings": np.zeros(5)}, r"embeddings must be 2-D, got shape \(5,\)"),
+    (SamplerKind.SRTM, {"elevations": np.zeros((5, 2))},
+     r"elevations must be 1-D, got shape \(5, 2\)"),
+], ids=["rows-mismatch", "esawc-three-classes", "fps-1-d", "srtm-2-d"])
+def test_auxiliary_data_of_the_wrong_shape_is_an_error(kind, aux, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        draw(SampleRequest(np.arange(5), 2, 1, kind, **aux))
+
+
 def test_random_distinct_and_deterministic():
     cand = np.arange(100, 150)
     a = random_sample(SampleRequest(cand, 10, 7, SamplerKind.RANDOM))
