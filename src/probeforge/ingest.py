@@ -86,7 +86,7 @@ from .core import (
     match_ids,
 )
 from .errors import AlignmentError, DataFormatError
-from .schema import CLASS_LABELS, N_CLASSES, ClassId, text_lines, write_atomic
+from .schema import CLASS_LABELS, N_CLASSES, ClassId, name_fault, text_lines, write_atomic
 from .seeds import derive_seed
 
 logger = logging.getLogger(__name__)
@@ -703,7 +703,11 @@ class SynthSpec:
     general-purpose monotone link), ``linear`` applies a small affine map
     that keeps all chip invariants while leaving the signal exactly
     recoverable by a linear probe, which is what noiseless recovery checks
-    need.
+    need. An id is refused, naming it, when a grid's ``fms`` could not hold
+    it (``schema.name_fault``: empty, holding ``;``, longer than
+    ``csv.field_size_limit()`` or not encodable as UTF-8), and when it does
+    not name a file of its own in ``embeddings/``: one holding a path
+    separator or a NUL, listed twice, or whose ``.emb`` name is over 255 bytes.
     """
 
     n_chips: int
@@ -730,17 +734,18 @@ class SynthSpec:
         if self.link not in ("logistic", "linear"):
             raise ValueError(f"unknown link {self.link!r}")
         object.__setattr__(self, "fm_ids", tuple(self.fm_ids))
-        # Each id names embeddings/<fm_id>.emb, a file of its own in that directory
-        # whose name fits in 255 bytes, and a grid axis, which refuses a ";".
+        # Each id is a name a grid's fms axis can hold, and names
+        # embeddings/<fm_id>.emb, a file of its own in that directory whose
+        # name fits in 255 bytes.
+        for fault in filter(None, map(name_fault, self.fm_ids)):
+            raise ValueError(f"fm_ids holds {fault}")
         for fm_id in self.fm_ids:
-            if not fm_id or any(c in fm_id for c in ("/", "\0", os.sep, os.altsep) if c):
+            if any(c in fm_id for c in ("/", "\0", os.sep, os.altsep) if c):
                 raise ValueError(f"fm_ids: {fm_id!r} does not name a file in embeddings/")
             size = len(os.fsencode(f"{fm_id}.emb"))
             if size > 255:
                 raise ValueError(f"fm_ids: {fm_id!r} is too long: its .emb file name"
                                  f" would be {size} bytes, over 255")
-            if ";" in fm_id:
-                raise ValueError(f"fm_ids: {fm_id!r}: a model id may not contain ';'")
         if len(set(self.fm_ids)) < len(self.fm_ids):
             raise ValueError(f"fm_ids: {self.fm_ids[first_repeat(self.fm_ids)]!r} is repeated")
 

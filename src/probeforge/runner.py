@@ -16,9 +16,10 @@ draws by its *draw key*, its canonical key without the class. An external
 spec keys its train draw by its *train key* (model, train AOI, sampler,
 train size) and its test draw by its *test key* (model, target AOI, test
 size), each of which names only what that draw reads. A grid refuses a
-model id or AOI name holding ``;``, the separator of a key's fields, so no
-two of its specs share a key. Specs that share a train key (for
-target-split, the draw key) therefore train on the same chips in every
+model id or AOI name that ``schema.name_fault`` finds at fault, such as one
+holding ``;``, the separator of a key's fields, so no two of its specs share
+a key and every results row can be written. Specs that share a train key
+(for target-split, the draw key) therefore train on the same chips in every
 repetition; the runner runs them as one *run unit*. A unit makes every
 repetition's draws first, each test set and the train set once, keeping
 only their chip positions (repetitions x (sum of the test sizes + train
@@ -38,7 +39,6 @@ itself are defined in ``schema``.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import logging
 import os
@@ -66,6 +66,7 @@ from .schema import (
     ExperimentSpec,
     SamplerKind,
     csv_text,
+    name_fault,
     parse_numbered_results,
     record_to_row,
     write_results_file,
@@ -81,7 +82,11 @@ class GridSpec:
     ``regimes`` selects which of the two training regimes to enumerate
     (both by default); each regime only consumes its own axes, so a
     target-split-only grid may leave ``external_aois`` and
-    ``n_train_external`` empty.
+    ``n_train_external`` empty. Each name in ``fms``, ``external_aois`` and
+    ``target_aois`` stands in a spec key and a results row, so one that is
+    empty, holds ``;``, is longer than ``csv.field_size_limit()`` or is not
+    encodable as UTF-8 is refused (``schema.name_fault``), naming the axis and,
+    unless it is too long to print, the name.
     """
 
     fms: tuple[str, ...]
@@ -107,18 +112,9 @@ class GridSpec:
                 raise GridError(f"duplicate values in axis {name}: {list(values)}")
             object.__setattr__(self, name, values)
         for name in ("fms", "external_aois", "target_aois"):
-            # ExperimentSpec.key joins its fields with ";": a name holding one
-            # could give two specs one key
-            semi = [v for v in getattr(self, name) if ";" in v]
-            if semi:
-                raise GridError(f"axis {name} holds {semi[0]!r}: a name may not contain ';'")
-        for name in ("target_aois", "external_aois"):
-            if "" in getattr(self, name):  # a results row reads "" as no AOI
-                raise GridError(f"axis {name} holds an empty AOI name")
-            # nor can the results reader take a field over csv's size limit
-            if any(len(a) > csv.field_size_limit() for a in getattr(self, name)):
-                raise GridError(f"axis {name} holds an AOI name longer than"
-                                f" {csv.field_size_limit()} characters")
+            # each name stands in a spec key and a results row: refuse the first that cannot
+            for fault in filter(None, map(name_fault, getattr(self, name))):
+                raise GridError(f"axis {name} holds {fault}")
         for name in ("n_test_target", "n_train_external", "n_train_target"):
             small = [v for v in getattr(self, name) if v < 2]
             if small:

@@ -6,7 +6,11 @@ one record per row: its columns, how a record becomes a row and back, the
 one CSV writer, and ``write_atomic``, the one way a file is written whole.
 It also holds ``text_lines``, the one line reader that names the line of a
 bad UTF-8 byte, for every text input: the chip table, each embedding index
-and, through ``parse_numbered_results``, a results file.
+and, through ``parse_numbered_results``, a results file; and ``name_fault``,
+the one rule for the model ids and AOI names that a spec key and a results
+row hold: a name may not be empty, hold ``;``, be longer than
+``csv.field_size_limit()`` or fail to encode as UTF-8. A grid checks its
+axes with it, and a synth spec its ``fm_ids``.
 
 This module, like ``report`` and ``seeds``, imports only the standard
 library and the package's other stdlib-only modules, so the report
@@ -97,6 +101,29 @@ class SamplerKind(str, Enum):
 REGIME_EXTERNAL = "external"
 REGIME_TARGET_SPLIT = "target-split"
 REGIMES = (REGIME_EXTERNAL, REGIME_TARGET_SPLIT)
+
+
+def name_fault(name: str) -> str | None:
+    """Why model id or AOI name ``name`` cannot stand in a spec key and a
+    results row, naming it unless it is too long to print; None if it can.
+
+    It may not be empty (a results row reads an empty AOI as none), hold
+    ``;`` (the separator of a key's fields, so two specs could share a key),
+    be longer than ``csv.field_size_limit()`` (the results reader refuses
+    such a field) or fail to encode as UTF-8, the results file's encoding
+    (a lone surrogate, which a JSON ``\\ud800`` escape can hold).
+    """
+    if len(name) > csv.field_size_limit():
+        return f"a name longer than {csv.field_size_limit()} characters"
+    if not name:
+        return "an empty name"
+    if ";" in name:
+        return f"{name!r}: a name may not contain ';'"
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"{name!r}: a name must be encodable as UTF-8 ({exc.reason})"
+    return None
 
 
 @dataclass(frozen=True)

@@ -465,6 +465,31 @@ def test_run_refuses_a_grid_name_holding_a_semicolon(workdir, capsys):
     assert not (workdir / "results.csv").exists()
 
 
+def test_run_refuses_a_grid_aoi_name_that_is_not_utf8_before_writing(workdir, capsys, caplog):
+    # A JSON "\ud800" escape is a lone surrogate, which no UTF-8 results row
+    # can hold: such a run wrote its first unit's row, then every run and
+    # --resume exited 2 naming only the codec, at the row of that AOI.
+    (workdir / "synth.json").write_text(json.dumps(
+        {"n_chips": 200, "dim": 8, "n_aois": 2, "fm_ids": ["m-s2"], "link": "linear"}))
+    synth(workdir)
+    chips_path = workdir / "data" / "chips.jsonl"
+    chips = [json.loads(line) for line in chips_path.read_text().splitlines()]
+    chips_path.write_text("".join(
+        json.dumps(dict(c, aoi="\ud800x") if c["aoi"] == "aoi-01" else c) + "\n"
+        for c in chips))
+    (workdir / "grid.json").write_text(json.dumps({
+        **GRID, "fms": ["m-s2"], "target_aois": ["aoi-00", "\ud800x"],
+        "n_train_target": [20], "n_test_target": [10], "repetitions": 2,
+    }))
+    for extra in ((), ("--resume",)):
+        with caplog.at_level("INFO", logger="probeforge.runner"):
+            assert run(workdir, *extra) == 2
+        err = capsys.readouterr().err
+        assert "axis target_aois holds '\\ud800x': a name must be encodable as UTF-8" in err
+        assert "running" not in caplog.text  # nor did any unit run
+        assert not (workdir / "results.csv").exists()
+
+
 @pytest.mark.parametrize("axis, grid", [
     ("external_aois", {"regimes": ["external"], "external_aois": [""],
                        "target_aois": ["aoi-01"], "n_train_external": [40]}),
@@ -476,7 +501,7 @@ def test_run_refuses_an_empty_aoi_name(workdir, capsys, axis, grid):
     synth(workdir)
     (workdir / "grid.json").write_text(json.dumps({**GRID, **grid}))
     assert run(workdir) == 2
-    assert f"axis {axis} holds an empty AOI name" in capsys.readouterr().err
+    assert f"axis {axis} holds an empty name" in capsys.readouterr().err
     assert not (workdir / "results.csv").exists()
 
 
@@ -498,8 +523,9 @@ def test_run_refuses_an_aoi_name_over_the_csv_field_limit(workdir, capsys, axis,
 
     first_chip_and_grid_in("a" * (limit + 1))
     assert run(workdir) == 2
-    assert f"axis {axis} holds an AOI name longer than {limit} characters" in (
-        capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert f"axis {axis} holds a name longer than {limit} characters" in err
+    assert "a" * 100 not in err  # nor is the name printed
     assert not (workdir / "results.csv").exists()
     first_chip_and_grid_in("a" * limit)  # a name at the limit is written and read back
     assert run(workdir) == 0
@@ -797,11 +823,13 @@ def test_malformed_grid_exits_2(workdir, capsys, grid, key):
      f"'{'m' * 249}-s2' is too long: its .emb file name would be 256 bytes"),
     ({"n_chips": 40, "dim": 4, "fm_ids": ["ok-s2", "\u00e9" * 126]},
      f"'{chr(0xe9) * 126}' is too long: its .emb file name would be 256 bytes"),
+    ({"n_chips": 40, "dim": 4, "fm_ids": ["ok-s2", "\ud800-s2"]},
+     "fm_ids holds '\\ud800-s2': a name must be encodable as UTF-8"),
 ], ids=["string-fm-ids", "number-fm-id", "string-int", "fractional-int", "bool-int",
         "string-float", "nan-float", "number-string", "missing-key", "unknown-key",
         "empty-fm-id", "fm-id-escapes", "fm-id-with-slash", "repeated-fm-id",
         "fm-id-with-nul", "fm-id-with-semicolon", "fm-id-over-255-bytes",
-        "two-byte-fm-id-over-255-bytes"])
+        "two-byte-fm-id-over-255-bytes", "fm-id-with-lone-surrogate"])
 def test_malformed_synth_spec_exits_2(workdir, capsys, spec, key):
     (workdir / "synth.json").write_text(json.dumps(spec))
     assert main(["synth", "--spec", str(workdir / "synth.json"),

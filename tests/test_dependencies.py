@@ -1,8 +1,9 @@
 """The package's runtime dependencies, the stdlib and numpy, who may derive seeds, which
 names one module may import from another, the oldest Python its sources must parse on, and
-which grid axes must refuse the spec key's separator."""
+which grid axes must refuse a name no spec key and results row can hold."""
 
 import ast
+import csv
 import dataclasses
 import re
 import sys
@@ -247,9 +248,11 @@ def test_only_the_run_unit_reads_a_clock():
 
 
 def test_every_free_text_key_field_refuses_the_key_separator():
-    # ExperimentSpec.key joins its fields with ";", so a grid axis that fills
-    # a str field of a spec must refuse a name holding one, or two specs can
-    # share a key. This finds those axes, a new one too, from the enumeration.
+    # ExperimentSpec.key joins its fields with ";" and a results row holds
+    # each, so a grid axis that fills a str field of a spec must refuse a name
+    # that is empty, holds a ";" (two specs could share a key), is over csv's
+    # field limit or is not encodable as UTF-8. This finds those axes, a new
+    # one too, from the enumeration.
     from probeforge.errors import GridError
     from probeforge.runner import _REGIME_AXES, GridSpec
     from probeforge.schema import ClassId, ExperimentSpec, SamplerKind
@@ -261,9 +264,20 @@ def test_every_free_text_key_field_refuses_the_key_separator():
     grid = GridSpec(fms=("m",), classes=(ClassId.TREE_COVER,), samplers=(SamplerKind.RANDOM,),
                     target_aois=("t",), n_test_target=(5,), external_aois=("e",),
                     n_train_external=(5,), n_train_target=(5,), repetitions=2)
+    limit = csv.field_size_limit()
+    faults = {
+        "x;y": "'x;y': a name may not contain ';'",
+        "": "an empty name",
+        "\ud800x": "'\\ud800x': a name must be encodable as UTF-8",
+        "y" * (limit + 1): f"a name longer than {limit} characters",
+    }
     for axis in sorted(axes):
-        with pytest.raises(GridError, match=f"axis {axis} holds 'x;y'"):
-            dataclasses.replace(grid, **{axis: (*getattr(grid, axis), "x;y")})
+        for name, fault in faults.items():
+            with pytest.raises(GridError) as caught:
+                dataclasses.replace(grid, **{axis: (*getattr(grid, axis), name)})
+            assert f"axis {axis} holds {fault}" in str(caught.value)
+            assert "y" * 100 not in str(caught.value)  # no name over the limit is printed
+        dataclasses.replace(grid, **{axis: (*getattr(grid, axis), "y" * limit)})
 
 
 #: The csv module's writers and readers.
@@ -297,3 +311,9 @@ def test_one_csv_writer_and_one_results_reader():
     # results file back, for the reports and for a resume.
     assert _csv_calls(_CSV_WRITERS) == {("schema.py", "csv_text")}
     assert _csv_calls(_CSV_READERS) == {("schema.py", "parse_numbered_results")}
+
+
+def test_only_the_name_check_reads_the_csv_field_limit():
+    # schema.name_fault alone decides which model ids and AOI names a spec
+    # key and a results row can hold, the csv field limit among its rules.
+    assert _csv_calls({"field_size_limit"}) == {("schema.py", "name_fault")}
