@@ -320,8 +320,9 @@ def write_atomic(path: str | Path, *chunks: bytes | memoryview) -> None:
         raise
 
 
-#: Bytes of a text file decoded at a time, up to the next "\n": open()'s chunk size.
+#: Bytes of a text file decoded at a time, up to the next line end: open()'s chunk size.
 _TEXT_BLOCK = 1 << 13
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 def text_lines(path: str | Path, blob: bytes) -> Iterator[str]:
@@ -333,8 +334,9 @@ def text_lines(path: str | Path, blob: bytes) -> Iterator[str]:
     """
     start = done = 0  # done: the lines yielded so far
     while start < len(blob):
-        # a block ends just past a "\n", so no "\r\n" spans two blocks
-        end = blob.find(b"\n", start + _TEXT_BLOCK) + 1 or len(blob)
+        # a block ends just past a line end, so no "\r\n" spans two blocks
+        found = _LINE_END.search(blob, start + _TEXT_BLOCK)
+        end = found.end() if found else len(blob)
         try:
             text, reason = str(blob[start:end], "utf-8"), None
         except UnicodeDecodeError as exc:

@@ -8,8 +8,11 @@ result is identical on every platform: strings are folded through blake2b
 instead of the process-randomized built-in ``hash``.
 
 This module imports only the standard library, so that ``schema`` can
-derive a spec's seed without numpy; keep it that way. The numpy generator
-built on a derived seed is ``ingest.stream``.
+derive a spec's seed without numpy; keep it that way. Every draw of a run
+reads the SplitMix64 stream of its seed, ``splitmix64((seed + i*gamma) mod
+2**64)`` for i = 0, 1, ..., which ``sampling`` computes on uint64 arrays, so
+a run's results do not depend on numpy's random module. Only ``synth``
+builds a numpy generator on a derived seed, in ``ingest.stream``.
 """
 
 from __future__ import annotations

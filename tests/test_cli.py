@@ -1064,10 +1064,17 @@ def test_run_calls_both_seams_through_the_cli_module_after_loading_their_modules
         assert {"numpy", "probeforge.ingest", "probeforge.runner"} <= set(loaded)
 
 
-def test_run_loads_numpy_random_before_the_grid_runs(workdir):
-    # numpy imports its random module lazily; loaded by the first draw, it
-    # would be timed as part of the grid
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_never_loads_numpy_random(workdir, threads):
+    # Every draw reads the package's own stream, so a results file depends on
+    # numpy only through the probe's BLAS and LAPACK calls.
     synth(workdir)
+    (workdir / "grid.json").write_text(json.dumps(dict(
+        GRID, samplers=["random", "esawc", "fps", "srtm"], regimes=["external", "target-split"],
+        external_aois=["aoi-00"], target_aois=["aoi-00", "aoi-01"], n_train_external=[20],
+        n_train_target=[20], n_test_target=[20])))
     out = fresh_main("run", "--grid", str(workdir / "grid.json"), "--data-dir",
-                     str(workdir / "data"), "--out", str(workdir / "results.csv"))
-    assert "numpy.random" in out["seams"]["run_grid"]
+                     str(workdir / "data"), "--out", str(workdir / "results.csv"),
+                     "--threads", threads)
+    assert [m for m in out["modules"] if m.startswith("numpy.random")] == []
+    assert len(parse_results_file(workdir / "results.csv")) == 12

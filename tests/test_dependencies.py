@@ -247,6 +247,38 @@ def test_only_the_run_unit_reads_a_clock():
     assert found == {("runner.py", "_unit_records")}, sorted(found)
 
 
+def _names_numpy_random(node, numpy):
+    """Whether ``node`` names numpy's random module or ``default_rng``: an import
+    of either, or ``<numpy>.random`` with ``numpy`` the names numpy is bound to."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.startswith("numpy.random") for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").startswith("numpy.random") or any(
+            alias.name in ("random", "default_rng") for alias in node.names
+            if node.module == "numpy")
+    if isinstance(node, ast.Attribute):
+        return node.attr == "default_rng" or (
+            node.attr == "random" and getattr(node.value, "id", None) in numpy)
+    return isinstance(node, ast.Name) and node.id == "default_rng"
+
+
+def test_only_the_synth_stream_names_numpy_random():
+    # Every draw reads sampling's own SplitMix64 stream, so a run depends on
+    # numpy only through BLAS and LAPACK. synth still draws its data from
+    # numpy's Generator, which ingest.stream alone builds.
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        numpy = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for alias in node.names
+                 if alias.name == "numpy"}
+        for top in tree.body:
+            for node in ast.walk(top):
+                if _names_numpy_random(node, numpy):
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    assert found == {("ingest.py", "stream")}, sorted(found)
+
+
 def test_every_free_text_key_field_refuses_the_key_separator():
     # ExperimentSpec.key joins its fields with ";" and a results row holds
     # each, so a grid axis that fills a str field of a spec must refuse a name

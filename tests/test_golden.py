@@ -57,21 +57,21 @@ GOLDEN = {
     "synth/planted.json":
         "5a37085db34d10b7df6604bd43c22171a3fc17c292a143991b434a84a308ade9",
     "run/results.csv":
-        "c4eee27ed077f0f256aecf9f449aba3324234400316233f4aa1975ce3ea5bed0",
+        "0047684c8f720dc27cb15227e2be3c5849c1e3f0a3022eba99903b26a8cdecfd",
     "run-threads-2/results.csv":
-        "c4eee27ed077f0f256aecf9f449aba3324234400316233f4aa1975ce3ea5bed0",
+        "0047684c8f720dc27cb15227e2be3c5849c1e3f0a3022eba99903b26a8cdecfd",
     "run/results.csv/target-split":
-        "1c9f7738c0416a22d8d8fb6a0b20808392a286a7f3829166db8200a57e5e9600",
+        "0c436fa2f67fbab81dbabac105cf05d07ecc6e913df530f2ab7ac744fdfa2b43",
     "report-heatmap":
-        "d907aa70b22980f14db078e50d395bc23f2d3a40ee764f8ca653cf8dc8ba3c58",
+        "ebad6fd5280642c70663938a91f72e294bc5538e5456b07973f52b3a602189a6",
     "report-scatter":
-        "12a352225b1307fe580f007be5e024b8b960a554fa8fa18b57b183ed9f0ca002",
+        "a3060289907bf3a54b4c300437345d54ee1854527c1806b6b66e334e0a37bded",
     "report-select/csv":
-        "73564970a9cf121dbcae70b84719368fbc8d009cce3d85d163a421c8cf86da13",
+        "ac9b8a0e2f865ba29251a72700276bd62417d876c4e89581d5f047ef2ca13ad0",
     "report-select/text":
-        "e1b793ecd8b03e7c1fbf34ef050d26df163394dceba21beb7613dfb1329305ff",
+        "e93d01cbee56240543af1cfefe1fb8f6c07156b9ad40dbe28fe89cc470be04d4",
     "report-select/best-corr-mean":
-        "fced5a09eb3c61f43757b0b0fdd3121a5646d4f28db81b01af6fd02ca6c37a5c",
+        "6bdaba8ca142a34dd8954a44696f413257483c78739aba3d04d294d5296672a4",
     "validate/stdout":
         "1cc67877168e32455c906371f090303f1a8ac61fabbc8e20e4323253e3ebc7b9",
 }
@@ -195,11 +195,11 @@ PATHS_GRID = {
 
 PATHS_GOLDEN = {
     "paths/results.csv":
-        "787eb1ac9be3cd388e5a7bf2218b375295fb9d14627e2744aff88b03b7d6898d",
+        "5c327e15a162a51688f3520d61955fbd766205d8428097ce7451e5f072af6993",
     "paths-threads-2/results.csv":
-        "787eb1ac9be3cd388e5a7bf2218b375295fb9d14627e2744aff88b03b7d6898d",
+        "5c327e15a162a51688f3520d61955fbd766205d8428097ce7451e5f072af6993",
     "paths/report-scatter":
-        "1c8f1fa604e410910957862111489f61713881e9b4c16ac61bbdb20490981ece",
+        "48a879360c90c580cffceb5513a368bd3702369f21afecb83f05f1cf5a720693",
 }
 
 

@@ -592,6 +592,39 @@ def test_text_lines_yield_every_line_ahead_of_a_bad_byte(monkeypatch, block):
                 assert got == lines[:want - 1], blob
 
 
+class _Slices(bytes):
+    """Bytes that record the length of every slice taken of them."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.taken.append(len(range(*key.indices(len(self)))))
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("end", ["\r", "\n", "\r\n"], ids=["cr", "lf", "crlf"])
+def test_text_lines_decode_in_blocks_whatever_the_line_ends(monkeypatch, end):
+    # a block ends at the first line end past _TEXT_BLOCK, "\r" alone included,
+    # so a file whose lines end only in "\r" is not decoded as one block
+    monkeypatch.setattr(schema, "_TEXT_BLOCK", 16)
+    text = "".join(f"line {i}: é{end}" for i in range(300)).encode()
+    longest = len(f"line 299: é{end}".encode())
+    for blob in (text, text[:-30] + b"\xff" + text[-30:]):
+        lines = _file_lines(blob, errors="surrogateescape")
+        bad = [i for i, line in enumerate(lines, 1) if "\udcff" in line]
+        spied = _Slices(blob)
+        spied.taken = []
+        got = []
+        if bad:
+            with pytest.raises(DataFormatError, match=(
+                    rf"^f: line {bad[0]}: not valid UTF-8 \(byte 0xff: invalid start byte\)$")):
+                got.extend(ingest_mod.text_lines("f", spied))
+            assert bad[0] > 290 and got == lines[:bad[0] - 1]
+        else:
+            got.extend(ingest_mod.text_lines("f", spied))
+            assert got == lines
+        assert max(spied.taken) <= 16 + longest
+
+
 def test_chip_table_truncated_utf8_at_the_end_names_the_last_line(tmp_path):
     p = tmp_path / "chips.jsonl"
     p.write_bytes((CHIP_LINE + "\r\n\r\n" + CHIP_LINE[:-1]).encode() + b"\xe2\x82")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from probeforge import ingest, runner, sampling  # noqa: E402
@@ -39,6 +39,7 @@ from probeforge.schema import (  # noqa: E402
     write_results_file,
 )
 from probeforge.sampling import SampleRequest, SamplerKind, draw, split_target  # noqa: E402
+from probeforge.seeds import splitmix64  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
@@ -87,26 +88,77 @@ def test_split_target_is_disjoint(n, data, data_seed, seed, kind):
         split_target(candidates, test, n - n_test + 1, kind, seed, **aux)
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _u(seed, i):
+    """Uniform i of the stream of ``seed``, in Python ints and floats."""
+    return (splitmix64((seed + i * _GAMMA) % 2**64) >> 11) * 2.0**-53
+
+
+@PROPERTY
+@given(seed=seeds | st.just(2**64 - 1), start=st.integers(0, 2**63 - 64)
+       | st.integers(0, 64), count=st.integers(0, 64))
+@example(seed=2**64 - 1, start=0, count=3)
+def test_the_array_stream_is_splitmix64_of_the_counter(seed, start, count):
+    got = sampling._stream(seed, start, count)
+    assert got.dtype == np.uint64
+    want = [splitmix64((seed + i * _GAMMA) % 2**64) for i in range(start, start + count)]
+    assert got.tolist() == want
+    assert sampling._uniforms(seed, start, count).tolist() == [
+        _u(seed, i) for i in range(start, start + count)]
+
+
+def _subset_loop_oracle(seed, start, k, n):
+    """random's k-subset of range(n), from output ``start`` on, one pick at a time."""
+    m = min(k, n - k)
+    drawn, i = [], start
+    while len(drawn) < m:
+        pick = int(_u(seed, i) * n)
+        if pick not in drawn:
+            drawn.append(pick)
+        i += 1
+    return sorted(drawn) if m == k else [p for p in range(n) if p not in drawn]
+
+
 def _srtm_loop_oracle(candidates, elev, k, seed):
-    """srtm as first written: one full scan of the pool per bin."""
+    """srtm as first written, one full scan of the pool per bin, on scalar uniforms."""
     n = elev.size
-    rng = np.random.default_rng(seed)
     sorted_elev = np.sort(elev, kind="stable")
     min_rank = np.searchsorted(sorted_elev, elev, side="left")
     bins = (min_rank * k) // n
     chosen = []
-    taken = np.zeros(n, dtype=bool)
     for b in range(k):
         members = np.flatnonzero(bins == b)
         if members.size == 0:
             continue
-        pick = int(members[rng.integers(members.size)])
-        chosen.append(pick)
-        taken[pick] = True
-    if len(chosen) < k:
-        free = np.flatnonzero(~taken)
-        extra = rng.choice(free.size, size=k - len(chosen), replace=False)
-        chosen.extend(int(free[i]) for i in extra)
+        chosen.append(int(members[int(_u(seed, len(chosen)) * members.size)]))
+    free = [p for p in range(n) if p not in chosen]
+    chosen += [free[i] for i in _subset_loop_oracle(seed, len(chosen), k - len(chosen),
+                                                    len(free))]
+    return candidates[np.array(chosen, dtype=np.intp)]
+
+
+def _esawc_loop_oracle(candidates, frac, k, seed):
+    """esawc one turn at a time: a running sum in Python floats and a linear scan."""
+    remaining = list(range(len(candidates)))
+    chosen = []
+    turn = skipped = 0
+    while len(chosen) < k:
+        u, running, total = _u(seed, turn), [], 0.0
+        for pos in remaining:
+            total += float(frac[pos, turn % 7])
+            running.append(total)
+        turn += 1
+        if total > 0.0:
+            pick = next(j for j, s in enumerate(running) if s > u * total)
+        elif skipped == 6:
+            pick = int(u * len(remaining))
+        else:
+            skipped += 1
+            continue
+        skipped = 0
+        chosen.append(remaining.pop(pick))
     return candidates[np.array(chosen, dtype=np.intp)]
 
 
@@ -126,6 +178,60 @@ def test_srtm_matches_a_loop_oracle(n, data, seed):
     candidates = np.arange(n)[::-1] * 3
     got = draw(SampleRequest(candidates, k, seed, SamplerKind.SRTM, elevations=elev))
     assert np.array_equal(got, _srtm_loop_oracle(candidates, elev, k, seed))
+
+
+def _sizes(max_n):
+    """(n, k) with 1 <= k <= n <= max_n, k = n often."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n) | st.just(n)))
+
+
+@PROPERTY
+@given(nk=_sizes(300), seed=seeds)
+@example(nk=(1, 1), seed=0)
+@example(nk=(300, 300), seed=2**64 - 1)
+def test_random_matches_a_loop_oracle(nk, seed):
+    n, k = nk
+    candidates = np.arange(n)[::-1] * 3
+    got = draw(SampleRequest(candidates, k, seed, SamplerKind.RANDOM))
+    assert np.array_equal(got, candidates[_subset_loop_oracle(seed, 0, k, n)])
+
+
+@pytest.mark.parametrize("n", [2**16, 2**16 + 1], ids=["16-bit-picks", "wider-picks"])
+@pytest.mark.parametrize("far", [False, True], ids=["first-k", "complement"])
+def test_random_matches_a_loop_oracle_on_either_side_of_16_bit_pools(n, far):
+    k = n - 5 if far else 5
+    for seed in (0, 2**64 - 1):
+        got = sampling._subset(seed, 0, k, n)
+        assert got.tolist() == _subset_loop_oracle(seed, 0, k, n)
+
+
+# ties (equal values), zeros and all-zero rows and classes
+fraction_values = st.sampled_from([0.0, 0.0, 0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0]) | st.floats(0, 1)
+
+
+@PROPERTY
+@given(nk=_sizes(40), data=st.data(), seed=seeds)
+def test_esawc_matches_a_loop_oracle(nk, data, seed):
+    n, k = nk
+    rows = st.lists(fraction_values, min_size=7, max_size=7) | st.just([0.0] * 7)
+    frac = np.array(data.draw(st.lists(rows, min_size=n, max_size=n), label="fractions"))
+    candidates = np.arange(n)[::-1] * 3
+    got = draw(SampleRequest(candidates, k, seed, SamplerKind.ESAWC, fractions=frac))
+    assert np.array_equal(got, _esawc_loop_oracle(candidates, frac, k, seed))
+
+
+@pytest.mark.parametrize("frac, k", [
+    ([[0.0] * 7], 1),
+    ([[0.5] * 7] * 6, 6),
+    ([[0.0] * 7] * 5 + [[0.25, 0, 0, 0, 0, 0, 0]] * 3, 8),
+], ids=["one-candidate", "ties-k-equals-n", "all-zero-rows-k-equals-n"])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_esawc_matches_a_loop_oracle_on_edge_pools(frac, k, seed):
+    frac = np.array(frac)
+    candidates = np.arange(len(frac))[::-1] * 3
+    got = draw(SampleRequest(candidates, k, seed, SamplerKind.ESAWC, fractions=frac))
+    assert np.array_equal(got, _esawc_loop_oracle(candidates, frac, k, seed))
 
 
 @PROPERTY

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from probeforge import sampling
 from probeforge.sampling import (
     SampleRequest,
     SamplerKind,
@@ -30,6 +31,10 @@ def test_request_validates_k_and_shape():
         SampleRequest(np.arange(5), 6, 1, SamplerKind.RANDOM)
     with pytest.raises(ValueError):
         SampleRequest(np.zeros((2, 2)), 1, 1, SamplerKind.RANDOM)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"^seed {seed} must be in 0\.\.2\*\*64 - 1"):
+            SampleRequest(np.arange(5), 1, seed, SamplerKind.RANDOM)
+    assert SampleRequest(np.arange(5), 1, 2**64 - 1, SamplerKind.RANDOM).seed == 2**64 - 1
 
 
 def test_missing_auxiliary_data_is_an_error():
@@ -80,6 +85,39 @@ def test_random_is_uniform():
     p = k / n
     sigma = (trials * p * (1 - p)) ** 0.5
     assert abs(hits - trials * p) <= 4 * sigma
+
+
+def test_the_stream_of_seed_0_is_the_published_splitmix64_sequence():
+    got = sampling._stream(0, 0, 3).tolist()
+    assert got == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert sampling._stream(0, 1, 2).tolist() == got[1:]
+    assert sampling._uniforms(0, 0, 1).tolist() == [(got[0] >> 11) * 2.0**-53]
+
+
+@pytest.mark.parametrize("k", [3, 7], ids=["first-k-picks", "complement"])
+def test_random_includes_every_position_k_in_n_times(k):
+    # over a fixed seed set, each position's count within 4 sigma of trials*k/n
+    n, trials = 10, 4000
+    counts = np.zeros(n, dtype=int)
+    for seed in range(trials):
+        counts[random_sample(SampleRequest(np.arange(n), k, seed, SamplerKind.RANDOM))] += 1
+    p = k / n
+    sigma = (trials * p * (1 - p)) ** 0.5
+    assert np.all(np.abs(counts - trials * p) <= 4 * sigma), counts
+
+
+def test_srtm_picks_uniformly_within_each_bin():
+    # 4 bins of 10 distinct elevations: each member is its bin's pick 1/10 of
+    # the time, within 4 sigma over a fixed seed set
+    n, k, trials = 40, 4, 4000
+    elev = np.random.default_rng(3).permutation(n).astype(float)
+    counts = np.zeros(n, dtype=int)
+    for seed in range(trials):
+        got = srtm_sample(SampleRequest(np.arange(n), k, seed, SamplerKind.SRTM, elevations=elev))
+        assert sorted(elev[got] // 10) == [0, 1, 2, 3]
+        counts[got] += 1
+    sigma = (trials * 0.1 * 0.9) ** 0.5
+    assert np.all(np.abs(counts - trials * 0.1) <= 4 * sigma), counts
 
 
 def test_esawc_round_robin_order_with_one_hot_weights():
